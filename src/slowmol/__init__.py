@@ -19,7 +19,6 @@ from .medium import (
     mapping_coefficient,
     mixing_angle,
     mixing_state,
-    transversal_rates,
     velocity_floor,
 )
 from .schedule import ControlSchedule, TanhRamp, Tabulated, standard_storage_schedule

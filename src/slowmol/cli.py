@@ -1,4 +1,9 @@
-"""Command-line front end: experiment dispatch and CSV emission.
+"""Command-line front end: one runner per experiment, one writer.
+
+Each ``run_<name>(config)`` computes an experiment and returns an
+``ExperimentReport`` whose ``files`` hold every output file, without
+touching the disk; ``run`` hands the report to ``reports.write_report``
+and moves the finished directory into place.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 feasibility gate refused.
@@ -7,7 +12,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -24,21 +31,10 @@ from .dynamics import (
     wea_propagate,
 )
 from .errors import ConfigError, FeasibilityRefused, NumericsError
-from .medium import (
-    group_velocity_with_decay,
-    mixing_angle,
-    transversal_rates,
-    velocity_floor,
-)
-from .reports import (
-    fmt_float,
-    write_csv,
-    write_curve_csv,
-    write_manifest_csv,
-    write_snapshots,
-    write_storage_csv,
-    write_summary_txt,
-)
+from .medium import group_velocity_with_decay, mixing_angle, velocity_floor
+from .reports import ExperimentReport, fmt_float, write_report
+
+_CURVE_COLUMNS = ["t_us", "omega_rad_per_us", "vg_over_c"]
 
 
 def _curve_grid(config: RunConfig) -> np.ndarray:
@@ -49,41 +45,96 @@ def _substeps(config: RunConfig):
     return "auto" if config.run.substeps == 0 else config.run.substeps
 
 
-def _write_gnuplot(outdir: Path, curve_files: list[str]) -> None:
-    lines = ["set datafile separator ','", "set key autotitle columnhead",
-             "set xlabel 't (us)'", "set ylabel 'v_g / c'"]
+def _text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _report(config: RunConfig, files: dict,
+            report: ExperimentReport | None = None) -> ExperimentReport:
+    """``report`` (a bare one by default) carrying ``files`` plus config.txt."""
+    report = report or ExperimentReport(kind=config.experiment)
+    report.files = {"config.txt": serialize_config(config), **files}
+    return report
+
+
+def _gnuplot(config: RunConfig, curve_files: list[str]) -> dict:
+    if not config.run.gnuplot:
+        return {}
     plots = ", ".join(f"'{name}' using 1:3 with lines" for name in curve_files)
-    lines.append(f"plot {plots}")
-    (outdir / "plot.gp").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return {"plot.gp": _text([
+        "set datafile separator ','", "set key autotitle columnhead",
+        "set xlabel 't (us)'", "set ylabel 'v_g / c'", f"plot {plots}"])}
 
 
-def _run_groupvel(config: RunConfig, outdir: Path) -> None:
+def _curve_files(reports: list[ExperimentReport], curve_ids: list[str],
+                 tags: list, summary: list[str], config: RunConfig) -> dict:
+    """One curve CSV per sweep report, their manifest, summary and plot."""
+    names = [f"curve_{cid}.csv" for cid in curve_ids]
+    files = {name: (_CURVE_COLUMNS, [rep.series[k] for k in _CURVE_COLUMNS])
+             for name, rep in zip(names, reports)}
+    files["manifest.csv"] = (["curve_id", "eta_or_kind", "file"],
+                             [curve_ids, tags, names])
+    files["summary.txt"] = _text(summary)
+    return {**files, **_gnuplot(config, names)}
+
+
+def _frame_files(prefix: str, stem: str, frames, header: list[str], columns) -> dict:
+    """One CSV per frame plus the manifest ``<stem>s.csv`` of frame times.
+    ``columns(frame)`` builds a frame's table only when its file is written."""
+    names = [f"{stem}_{i:05d}.csv" for i in range(len(frames))]
+    files = {prefix + name: (header, functools.partial(columns, frame))
+             for name, frame in zip(names, frames)}
+    files[prefix + stem + "s.csv"] = (["index", "t_us", "file"], [
+        [str(i) for i in range(len(frames))], [frame.t for frame in frames], names])
+    return files
+
+
+def _snapshot_files(prefix: str, snapshots, fields: tuple[str, ...]) -> dict:
+    """Mean-field snapshots: z_um, then re_/im_ pairs of ``fields``."""
+    header = ["z_um"] + [f"{part}_{name}" for name in fields for part in ("re", "im")]
+    return _frame_files(prefix, "snapshot", snapshots, header, lambda snap: [snap.z] + [
+        part for name in fields for part in (getattr(snap, name).real,
+                                             getattr(snap, name).imag)])
+
+
+def _trajectory_table(tracks) -> tuple[list[str], list]:
+    """Dip trajectories from (times, positions) pairs, one dip index each."""
+    cols = [[], [], [], []]
+    for idx, (t, x) in enumerate(tracks):
+        t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+        speed = np.gradient(x, t) if len(t) > 1 else np.zeros_like(x)
+        for col, values in zip(cols, (t, [str(idx)] * len(t), x, speed)):
+            col.extend(values)
+    return ["t_us", "dip_index", "z_um", "speed_um_per_us"], cols
+
+
+def run_groupvel(config: RunConfig) -> ExperimentReport:
     p = config.to_medium_params()
     sched = config.to_schedule()
     t = _curve_grid(config)
     omega = np.asarray(sched.omega(t), dtype=float)
     vg = protocol.velocity_curve(p, sched, t)
-    write_curve_csv(outdir / "velocity_curve.csv", t, omega, vg / p.c)
-    gamma1, gamma2 = transversal_rates(p)
     lines = [
         f"plateau_omega_rad_per_us = {fmt_float(sched.plateau)}",
         f"mixing_angle_at_plateau_rad = {fmt_float(mixing_angle(p, sched.plateau))}",
         f"vg_at_plateau_m_per_s = {fmt_float(group_velocity_with_decay(p, sched.plateau))}",
-        f"gamma1_rad_per_us = {fmt_float(gamma1)}",
-        f"gamma2_rad_per_us = {fmt_float(gamma2)}",
+        f"gamma1_rad_per_us = {fmt_float(p.gamma1)}",
+        f"gamma2_rad_per_us = {fmt_float(p.gamma2)}",
     ]
-    if gamma1 * gamma2 > 0:
+    if p.gamma1 * p.gamma2 > 0:
         floor = velocity_floor(p)
         lines.append(f"velocity_floor_m_per_s = {fmt_float(floor)}")
         lines.append(f"velocity_floor_km_per_s = {fmt_float(floor * 1e-3)}")
     else:
         lines.append("velocity_floor_m_per_s = none (no decay floor)")
-    write_summary_txt(outdir / "summary.txt", lines)
-    if config.run.gnuplot:
-        _write_gnuplot(outdir, ["velocity_curve.csv"])
+    return _report(config, {
+        "velocity_curve.csv": (_CURVE_COLUMNS, [t, omega, vg / p.c]),
+        "summary.txt": _text(lines),
+        **_gnuplot(config, ["velocity_curve.csv"]),
+    })
 
 
-def _run_propagate(config: RunConfig, outdir: Path) -> None:
+def run_propagate(config: RunConfig) -> ExperimentReport:
     p = config.to_medium_params()
     sched = config.to_schedule()
     grid = config.to_grid()
@@ -94,9 +145,6 @@ def _run_propagate(config: RunConfig, outdir: Path) -> None:
         snapshot_stride=config.grid.snapshot_stride,
         substeps=_substeps(config), advection=config.run.advection,
     )
-    write_snapshots(outdir, snaps,
-                    {"E": "E", "phi_a": "phi_a", "phi_b": "phi_b",
-                     "phi_e": "phi_e", "phi_g": "phi_g"})
     last = snaps[-1]
     oracle = wea_propagate(pulse, sched, p, last.t)
     travel_meas = pulse_center(grid.z, last.E) - pulse_center(grid.z, snaps[0].E)
@@ -105,16 +153,19 @@ def _run_propagate(config: RunConfig, outdir: Path) -> None:
     theta0 = mixing_angle(p, float(sched.omega(0.0)))
     theta_t = mixing_angle(p, float(sched.omega(last.t)))
     peak_pred = math.cos(theta_t) / math.cos(theta0)
-    write_summary_txt(outdir / "summary.txt", [
-        f"t_end_us = {fmt_float(last.t)}",
-        f"travel_measured_um = {fmt_float(travel_meas)}",
-        f"travel_predicted_um = {fmt_float(travel_pred)}",
-        f"peak_ratio_measured = {fmt_float(peak_meas)}",
-        f"peak_ratio_predicted = {fmt_float(peak_pred)}",
-    ])
+    return _report(config, {
+        **_snapshot_files("", snaps, ("E", "phi_a", "phi_b", "phi_e", "phi_g")),
+        "summary.txt": _text([
+            f"t_end_us = {fmt_float(last.t)}",
+            f"travel_measured_um = {fmt_float(travel_meas)}",
+            f"travel_predicted_um = {fmt_float(travel_pred)}",
+            f"peak_ratio_measured = {fmt_float(peak_meas)}",
+            f"peak_ratio_predicted = {fmt_float(peak_pred)}",
+        ]),
+    })
 
 
-def _run_store(config: RunConfig, outdir: Path) -> None:
+def run_store(config: RunConfig) -> ExperimentReport:
     p = config.to_medium_params()
     sched = config.to_schedule()
     grid = config.to_grid()
@@ -126,39 +177,34 @@ def _run_store(config: RunConfig, outdir: Path) -> None:
         snapshot_stride=config.grid.snapshot_stride,
         advection=config.run.advection,
     )
-    write_storage_csv(outdir / "storage_report.csv",
-                      report.profiles["z_um"], report.profiles["e_in"],
-                      report.profiles["phig_stored"], report.profiles["e_out"])
-    report.write_series_csv(outdir / "velocity_curve.csv",
-                            ["t_us", "omega_rad_per_us", "vg_over_c"])
-    write_snapshots(outdir / "snapshots", report.snapshots,
-                    {"E": "E", "phi_g": "phi_g"})
-    write_summary_txt(outdir / "summary.txt", report.summary_lines())
+    prof = report.profiles
+    return _report(config, {
+        "storage_report.csv": (
+            ["z_um", "re_E_in", "im_E_in", "re_phig_stored", "im_phig_stored",
+             "re_E_out", "im_E_out"],
+            [prof["z_um"], prof["e_in"].real, prof["e_in"].imag,
+             prof["phig_stored"].real, prof["phig_stored"].imag,
+             prof["e_out"].real, prof["e_out"].imag]),
+        "velocity_curve.csv": (_CURVE_COLUMNS, [report.series[k] for k in _CURVE_COLUMNS]),
+        **_snapshot_files("snapshots/", report.snapshots, ("E", "phi_g")),
+        "summary.txt": _text(report.summary_lines()),
+    }, report)
 
 
-def _run_imbalance(config: RunConfig, outdir: Path) -> None:
+def run_imbalance(config: RunConfig) -> ExperimentReport:
     p = config.to_medium_params()
     sched = config.to_schedule()
     reports = protocol.imbalance_sweep(
-        config.sweep.n_total, config.sweep.etas, sched, p,
-        t_grid=_curve_grid(config))
-    rows = []
-    summary = []
-    for i, rep in enumerate(reports):
-        fname = f"curve_eta{i:02d}.csv"
-        rep.write_series_csv(outdir / fname,
-                             ["t_us", "omega_rad_per_us", "vg_over_c"])
-        rows.append((f"eta{i:02d}", fmt_float(rep.params["eta"]), fname))
-        summary.append(f"min_vg_over_c_eta{i:02d} = "
-                       f"{fmt_float(rep.scalars['min_vg_over_c'])} "
-                       f"(eta = {fmt_float(rep.params['eta'])})")
-    write_manifest_csv(outdir / "manifest.csv", rows)
-    write_summary_txt(outdir / "summary.txt", summary)
-    if config.run.gnuplot:
-        _write_gnuplot(outdir, [r[2] for r in rows])
+        config.sweep.n_total, config.sweep.etas, sched, p, t_grid=_curve_grid(config))
+    ids = [f"eta{i:02d}" for i in range(len(reports))]
+    summary = [f"min_vg_over_c_{cid} = {fmt_float(rep.scalars['min_vg_over_c'])} "
+               f"(eta = {fmt_float(rep.params['eta'])})"
+               for cid, rep in zip(ids, reports)]
+    return _report(config, _curve_files(
+        reports, ids, [rep.params["eta"] for rep in reports], summary, config))
 
 
-def _run_mediums(config: RunConfig, outdir: Path) -> None:
+def run_mediums(config: RunConfig) -> ExperimentReport:
     p = config.to_medium_params()
     sched = config.to_schedule()
     kinds = config.sweep_kinds()
@@ -166,67 +212,33 @@ def _run_mediums(config: RunConfig, outdir: Path) -> None:
                          math.log10(config.sweep.n_scan_max),
                          config.sweep.n_scan_points)
     reports = protocol.medium_comparison(
-        config.sweep.n_total, kinds, sched, p,
-        t_grid=_curve_grid(config), n_scan=n_scan)
-    rows = []
-    summary = []
-    for rep in reports:
-        kind = rep.params["medium_kind"]
-        fname = f"curve_{kind}.csv"
-        rep.write_series_csv(outdir / fname,
-                             ["t_us", "omega_rad_per_us", "vg_over_c"])
-        rows.append((kind, kind, fname))
-        summary.append(f"scaling_exponent_{kind.replace('-', '_')} = "
-                       f"{fmt_float(rep.scalars['scaling_exponent'])}")
-    write_manifest_csv(outdir / "manifest.csv", rows)
-    write_summary_txt(outdir / "summary.txt", summary)
-    if config.run.gnuplot:
-        _write_gnuplot(outdir, [r[2] for r in rows])
+        config.sweep.n_total, kinds, sched, p, t_grid=_curve_grid(config), n_scan=n_scan)
+    names = [rep.params["medium_kind"] for rep in reports]
+    summary = [f"scaling_exponent_{name.replace('-', '_')} = "
+               f"{fmt_float(rep.scalars['scaling_exponent'])}"
+               for name, rep in zip(names, reports)]
+    return _report(config, _curve_files(reports, names, names, summary, config))
 
 
-def _run_feasibility(config: RunConfig, outdir: Path) -> None:
+def run_feasibility(config: RunConfig) -> ExperimentReport:
     p = config.to_medium_params()
-    sched = config.to_schedule()
     rep = protocol.feasibility_check(
-        p, config.feasibility.t_s_us, sched, config.feasibility.t_storage_us,
-        threshold=config.feasibility.threshold)
-    gamma1, _ = transversal_rates(p)
+        p, config.feasibility.t_s_us, config.to_schedule(),
+        config.feasibility.t_storage_us, threshold=config.feasibility.threshold)
     lines = []
-    if gamma1 > 0:
-        lines.append(f"gamma1_inverse_ms = {fmt_float(1e-3 / gamma1)}")
+    if p.gamma1 > 0:
+        lines.append(f"gamma1_inverse_ms = {fmt_float(1e-3 / p.gamma1)}")
     lines.extend(rep.summary_lines())
     lines.append(f"all_ok = {'true' if rep.all_ok else 'false'}")
-    write_summary_txt(outdir / "summary.txt", lines)
     names = sorted(rep.margins)
-    write_csv(outdir / "feasibility.csv",
-              ["margin_" + n for n in names],
-              [np.array([rep.margins[n]]) for n in names])
+    return _report(config, {
+        "summary.txt": _text(lines),
+        "feasibility.csv": (["margin_" + n for n in names],
+                            [[rep.margins[n]] for n in names]),
+    })
 
 
-def _write_frames(outdir: Path, frames) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for i, wf in enumerate(frames):
-        fname = f"frame_{i:05d}.csv"
-        write_csv(outdir / fname, ["z_um", "density", "phase"],
-                  [wf.z, wf.density(), np.angle(wf.psi)])
-        rows.append(f"{i},{fmt_float(wf.t)},{fname}")
-    (outdir / "frames.csv").write_text(
-        "\n".join(["index,t_us,file"] + rows) + "\n", encoding="utf-8")
-
-
-def _write_trajectories(path: Path, trajectories) -> None:
-    lines = ["t_us,dip_index,z_um,speed_um_per_us"]
-    for idx, tr in enumerate(trajectories):
-        t = np.asarray(tr.times)
-        x = np.asarray(tr.positions)
-        speed = np.gradient(x, t) if len(t) > 1 else np.zeros_like(x)
-        for j in range(len(t)):
-            lines.append(f"{fmt_float(t[j])},{idx},{fmt_float(x[j])},{fmt_float(speed[j])}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _run_gpe_soliton(config: RunConfig, outdir: Path) -> None:
+def run_gpe_soliton(config: RunConfig) -> ExperimentReport:
     p = config.to_gpe_params()
     grid = config.to_gpe_grid()
     kw = config.to_soliton_spec_kwargs()
@@ -246,10 +258,8 @@ def _run_gpe_soliton(config: RunConfig, outdir: Path) -> None:
         nonlinearity=config.gpe.nonlinearity,
         background_decay_rate=config.gpe.background_decay_per_us,
     )
-    _write_frames(outdir / "frames", frames)
     trajectories = gpe_mod.track_minima(
         frames, background_density=p.background_amp**2)
-    _write_trajectories(outdir / "trajectory.csv", trajectories)
     v_s = gpe_mod.sound_speed(p)
     v_expected = spec.speed(v_s)
     main_track = min(
@@ -266,71 +276,74 @@ def _run_gpe_soliton(config: RunConfig, outdir: Path) -> None:
     ]
     if main_track is not None and len(main_track) > 2:
         lines.append(f"measured_speed_um_per_us = {fmt_float(main_track.fit_speed())}")
-    write_summary_txt(outdir / "summary.txt", lines)
+    return _report(config, {
+        **_frame_files("frames/", "frame", frames, ["z_um", "density", "phase"],
+                       lambda wf: [wf.z, wf.density(), np.angle(wf.psi)]),
+        "trajectory.csv": _trajectory_table((tr.times, tr.positions) for tr in trajectories),
+        "summary.txt": _text(lines),
+    })
 
 
-def _run_gpe_split(config: RunConfig, outdir: Path) -> None:
-    p = config.to_gpe_params()
-    grid = config.to_gpe_grid()
+def run_gpe_split(config: RunConfig) -> ExperimentReport:
     report = gpe_mod.soliton_split_experiment(
-        config.soliton.q, p, grid,
+        config.soliton.q, config.to_gpe_params(), config.to_gpe_grid(),
         z0=config.soliton.z0_um,
         seed_separation_widths=config.soliton.seed_separation_widths,
         snapshot_stride=config.gpegrid.snapshot_stride,
         background_decay_rate=config.gpe.background_decay_per_us,
     )
-    if report.series:
-        report.write_series_csv(outdir / "separation.csv",
-                                ["t_us", "z_left_um", "z_right_um", "separation_um"])
-        t = report.series["t_us"]
-        lines = ["t_us,dip_index,z_um,speed_um_per_us"]
-        for idx, col in ((0, "z_left_um"), (1, "z_right_um")):
-            x = report.series[col]
-            speed = np.gradient(x, t)
-            for j in range(len(t)):
-                lines.append(f"{fmt_float(t[j])},{idx},{fmt_float(x[j])},"
-                             f"{fmt_float(speed[j])}")
-        (outdir / "trajectory.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_summary_txt(outdir / "summary.txt", report.summary_lines())
     if not report.scalars.get("succeeded"):
-        raise NumericsError("soliton splitting did not produce two persistent dips; "
-                            "see summary.txt for diagnostics")
+        diagnostics = ", ".join(f"{key} = {fmt_float(val)}"
+                                for key, val in sorted(report.scalars.items()))
+        raise NumericsError("soliton splitting did not produce two persistent dips "
+                            f"({diagnostics})")
+    series = report.series
+    return _report(config, {
+        "separation.csv": (["t_us", "z_left_um", "z_right_um", "separation_um"],
+                           [series["t_us"], series["z_left_um"],
+                            series["z_right_um"], series["separation_um"]]),
+        "trajectory.csv": _trajectory_table(
+            [(series["t_us"], series["z_left_um"]), (series["t_us"], series["z_right_um"])]),
+        "summary.txt": _text(report.summary_lines()),
+    }, report)
 
 
 _RUNNERS = {
-    "groupvel": _run_groupvel,
-    "propagate": _run_propagate,
-    "store": _run_store,
-    "imbalance": _run_imbalance,
-    "mediums": _run_mediums,
-    "feasibility": _run_feasibility,
-    "gpe-soliton": _run_gpe_soliton,
-    "gpe-split": _run_gpe_split,
+    "groupvel": run_groupvel,
+    "propagate": run_propagate,
+    "store": run_store,
+    "imbalance": run_imbalance,
+    "mediums": run_mediums,
+    "feasibility": run_feasibility,
+    "gpe-soliton": run_gpe_soliton,
+    "gpe-split": run_gpe_split,
 }
 
 
 def run(config: RunConfig, out_dir: str | Path) -> None:
     """Execute the configured experiment, writing outputs atomically.
 
-    Results appear at ``out_dir`` only if the whole experiment succeeds;
-    partial outputs are cleaned up on failure.
+    Results appear at ``out_dir`` only if the whole experiment succeeds.
+    They are written into a work directory of their own beside ``out_dir``,
+    so concurrent runs never touch each other's files, and moved into place
+    at the end; the move fails if ``out_dir`` gained files meanwhile.
     """
     out_dir = Path(out_dir)
     if out_dir.exists() and any(out_dir.iterdir()):
         raise ConfigError(f"output directory {out_dir} already exists and is not empty")
-    tmp = out_dir.parent / (out_dir.name + ".partial")
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir(parents=True)
+    runner = _RUNNERS[config.experiment]
+    work = out_dir.parent / f"{out_dir.name}.{os.urandom(6).hex()}.partial"
+    work.mkdir(parents=True)
     try:
-        (tmp / "config.txt").write_text(serialize_config(config), encoding="utf-8")
-        _RUNNERS[config.experiment](config, tmp)
+        write_report(runner(config), work)
+        try:
+            work.rename(out_dir)  # replaces an empty out_dir, never a full one
+        except OSError as exc:
+            raise ConfigError(f"output directory {out_dir} gained files during the "
+                              f"run: {exc}") from exc
     except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
         raise
-    if out_dir.exists():
-        out_dir.rmdir()
-    tmp.rename(out_dir)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -337,11 +337,18 @@ def _field_types(section_cls: type) -> dict[str, type]:
     return {f.name: hints[f.name] for f in dataclasses.fields(section_cls)}
 
 
+def _finite(key: str, text: str, value: float) -> float:
+    # every guard downstream is written as ``x <= 0``, which nan slips past
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: {text!r} is not a finite number")
+    return value
+
+
 def _parse_value(key: str, text: str, pytype: type):
     text = text.strip()
     try:
         if pytype is float:
-            return float(text)
+            return _finite(key, text, float(text))
         if pytype is int:
             return int(text)
         if pytype is bool:
@@ -355,9 +362,12 @@ def _parse_value(key: str, text: str, pytype: type):
                 return ()
             items = [tok.strip() for tok in text.split(",")]
             try:
-                return tuple(float(tok) for tok in items)
+                values = tuple(float(tok) for tok in items)
             except ValueError:
                 return tuple(items)
+            return tuple(_finite(key, text, v) for v in values)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {text!r} as {pytype.__name__}") from exc
     raise ConfigError(f"{key}: unsupported value type {pytype!r}")

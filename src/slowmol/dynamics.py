@@ -27,7 +27,7 @@ import numpy as np
 from scipy import integrate as _sciint
 
 from .errors import ConfigError, NumericsError
-from .medium import MediumParams, mixing_angle
+from .medium import MediumParams, group_velocity, mixing_angle
 from .schedule import ControlSchedule, Tabulated
 
 # RK4 substeps aim for (fastest local frequency) * substep <= this phase.
@@ -253,7 +253,7 @@ def wea_propagate(env0: SignalEnvelope, sched: ControlSchedule, p: MediumParams,
     def v_g(s: float) -> float:
         om = float(sched.omega(s))
         if om > 0.0:
-            return p.c / (1.0 + gc2 / om**2)
+            return group_velocity(p, om)
         return 0.0 if gc2 > 0 else p.c
 
     if t > 0:

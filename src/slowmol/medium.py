@@ -211,8 +211,3 @@ def effective_pair_density(kind: MediumKind, n_total: float, eta: float = 1.0) -
     if kind is MediumKind.HETERONUCLEAR_TRIMER:
         return n_total**3 / 27.0
     raise ValueError(f"unknown medium kind {kind!r}")
-
-
-def transversal_rates(p: MediumParams) -> tuple[float, float]:
-    """(gamma1, gamma2) = (gamma_a+gamma_b+gamma_g, gamma_a+gamma_b+gamma_e)."""
-    return (p.gamma1, p.gamma2)

@@ -1,7 +1,9 @@
-"""Structured experiment results and deterministic CSV serialization.
+"""Structured experiment results and their one writer.
 
-All numbers are written with shortest round-trip float formatting, so a
-given report always serializes to byte-identical files.
+Every experiment returns an ``ExperimentReport`` whose ``files`` map holds
+each output file; ``write_report`` is the only code that writes them.  All
+numbers are written with shortest round-trip float formatting, so a given
+report always serializes to byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,17 +21,25 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+def _cells(column):
+    """A list of strings passes through; anything else is read as floats
+    and formatted lazily, one cell per row as the row is joined."""
+    if isinstance(column, list) and all(isinstance(x, str) for x in column):
+        return column
+    return map(repr, np.asarray(column, dtype=float).tolist())
+
+
+def write_csv(path: Path, header: list[str], columns: list) -> None:
+    """One CSV table.  A column is a float array or a list of strings
+    (integer cells such as indices are passed as strings)."""
     if len(header) != len(columns):
         raise ValueError("header and column counts differ")
     n = len(columns[0])
     for col in columns:
         if len(col) != n:
             raise ValueError("columns must have equal length")
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(fmt_float(col[i]) for col in columns))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = map(",".join, zip(*map(_cells, columns)))
+    Path(path).write_text("\n".join([",".join(header), *rows]) + "\n", encoding="utf-8")
 
 
 def read_csv(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
@@ -86,8 +96,14 @@ class ExperimentReport:
     """Results of one experiment: tagged series, scalars, feasibility.
 
     ``profiles`` holds spatial arrays (e.g. stored envelopes) and
-    ``snapshots`` full field states; both are optional payloads for
-    writers and are not part of the scalar summary.
+    ``snapshots`` full field states; both are optional payloads and are
+    not part of the scalar summary.
+
+    ``files`` is everything the experiment puts on disk, keyed by path
+    relative to the output directory: a text string, or a
+    ``(header, columns)`` table for ``write_csv``.  ``columns`` may be a
+    zero-argument callable, so that a large table is built only when its
+    file is written.
     """
 
     kind: str
@@ -97,6 +113,7 @@ class ExperimentReport:
     feasibility: Optional[FeasibilityReport] = None
     profiles: dict = field(default_factory=dict)
     snapshots: list = field(default_factory=list)
+    files: dict = field(default_factory=dict)
 
     def write_series_csv(self, path: Path, columns: Optional[list[str]] = None) -> None:
         names = columns if columns is not None else list(self.series)
@@ -115,57 +132,15 @@ class ExperimentReport:
         return lines
 
 
-def write_curve_csv(path: Path, t_us: np.ndarray, omega: np.ndarray,
-                    vg_over_c: np.ndarray) -> None:
-    """One velocity curve: header t_us,omega_rad_per_us,vg_over_c."""
-    write_csv(path, ["t_us", "omega_rad_per_us", "vg_over_c"],
-              [t_us, omega, vg_over_c])
-
-
-def write_manifest_csv(path: Path, rows: list[tuple[str, str, str]]) -> None:
-    """Sweep manifest: header curve_id,eta_or_kind,file."""
-    lines = ["curve_id,eta_or_kind,file"]
-    for curve_id, tag, fname in rows:
-        lines.append(f"{curve_id},{tag},{fname}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_storage_csv(path: Path, z_um: np.ndarray, e_in: np.ndarray,
-                      phig_stored: np.ndarray, e_out: np.ndarray) -> None:
-    """Storage/retrieval profiles: input light, stored molecules, output light."""
-    write_csv(
-        path,
-        ["z_um", "re_E_in", "im_E_in", "re_phig_stored", "im_phig_stored",
-         "re_E_out", "im_E_out"],
-        [z_um, e_in.real, e_in.imag, phig_stored.real, phig_stored.imag,
-         e_out.real, e_out.imag],
-    )
-
-
-def write_summary_txt(path: Path, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_snapshots(outdir: Path, snapshots, fields: dict[str, str]) -> Path:
-    """Dump one CSV per snapshot plus a manifest of snapshot times.
-
-    ``fields`` maps column stem -> attribute name on the snapshot objects,
-    e.g. {"E": "E", "phi_a": "phi_a"}.  Columns are z_um then re_/im_ pairs.
-    """
+def write_report(report: ExperimentReport, outdir: Path) -> None:
+    """Write every entry of ``report.files`` under ``outdir``."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    manifest_rows = []
-    for i, snap in enumerate(snapshots):
-        fname = f"snapshot_{i:05d}.csv"
-        header = ["z_um"]
-        cols = [np.asarray(snap.z, dtype=float)]
-        for stem, attr in fields.items():
-            arr = np.asarray(getattr(snap, attr))
-            header += [f"re_{stem}", f"im_{stem}"]
-            cols += [arr.real, arr.imag]
-        write_csv(outdir / fname, header, cols)
-        manifest_rows.append((str(i), fmt_float(snap.t), fname))
-    manifest = outdir / "snapshots.csv"
-    lines = ["index,t_us,file"] + [",".join(row) for row in manifest_rows]
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return manifest
+    for name, content in report.files.items():
+        path = outdir / name
+        if "/" in name:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(content, str):
+            path.write_text(content, encoding="utf-8")
+        else:
+            header, columns = content
+            write_csv(path, header, columns() if callable(columns) else columns)

@@ -288,7 +288,7 @@ def test_criterion_9_feasibility_margins_gated():
 def test_criterion_9_coherence_window_arithmetic():
     # the exact value behind the quoted ~1.6 ms figure
     p = sm.MediumParams.krb()
-    gamma1, _ = sm.transversal_rates(p)
+    gamma1 = p.gamma1
     window_ms = 1e-3 / gamma1  # us -> ms
     assert window_ms == pytest.approx(1.0 / (2 * math.pi * 97) * 1e3, rel=1e-9)
     announce(9, "coherence-window-arithmetic", f"1/gamma1 = {window_ms:.4f} ms")
@@ -302,7 +302,7 @@ def test_criterion_9_coherence_window_arithmetic():
 )
 def test_criterion_9_coherence_window_quoted_tolerance():
     p = sm.MediumParams.krb()
-    gamma1, _ = sm.transversal_rates(p)
+    gamma1 = p.gamma1
     window_ms = 1e-3 / gamma1
     assert window_ms == pytest.approx(1.6, rel=0.02)
 

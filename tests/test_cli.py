@@ -2,8 +2,10 @@ from pathlib import Path
 
 import pytest
 
+from slowmol import cli
 from slowmol.cli import main, run
 from slowmol.config import load_config
+from slowmol.errors import ConfigError
 from slowmol.reports import read_csv
 
 KRB_ARGS = ["--set", "medium.g_tilde_rad_per_us=5e-5",
@@ -137,6 +139,22 @@ def test_exit_code_2_on_bad_invariant(tmp_path):
                  "--set", "sweep.etas=-1"]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("medium.n_a", "nan"),
+    ("medium.length_um", "inf"),
+    ("schedule.rate_per_us", "nan"),
+    ("curve.t_end_us", "-inf"),
+    ("feasibility.t_s_us", "nan"),
+    ("gpegrid.dt_us", "inf"),
+    ("sweep.etas", "1,nan"),
+])
+def test_exit_code_2_on_non_finite_value(tmp_path, capsys, key, value):
+    assert main(["groupvel", "--out", str(tmp_path / "x"),
+                 "--set", f"{key}={value}"]) == 2
+    assert key in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_code_4_on_feasibility_refusal(tmp_path, capsys):
     # full-scale store: the spectral window fails for the default medium
     assert main(["store", "--out", str(tmp_path / "x")]) == 4
@@ -151,6 +169,14 @@ def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
                  "--set", "run.substeps=1"])
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_gpe_split_failure_names_its_diagnostics(tmp_path, capsys):
+    code = main(["gpe-split", "--out", str(tmp_path / "split"),
+                 "--set", "gpegrid.t_end_us=0.02"])
+    assert code == 3
+    assert "n_persistent" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_force_flag_overrides_gate(tmp_path):
@@ -182,8 +208,7 @@ def test_no_partial_outputs_on_failure(tmp_path):
                  "--set", "schedule.omega0_rad_per_us=8000",
                  "--set", "run.substeps=1"])
     assert code == 3
-    assert not out.exists()
-    assert not (tmp_path / "failed.partial").exists()
+    assert list(tmp_path.iterdir()) == []  # no output and no work directory
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -220,3 +245,57 @@ def test_config_file_plus_override(tmp_path):
         523.5, abs=0.1)
     _, cols = read_csv(out / "velocity_curve.csv")
     assert len(cols["t_us"]) == 31
+
+
+def test_interleaved_runs_to_one_out_dir(tmp_path, monkeypatch):
+    # the first run's runner starts and finishes a second run to the same
+    # out_dir; the second run must not touch the first one's work directory,
+    # and the first must then refuse to move its results over the second's
+    out = tmp_path / "deep" / "gv"
+    config = load_config(None, ["experiment=groupvel"])
+    inner = cli._RUNNERS["groupvel"]
+    calls = []
+
+    def interleaving(cfg):
+        calls.append(cfg)
+        if len(calls) == 1:
+            run(load_config(None, ["experiment=groupvel", "curve.points=5"]), out)
+        return inner(cfg)
+
+    monkeypatch.setitem(cli._RUNNERS, "groupvel", interleaving)
+    with pytest.raises(ConfigError, match="gained files"):
+        run(config, out)
+    assert len(calls) == 2
+    assert sorted(p.name for p in out.parent.iterdir()) == ["gv"]
+    _, cols = read_csv(out / "velocity_curve.csv")
+    assert len(cols["t_us"]) == 5  # the second run's results, intact
+
+
+RUNNER_CASES = {
+    "groupvel": ["run.gnuplot=true"],
+    "propagate": ["preset=desk-storage", "grid.n_z=128", "grid.t_end_us=5",
+                  "grid.snapshot_stride=20"],
+    "store": ["preset=desk-storage", "grid.n_z=256", "grid.t_end_us=40",
+              "grid.snapshot_stride=50", "schedule.t_down_us=8",
+              "schedule.t_up_us=25", "schedule.rate_per_us=0.5"],
+    "imbalance": ["run.gnuplot=true", "curve.points=11"],
+    "mediums": ["curve.points=11"],
+    "feasibility": [],
+    "gpe-soliton": ["gpegrid.n_z=256", "gpegrid.t_end_us=1",
+                    "gpegrid.snapshot_stride=50"],
+    "gpe-split": ["gpegrid.t_end_us=6", "gpegrid.snapshot_stride=100"],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(RUNNER_CASES))
+def test_runner_report_lists_every_file_written(tmp_path, monkeypatch, experiment):
+    inner = cli._RUNNERS[experiment]
+    reports = []
+    monkeypatch.setitem(cli._RUNNERS, experiment,
+                        lambda cfg: reports.append(inner(cfg)) or reports[-1])
+    config = load_config(None, [f"experiment={experiment}"] + RUNNER_CASES[experiment])
+    out = tmp_path / "out"
+    run(config, out)
+    on_disk = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert set(reports[0].files) == on_disk
+    assert "config.txt" in on_disk

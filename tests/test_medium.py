@@ -13,7 +13,6 @@ from slowmol import (
     mapping_coefficient,
     mixing_angle,
     mixing_state,
-    transversal_rates,
     velocity_floor,
 )
 
@@ -104,7 +103,7 @@ def test_velocity_floor_matches_zero_omega_decay_velocity():
 def test_velocity_floor_intermediate_rate_product():
     # direct arithmetic: (2pi*97 Hz) * (2pi*5.7 MHz) in 1/s^2
     p = MediumParams.krb()
-    g1, g2 = transversal_rates(p)
+    g1, g2 = p.gamma1, p.gamma2
     per_s2 = (g1 * 1e6) * (g2 * 1e6)
     assert per_s2 == pytest.approx(4 * math.pi**2 * 97 * 5.7e6, rel=1e-12)
     assert per_s2 == pytest.approx(2.1827e10, rel=1e-4)
@@ -191,16 +190,18 @@ def test_density_exponents():
 # ------------------------------------------------------------ transversal rates
 
 def test_transversal_rates_zero():
-    assert transversal_rates(params()) == (0.0, 0.0)
+    p = params()
+    assert (p.gamma1, p.gamma2) == (0.0, 0.0)
 
 
 def test_transversal_rates_definition():
     p = params(gamma_e=0.25)
-    assert transversal_rates(p) == (0.0, 0.25)
+    assert (p.gamma1, p.gamma2) == (0.0, 0.25)
 
 
 def test_transversal_rates_krb_roundtrip():
-    g1, g2 = transversal_rates(MediumParams.krb())
+    p = MediumParams.krb()
+    g1, g2 = p.gamma1, p.gamma2
     assert g1 == pytest.approx(2 * math.pi * 97 * 1e-6, rel=1e-12)
     assert g2 == pytest.approx(2 * math.pi * 5.7e6 * 1e-6, rel=1e-12)
 
