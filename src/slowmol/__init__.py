@@ -19,6 +19,7 @@ from .medium import (
     mapping_coefficient,
     mixing_angle,
     mixing_state,
+    slowdown,
     velocity_floor,
 )
 from .schedule import ControlSchedule, TanhRamp, Tabulated, standard_storage_schedule

@@ -135,20 +135,6 @@ class RunSection:
     gnuplot: bool = False
 
 
-_SECTION_TYPES: dict[str, type] = {
-    "medium": MediumConfig,
-    "schedule": ScheduleConfig,
-    "curve": CurveConfig,
-    "grid": GridConfig,
-    "pulse": PulseConfig,
-    "gpe": GpeConfig,
-    "gpegrid": GpeGridConfig,
-    "soliton": SolitonConfig,
-    "sweep": SweepConfig,
-    "feasibility": FeasibilityConfig,
-    "run": RunSection,
-}
-
 # keys the desk-storage preset rewrites before explicit keys apply
 _DESK_STORAGE_PRESET = {
     "medium.g_tilde_rad_per_us": 3.0e-3,
@@ -295,6 +281,10 @@ class RunConfig:
             raise ConfigError("curve.t_end_us: must be positive")
         if self.sweep.n_total <= 0:
             raise ConfigError("sweep.n_total: must be positive")
+        if not self.sweep.etas:
+            raise ConfigError("sweep.etas: need at least one imbalance ratio")
+        if not self.sweep.kinds:
+            raise ConfigError("sweep.kinds: need at least one medium kind")
         for eta in self.sweep.etas:
             if not isinstance(eta, (int, float)):
                 raise ConfigError("sweep.etas: expected a comma-separated list of numbers")
@@ -332,9 +322,12 @@ class RunConfig:
         return self
 
 
-def _field_types(section_cls: type) -> dict[str, type]:
-    hints = typing.get_type_hints(section_cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(section_cls)}
+# every "section.field" key -> (section, field, value type), in RunConfig's order
+_KEYS: dict[str, tuple[str, str, type]] = {
+    f"{section}.{name}": (section, name, pytype)
+    for section, cls in typing.get_type_hints(RunConfig).items() if dataclasses.is_dataclass(cls)
+    for name, pytype in typing.get_type_hints(cls).items()
+}
 
 
 def _finite(key: str, text: str, value: float) -> float:
@@ -402,16 +395,10 @@ def _apply_pairs(config: RunConfig, pairs: list[tuple[str, str]]) -> RunConfig:
         if key == "experiment":
             config = replace(config, experiment=raw.strip())
             continue
-        if "." not in key:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}")
-        section_name, field_name = key.split(".", 1)
-        section_cls = _SECTION_TYPES.get(section_name)
-        if section_cls is None:
-            raise ConfigError(f"unknown key {key!r}")
-        types = _field_types(section_cls)
-        if field_name not in types:
-            raise ConfigError(f"unknown key {key!r}")
-        value = _parse_value(key, raw, types[field_name])
+        section_name, field_name, pytype = _KEYS[key]
+        value = _parse_value(key, raw, pytype)
         section = replace(getattr(config, section_name), **{field_name: value})
         config = replace(config, **{section_name: section})
     return config
@@ -444,11 +431,9 @@ def parse_config(text: str) -> RunConfig:
 def serialize_config(config: RunConfig) -> str:
     """Canonical full-document form; parse(serialize(c)) == c."""
     lines = [f"experiment = {config.experiment}", f"preset = {config.preset}"]
-    for section_name, section_cls in _SECTION_TYPES.items():
-        section = getattr(config, section_name)
-        for f in dataclasses.fields(section_cls):
-            lines.append(f"{section_name}.{f.name} = "
-                         f"{_format_value(getattr(section, f.name))}")
+    for key, (section_name, field_name, _) in _KEYS.items():
+        value = getattr(getattr(config, section_name), field_name)
+        lines.append(f"{key} = {_format_value(value)}")
     return "\n".join(lines) + "\n"
 
 

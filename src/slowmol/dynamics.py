@@ -24,15 +24,17 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate as _sciint
 
 from .errors import ConfigError, NumericsError
-from .medium import MediumParams, group_velocity, mixing_angle
+from .medium import MediumParams, mixing_angle, slowdown
 from .schedule import ControlSchedule, Tabulated
 
 # RK4 substeps aim for (fastest local frequency) * substep <= this phase.
 _SUBSTEP_PHASE_TARGET = 0.1
 _MAX_OUTER_STEPS = 2_000_000
+# 12-node Gauss-Legendre rule on [-1, 1]; panel doubling stops after this many halvings
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_MAX_HALVINGS = 16
 
 
 @dataclass(frozen=True)
@@ -210,14 +212,6 @@ class MeanFieldState:
         s.phi_g = -math.tan(theta0) * s.E / math.sqrt(p.L)
         return s
 
-    def copy(self) -> "MeanFieldState":
-        return MeanFieldState(
-            t=self.t, z=self.z,
-            E=self.E.copy(), phi_a=self.phi_a.copy(), phi_b=self.phi_b.copy(),
-            phi_e=self.phi_e.copy(), phi_g=self.phi_g.copy(),
-            boundary_photon_flux=self.boundary_photon_flux,
-        )
-
 
 def conserved_charges(s: MeanFieldState, p: MediumParams) -> tuple[float, float, float]:
     """The three charges conserved by the lossless dynamics.
@@ -243,23 +237,22 @@ def wea_propagate(env0: SignalEnvelope, sched: ControlSchedule, p: MediumParams,
     """Closed-form weak-excitation propagation.
 
     The envelope translates by the integral of the group velocity over
-    [0, t] (adaptive quadrature) and rescales by cos(theta(t))/cos(theta(0));
-    the temporal profile is otherwise unchanged.
+    [0, t] (Gauss-Legendre panels, halved until converged for a closed-form
+    schedule) and rescales by cos(theta(t))/cos(theta(0)); the temporal
+    profile is otherwise unchanged.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     gc2 = p.pair_coupling_sq
 
-    def v_g(s: float) -> float:
-        om = float(sched.omega(s))
-        if om > 0.0:
-            return group_velocity(p, om)
-        return 0.0 if gc2 > 0 else p.c
+    def v_g(s: np.ndarray) -> np.ndarray:
+        return p.c / (1.0 + slowdown(gc2, sched.omega(s)))
 
-    if t > 0:
-        dist = _integrate_velocity(v_g, sched, t, quad_rel_tol)
+    if isinstance(sched.form, Tabulated):
+        # one pass over the knot panels, where the integrand is analytic
+        dist = gauss_legendre(v_g, [0.0, *(k for k in sched.form.times if 0.0 < k < t), t])
     else:
-        dist = 0.0
+        dist = integrate(v_g, 0.0, t, quad_rel_tol)
 
     theta0 = mixing_angle(p, float(sched.omega(0.0)))
     theta_t = mixing_angle(p, float(sched.omega(t)))
@@ -277,24 +270,26 @@ def wea_propagate(env0: SignalEnvelope, sched: ControlSchedule, p: MediumParams,
     return SignalEnvelope(z=env0.z, samples=samples, descriptor=desc)
 
 
-def _integrate_velocity(v_g, sched: ControlSchedule, t: float, rel_tol: float) -> float:
-    """Integral of the group velocity over [0, t].
+def gauss_legendre(f, edges) -> float:
+    """Sum of 12-node Gauss-Legendre rules over the panels between ``edges``;
+    the vectorised ``f`` is called once, on the (panels, 12) node array."""
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return float(np.sum(half * (f(mid[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS)))
 
-    Smooth closed-form schedules go through adaptive quadrature; tabulated
-    schedules are integrated with fixed Gauss-Legendre panels between the
-    interpolation knots, where the integrand is analytic.
-    """
-    if isinstance(sched.form, Tabulated):
-        knots = [0.0] + [float(k) for k in sched.form.times if 0.0 < k < t] + [t]
-        nodes, weights = np.polynomial.legendre.leggauss(12)
-        total = 0.0
-        for lo, hi in zip(knots[:-1], knots[1:]):
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            total += half * sum(w * v_g(mid + half * x) for x, w in zip(nodes, weights))
-        return total
-    dist, _ = _sciint.quad(v_g, 0.0, t, epsrel=rel_tol, limit=400)
-    return dist
+
+def integrate(f, a: float, b: float, rel_tol: float) -> float:
+    """Integral of a smooth vectorised ``f`` over [a, b]: halves the panels until two
+    successive estimates agree to ``rel_tol``; ``NumericsError`` if they never do."""
+    prev = gauss_legendre(f, [a, b])
+    for level in range(1, _MAX_HALVINGS + 1):
+        total = gauss_legendre(f, np.linspace(a, b, 2**level + 1))
+        if abs(total - prev) <= rel_tol * abs(total):
+            return total
+        prev = total
+    raise NumericsError(f"quadrature over [{a:.6g}, {b:.6g}] not converged to "
+                        f"{rel_tol:.3g} with {2**_MAX_HALVINGS} panels")
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import AliasingWarning, ConfigError, NumericsError, SupersonicError
-from .dynamics import Grid1D
+from .dynamics import Grid1D, integrate
 from .reports import ExperimentReport
 
 
@@ -229,9 +229,8 @@ def background_phase(p: GpeParams, t0: float, t: float,
     if density_fn is None:
         phase = -p.u_gg * p.background_amp**2 * (t - t0)
     else:
-        from scipy import integrate as _sciint
-        val, _ = _sciint.quad(lambda s: p.u_gg * density_fn(s), t0, t, limit=200)
-        phase = -val
+        density = np.vectorize(density_fn, otypes=[float])
+        phase = -integrate(lambda s: p.u_gg * density(s), t0, t, rel_tol=1e-10)
     return complex(math.cos(phase), math.sin(phase))
 
 

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import StoppedLightError
 from .units import C_VACUUM_UM_PER_US, rad_per_us_from_hz, rad_per_us_from_per_s
 
@@ -39,15 +41,16 @@ class MediumParams:
     delta: float = 0.0               # two-photon detuning, rad/us
 
     def __post_init__(self):
-        if self.L <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: nan must fail every guard
+        if not self.L > 0:
             raise ValueError("quantization length L must be positive")
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("vacuum speed c must be positive")
-        if self.N_a < 0 or self.N_b < 0:
-            raise ValueError("populations N_a, N_b must be nonnegative")
-        for name in ("gamma_a", "gamma_b", "gamma_e", "gamma_g"):
-            if getattr(self, name) < 0:
+        for name in ("g_tilde", "N_a", "N_b", "gamma_a", "gamma_b", "gamma_e", "gamma_g"):
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if not (math.isfinite(self.Delta) and math.isfinite(self.delta)):
+            raise ValueError("detunings Delta, delta must be finite")
 
     @property
     def gamma1(self) -> float:
@@ -128,6 +131,17 @@ def mixing_state(p: MediumParams, omega: float) -> MixingState:
     return MixingState(theta=theta, v_g=p.c * math.cos(theta) ** 2)
 
 
+def slowdown(gc2, omega, gamma_sq=0.0):
+    """Slowdown factor c/v_g - 1 = gc2 / (omega^2 + gamma_sq), elementwise, for
+    gc2 = g_tilde^2 N_a N_b and gamma_sq = gamma1*gamma2: inf where the
+    denominator vanishes in a coupled medium, 0 wherever gc2 = 0.  Every
+    group velocity in the package is c / (1 + slowdown(...)).
+    """
+    eff = omega**2 + gamma_sq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.equal(gc2, 0.0), 0.0, np.divide(gc2, eff))
+
+
 def group_velocity(p: MediumParams, omega: float) -> float:
     """Ideal slow-light group velocity c / (1 + g_tilde^2 N_a N_b / Omega^2)."""
     if omega < 0:
@@ -136,7 +150,7 @@ def group_velocity(p: MediumParams, omega: float) -> float:
         raise StoppedLightError(
             "group velocity is zero at omega=0; use velocity_floor for the decay limit"
         )
-    return p.c / (1.0 + p.pair_coupling_sq / omega**2)
+    return p.c / (1.0 + float(slowdown(p.pair_coupling_sq, omega)))
 
 
 def group_velocity_with_decay(p: MediumParams, omega: float) -> float:
@@ -147,15 +161,12 @@ def group_velocity_with_decay(p: MediumParams, omega: float) -> float:
     """
     if omega < 0:
         raise ValueError("omega must be nonnegative")
-    eff_sq = omega**2 + p.gamma1 * p.gamma2
-    gc2 = p.pair_coupling_sq
-    if eff_sq == 0.0:
-        if gc2 == 0.0:
-            return p.c  # uncoupled medium is transparent
+    factor = float(slowdown(p.pair_coupling_sq, omega, p.gamma1 * p.gamma2))
+    if factor == math.inf:
         raise StoppedLightError(
             "group velocity is zero at omega=0; use velocity_floor for the decay limit"
         )
-    return p.c / (1.0 + gc2 / eff_sq)
+    return p.c / (1.0 + factor)
 
 
 def velocity_floor(p: MediumParams) -> float:

@@ -9,7 +9,6 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .dynamics import (
     Grid1D,
@@ -18,12 +17,13 @@ from .dynamics import (
     integrate_mean_field,
     storage_fidelity,
 )
-from .errors import FeasibilityRefused
+from .errors import FeasibilityRefused, StoppedLightError
 from .medium import (
     MediumKind,
     MediumParams,
     effective_pair_density,
     group_velocity_with_decay,
+    slowdown,
 )
 from .reports import ExperimentReport, FeasibilityReport
 from .schedule import ControlSchedule
@@ -38,16 +38,8 @@ def velocity_curve(p: MediumParams, sched: ControlSchedule, t: np.ndarray,
     come out as exactly zero velocity.
     """
     om = np.asarray(sched.omega(t), dtype=float)
-    if pair_density is None:
-        gc2 = p.pair_coupling_sq
-    else:
-        gc2 = p.g_tilde**2 * pair_density
-    eff = om**2 + p.gamma1 * p.gamma2
-    if gc2 == 0.0:
-        return np.full_like(eff, p.c)  # uncoupled medium is transparent
-    slowdown = np.full_like(eff, np.inf)
-    np.divide(gc2, eff, out=slowdown, where=eff > 0)
-    return p.c / (1.0 + slowdown)
+    gc2 = p.pair_coupling_sq if pair_density is None else p.g_tilde**2 * pair_density
+    return p.c / (1.0 + slowdown(gc2, om, p.gamma1 * p.gamma2))
 
 
 def feasibility_check(p: MediumParams, t_s: float, sched: ControlSchedule,
@@ -107,9 +99,24 @@ def _aligned_mapping_residual(z: np.ndarray, stored: np.ndarray,
     dz = float(z[1] - z[0])
     k = int(np.argmax(np.abs(corr))) - (len(z) - 1)
     s0 = k * dz
-    res = _sciopt.minimize_scalar(residual, bounds=(s0 - 2 * dz, s0 + 2 * dz),
-                                  method="bounded")
-    return float(res.fun)
+    return _golden_section(residual, s0 - 2 * dz, s0 + 2 * dz)[1]
+
+
+def _golden_section(f, lo: float, hi: float, xatol: float = 1e-5) -> tuple[float, float]:
+    """(x, f(x)) at the minimum of a unimodal ``f`` on [lo, hi], to within ``xatol``."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > xatol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)
 
 
 def run_storage_retrieval(
@@ -250,9 +257,10 @@ def imbalance_sweep(
 def scaling_exponent(kind: MediumKind, p_base: MediumParams, omega: float,
                      n_grid: np.ndarray) -> float:
     """Log-log slope of (c/v_g - 1) against total atom number."""
-    gc2_over_n = p_base.g_tilde**2
-    eff = omega**2 + p_base.gamma1 * p_base.gamma2
-    y = [gc2_over_n * effective_pair_density(kind, float(n)) / eff for n in n_grid]
+    gc2 = p_base.g_tilde**2 * np.array([effective_pair_density(kind, float(n)) for n in n_grid])
+    y = slowdown(gc2, omega, p_base.gamma1 * p_base.gamma2)
+    if not np.all(np.isfinite(y)):
+        raise StoppedLightError("slowdown is infinite: control off and no decay floor")
     slope, _ = np.polyfit(np.log(np.asarray(n_grid, dtype=float)), np.log(y), 1)
     return float(slope)
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,9 +137,25 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-def test_exit_code_2_on_bad_invariant(tmp_path):
-    assert main(["imbalance", "--out", str(tmp_path / "x"),
-                 "--set", "sweep.etas=-1"]) == 2
+def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
+    for experiment, setting, named in [("imbalance", "sweep.etas=-1", "sweep.etas"),
+                                       ("imbalance", "sweep.etas=", "sweep.etas"),
+                                       ("mediums", "sweep.kinds=", "sweep.kinds"),
+                                       ("groupvel", "medium.g_tilde_rad_per_us=-1",
+                                        "medium: g_tilde")]:
+        assert main([experiment, "--out", str(tmp_path / "x"), "--set", setting]) == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, slowmol.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("key, value", [

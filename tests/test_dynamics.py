@@ -18,6 +18,7 @@ from slowmol import (
     storage_fidelity,
     wea_propagate,
 )
+from slowmol.dynamics import gauss_legendre, integrate
 from conftest import constant_schedule, desk_pulse
 
 
@@ -159,6 +160,38 @@ def test_wea_storage_translation_converges_and_amplitude_dies(desk_medium):
     vg = desk_medium.c / (1.0 + gc2 / om**2)
     dense = np.trapezoid(vg, tt)
     assert mid1.descriptor.center - 40.0 == pytest.approx(dense, rel=1e-7)
+
+
+def test_wea_on_a_table_is_one_gauss_legendre_pass_over_the_knots(desk_medium):
+    # reference: the scalar loop over the knot panels below t = 60
+    sched = ControlSchedule.tabulated([0.0, 20.0, 50.0, 90.0, 140.0],
+                                      [30.0, 3.0, 0.5, 2.0, 30.0])
+    grid = Grid1D.for_speed(0.0, 400.0, 128, c=desk_medium.c, t_end=60.0)
+    out = wea_propagate(desk_pulse(grid), sched, desk_medium, 60.0)
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    ref = 0.0
+    for lo, hi in [(0.0, 20.0), (20.0, 50.0), (50.0, 60.0)]:
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        ref += half * sum(w * group_velocity(desk_medium, sched.omega(mid + half * x))
+                          for x, w in zip(nodes, weights))
+    assert out.descriptor.center - 40.0 == pytest.approx(ref, rel=1e-13)
+
+
+def _log_cosh(x):
+    return abs(x) + math.log1p(math.exp(-2.0 * abs(x))) - math.log(2.0)
+
+
+def test_quadrature_matches_closed_form_on_a_steep_ramp():
+    # int_0^20 tanh(5 (t - 7)) dt = [log cosh(5 (t - 7))] / 5
+    exact = (_log_cosh(5.0 * 13.0) - _log_cosh(-5.0 * 7.0)) / 5.0
+    got = integrate(lambda t: np.tanh(5.0 * (t - 7.0)), 0.0, 20.0, 1e-8)
+    assert got == pytest.approx(exact, rel=1e-10)
+    assert gauss_legendre(np.cos, [0.0, 0.5 * math.pi]) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_quadrature_that_never_converges_raises():
+    with pytest.raises(NumericsError, match="not converged"):
+        integrate(lambda t: np.full_like(t, np.nan), 0.0, 1.0, 1e-8)
 
 
 def test_wea_rejects_negative_time(desk_medium, desk_grid_small):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -13,6 +14,7 @@ from slowmol import (
     mapping_coefficient,
     mixing_angle,
     mixing_state,
+    slowdown,
     velocity_floor,
 )
 
@@ -185,6 +187,31 @@ def test_pair_density_rejects_bad_inputs():
 
 def test_density_exponents():
     assert [k.density_exponent for k in MediumKind] == [1, 2, 2, 3]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("g_tilde", -1.0), ("g_tilde", math.nan), ("L", math.nan), ("c", math.nan),
+    ("N_a", math.nan), ("N_b", -1.0), ("gamma_g", math.nan), ("Delta", math.nan),
+])
+def test_params_reject_negative_coupling_and_nan(name, value):
+    with pytest.raises(ValueError, match=name):
+        MediumParams(**{"g_tilde": 1.0, name: value})
+
+
+def test_transparent_medium_is_valid():
+    p = params(g_tilde=0.0, c=C)
+    assert group_velocity(p, 1.0) == C
+    assert mapping_coefficient(p, 1.0, 0.5) == 0.0
+
+
+# ------------------------------------------------------------ slowdown kernel
+
+def test_slowdown_limits_elementwise():
+    gc2 = np.array([4.0, 4.0, 0.0, 0.0])
+    omega = np.array([2.0, 0.0, 0.0, 3.0])
+    assert slowdown(gc2, omega).tolist() == [1.0, math.inf, 0.0, 0.0]
+    assert slowdown(gc2, omega, 12.0).tolist() == [0.25, 1.0 / 3.0, 0.0, 0.0]
+    assert float(slowdown(4.0, 0.0, 4.0)) == 1.0
 
 
 # ------------------------------------------------------------ transversal rates

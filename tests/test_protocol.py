@@ -107,6 +107,25 @@ def test_velocity_curve_drops_to_floor_and_recovers():
     assert vg[0] > 100 * floor
 
 
+def test_golden_section_matches_a_brute_force_scan():
+    from slowmol.protocol import _golden_section
+
+    z = np.linspace(0.0, 100.0, 256)
+    stored = np.exp(-((z - 40.0731) ** 2) / 128.0)
+
+    def residual(s):
+        return float(np.linalg.norm(stored - np.exp(-((z - 40.0 - s) ** 2) / 128.0)))
+
+    x, fx = _golden_section(residual, -0.3, 0.4, xatol=1e-5)
+    assert fx == residual(x)
+    coarse = np.linspace(-0.3, 0.4, 701)
+    c0 = coarse[np.argmin([residual(s) for s in coarse])]
+    fine = np.linspace(c0 - 1e-3, c0 + 1e-3, 2001)
+    best = fine[np.argmin([residual(s) for s in fine])]
+    assert abs(x - best) <= 1e-5
+    assert abs(best - 0.0731) <= 1e-6
+
+
 # ------------------------------------------------------------ imbalance sweep
 
 def test_balanced_case_minimizes_velocity_pointwise():
