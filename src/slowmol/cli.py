@@ -5,8 +5,8 @@ Each ``run_<name>(config)`` computes an experiment and returns an
 touching the disk; ``run`` hands the report to ``reports.write_report``
 and moves the finished directory into place.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 feasibility gate refused.
+Exit codes: 0 success, 2 configuration error (stopped light included),
+3 numerical failure, 4 feasibility gate refused.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .dynamics import (
     pulse_center,
     wea_propagate,
 )
-from .errors import ConfigError, FeasibilityRefused, NumericsError
+from .errors import ConfigError, FeasibilityRefused, NumericsError, StoppedLightError
 from .medium import group_velocity_with_decay, mixing_angle, velocity_floor
 from .reports import ExperimentReport, fmt_float, write_report
 
@@ -376,6 +376,12 @@ def main(argv: list[str] | None = None) -> int:
         run(config, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except StoppedLightError as exc:
+        # only an experiment raises it, so the config has loaded
+        key = ("schedule.table_values_rad_per_us" if config.schedule.form == "table"
+               else "schedule.omega0_rad_per_us")
+        print(f"configuration error: {key}: {exc}", file=sys.stderr)
         return 2
     except FeasibilityRefused as exc:
         print(f"feasibility gate refused: {exc}", file=sys.stderr)

@@ -15,6 +15,10 @@ same combination used by the closed-form medium module, and the charge
     Q3 = integral(|E|^2/L + |phi_e|^2 + |phi_g|^2) dz
 
 is conserved up to boundary flux of the light term.
+
+The integrator carries the signal and the four matter fields as one complex
+state array of shape (5, n_z), rows in the order E, phi_a, phi_b, phi_e,
+phi_g, so each RK4 stage and update is one array expression.
 """
 
 from __future__ import annotations
@@ -56,9 +60,9 @@ class Grid1D:
             raise ValueError("n_z must be at least 16")
         if not self.z_max > self.z_min:
             raise ValueError("z_max must exceed z_min")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.t_end < 0:
+        if not self.t_end >= 0:
             raise ValueError("t_end must be nonnegative")
 
     @property
@@ -92,7 +96,7 @@ class GaussianPulse:
     amplitude: float   # dimensionless peak value of E
 
     def __post_init__(self):
-        if self.rms_width <= 0:
+        if not self.rms_width > 0:
             raise ValueError("rms_width must be positive")
 
     def sample(self, z) -> np.ndarray:
@@ -296,23 +300,18 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
 
 
-def _advect_upwind(E: np.ndarray, lam: float, e_in: complex) -> tuple[np.ndarray, complex]:
-    """One first-order upwind step; lam == 1 degenerates to the exact shift.
-
-    Returns the new array and the pre-step value at the outflow edge.
-    """
-    out_val = E[-1]
+def _advect_upwind(E: np.ndarray, lam: float, e_in: complex) -> np.ndarray:
+    """One first-order upwind step; lam == 1 degenerates to the exact shift."""
     upstream = np.empty_like(E)
     upstream[1:] = E[:-1]
     upstream[0] = e_in
     if abs(lam - 1.0) < 1e-12:
-        return upstream, out_val
-    return E - lam * (E - upstream), out_val
+        return upstream
+    return E - lam * (E - upstream)
 
 
-def _advect_muscl(E: np.ndarray, lam: float, e_in: complex) -> tuple[np.ndarray, complex]:
+def _advect_muscl(E: np.ndarray, lam: float, e_in: complex) -> np.ndarray:
     """Second-order MUSCL step with a minmod limiter (componentwise)."""
-    out_val = E[-1]
     ext = np.empty(len(E) + 2, dtype=complex)
     ext[0] = e_in
     ext[1:-1] = E
@@ -325,7 +324,7 @@ def _advect_muscl(E: np.ndarray, lam: float, e_in: complex) -> tuple[np.ndarray,
     flux_in = np.empty_like(face)
     flux_in[1:] = face[:-1]
     flux_in[0] = e_in  # boundary face carried by the inflow value
-    return E - lam * (face - flux_in), out_val
+    return E - lam * (face - flux_in)
 
 
 def _auto_substeps(p: MediumParams, sched: ControlSchedule, t_total: float,
@@ -356,8 +355,10 @@ def integrate_mean_field(
     Strang splitting per outer step: half a matter/source step, one
     advection step of the signal at speed c, half a matter/source step.
     The matter/source system is integrated pointwise with classical RK4,
-    subcycled so the fastest Rabi frequency stays resolved.  Snapshots
-    (copies) are emitted every ``snapshot_stride`` outer steps.
+    subcycled so the fastest Rabi frequency stays resolved.  The state is
+    one (5, n_z) array with rows E, phi_a, phi_b, phi_e, phi_g; row 0 alone
+    is advected.  Snapshots (copies, one ``MeanFieldState`` field per row)
+    are emitted every ``snapshot_stride`` outer steps.
     """
     if advection not in ("upwind", "muscl"):
         raise ConfigError(f"unknown advection scheme {advection!r}")
@@ -393,55 +394,34 @@ def integrate_mean_field(
     advect = _advect_upwind if advection == "upwind" else _advect_muscl
     dz_over_L = grid.dz / p.L
 
-    E = s0.E.astype(complex).copy()
-    a = s0.phi_a.astype(complex).copy()
-    b = s0.phi_b.astype(complex).copy()
-    e = s0.phi_e.astype(complex).copy()
-    g = s0.phi_g.astype(complex).copy()
+    y = np.array([s0.E, s0.phi_a, s0.phi_b, s0.phi_e, s0.phi_g], dtype=complex)
     flux = float(s0.boundary_photon_flux)
 
-    def rhs(om: float, E, a, b, e, g):
-        hyb = np.conj(a) * np.conj(b) * e
-        dE = 1j * g_signal * hyb
-        conjE = np.conj(E)
-        da = dec_a * a + 1j * g_field * conjE * np.conj(b) * e
-        db = dec_b * b + 1j * g_field * conjE * np.conj(a) * e
-        de = dec_e * e + 1j * g_field * E * a * b + 1j * om * g
-        dg = dec_g * g + 1j * om * e
-        return dE, da, db, de, dg
+    def rhs(om: float, y: np.ndarray) -> np.ndarray:
+        E, a, b, e, g = y
+        cE, ca, cb = np.conj(y[:3])
+        return np.array([
+            1j * g_signal * (ca * cb * e),
+            dec_a * a + 1j * g_field * cE * cb * e,
+            dec_b * b + 1j * g_field * cE * ca * e,
+            dec_e * e + 1j * g_field * E * a * b + 1j * om * g,
+            dec_g * g + 1j * om * e,
+        ])
 
-    def source_half(t0: float):
-        nonlocal E, a, b, e, g
+    def source_half(y: np.ndarray, t0: float) -> np.ndarray:
         h = half_dt / m
         om_stage = np.asarray(sched.omega(t0 + 0.5 * h * np.arange(2 * m + 1)), dtype=float)
         for j in range(m):
-            om0 = om_stage[2 * j]
-            om1 = om_stage[2 * j + 1]
-            om2 = om_stage[2 * j + 2]
-            k1 = rhs(om0, E, a, b, e, g)
-            k2 = rhs(om1, E + 0.5 * h * k1[0], a + 0.5 * h * k1[1],
-                     b + 0.5 * h * k1[2], e + 0.5 * h * k1[3], g + 0.5 * h * k1[4])
-            k3 = rhs(om1, E + 0.5 * h * k2[0], a + 0.5 * h * k2[1],
-                     b + 0.5 * h * k2[2], e + 0.5 * h * k2[3], g + 0.5 * h * k2[4])
-            k4 = rhs(om2, E + h * k3[0], a + h * k3[1],
-                     b + h * k3[2], e + h * k3[3], g + h * k3[4])
-            E = E + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            a = a + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            b = b + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            e = e + (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-            g = g + (h / 6.0) * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
+            om0, om1, om2 = om_stage[2 * j:2 * j + 3]
+            k1 = rhs(om0, y)
+            k2 = rhs(om1, y + 0.5 * h * k1)
+            k3 = rhs(om1, y + 0.5 * h * k2)
+            k4 = rhs(om2, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return y
 
     def snapshot(t: float) -> MeanFieldState:
-        return MeanFieldState(
-            t=t, z=grid.z, E=E.copy(), phi_a=a.copy(), phi_b=b.copy(),
-            phi_e=e.copy(), phi_g=g.copy(), boundary_photon_flux=flux,
-        )
-
-    def check_finite(t: float):
-        for arr in (E, a, b, e, g):
-            if not np.all(np.isfinite(arr.view(float))):
-                bad = np.nonzero(~np.isfinite(arr.view(float)))[0]
-                raise NumericsError("non-finite field value", t=t, index=int(bad[0] // 2))
+        return MeanFieldState(t, grid.z, *y.copy(), boundary_photon_flux=flux)
 
     snaps = [snapshot(s0.t)]
     # divergence is caught by the finiteness check; silence the overflow
@@ -449,12 +429,17 @@ def integrate_mean_field(
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             t0 = s0.t + n * grid.dt
-            source_half(t0)
+            y = source_half(y, t0)
             e_in = complex(inflow(t0 + grid.dt)) if inflow is not None else 0.0 + 0.0j
-            E, out_val = advect(E, lam, e_in)
+            out_val = y[0, -1]
+            y[0] = advect(y[0], lam, e_in)
             flux += lam * dz_over_L * (abs(out_val) ** 2 - abs(e_in) ** 2)
-            source_half(t0 + half_dt)
-            check_finite(t0 + grid.dt)
+            y = source_half(y, t0 + half_dt)
+            finite = np.isfinite(y)
+            if not finite.all():
+                # row-major: the first bad column of the first row that has one
+                raise NumericsError("non-finite field value", t=t0 + grid.dt,
+                                    index=int(np.nonzero(~finite)[1][0]))
             if (n + 1) % snapshot_stride == 0 or n == n_steps - 1:
                 snaps.append(snapshot(t0 + grid.dt))
     return snaps

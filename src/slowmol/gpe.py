@@ -20,6 +20,9 @@ from .errors import AliasingWarning, ConfigError, NumericsError, SupersonicError
 from .dynamics import Grid1D, integrate
 from .reports import ExperimentReport
 
+# spectral-tail power fraction above which split_step_evolve warns of aliasing
+_ALIASING_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class GpeParams:
@@ -40,11 +43,12 @@ class GpeParams:
     background_amp: float = 1.0     # |Phi0|, sqrt(1/um)
 
     def __post_init__(self):
-        if self.m_a + self.m_b <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: nan must fail every guard
+        if not self.m_a + self.m_b > 0:
             raise ValueError("total mass m_a + m_b must be positive")
-        if self.n_a < 0 or self.n_b < 0:
+        if not (self.n_a >= 0 and self.n_b >= 0):
             raise ValueError("background densities must be nonnegative")
-        if self.background_amp < 0:
+        if not self.background_amp >= 0:
             raise ValueError("background amplitude must be nonnegative")
 
     @property
@@ -127,7 +131,7 @@ class SolitonSpec:
     def __post_init__(self):
         if not 0.0 < self.q <= 1.0:
             raise ValueError("q must lie in (0, 1]")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.direction not in (-1, 1):
             raise ValueError("direction must be +1 or -1")
@@ -255,9 +259,7 @@ def split_step_evolve(
     *,
     snapshot_stride: int = 10,
     nonlinearity: str = "self-consistent",
-    frozen_density: Optional[Callable[[float], float]] = None,
     background_decay_rate: float = 0.0,
-    aliasing_tol: float = 1e-8,
 ) -> list[WaveFunction]:
     """Symmetric split-step spectral evolution of the molecular field.
 
@@ -265,7 +267,8 @@ def split_step_evolve(
     analytic soliton solves); ``"frozen"`` uses the background density
     U_gg |Phi0(t)|^2 instead, matching the linearized-background form.  A
     positive ``background_decay_rate`` applies a uniform amplitude decay
-    exp(-rate*t), so norm conservation only holds without it.
+    exp(-rate*t), so norm conservation only holds without it; the frozen
+    background decays with it.
     """
     if nonlinearity not in ("self-consistent", "frozen"):
         raise ConfigError(f"unknown nonlinearity mode {nonlinearity!r}")
@@ -289,14 +292,7 @@ def split_step_evolve(
     kin_half = np.exp(-1j * (k**2) * dt / (4.0 * p.m_total))
     tail = np.abs(k) >= 0.9 * float(np.max(np.abs(k)))
     aliasing_reported = False
-
-    def frozen_dens(t: float) -> float:
-        if frozen_density is not None:
-            return float(frozen_density(t))
-        base = p.background_amp**2
-        if background_decay_rate > 0.0:
-            base *= math.exp(-2.0 * background_decay_rate * t)
-        return base
+    decay = max(background_decay_rate, 0.0)
 
     frames = [WaveFunction(z=grid.z, psi=psi.copy(), t=psi0.t)]
     for step in range(n_steps):
@@ -306,21 +302,21 @@ def split_step_evolve(
         if nonlinearity == "self-consistent":
             nl = p.u_gg * np.abs(psi) ** 2
         else:
-            nl = p.u_gg * frozen_dens(t_mid)
+            nl = p.u_gg * (p.background_amp**2 * math.exp(-2.0 * decay * t_mid))
         psi *= np.exp(-1j * (veff + nl) * dt)
         spec = np.fft.fft(psi)
         if not aliasing_reported and float(np.sum(np.abs(spec[tail]) ** 2)) > \
-                aliasing_tol * float(np.sum(np.abs(spec) ** 2)):
+                _ALIASING_TOL * float(np.sum(np.abs(spec) ** 2)):
             warnings.warn(
-                f"spectral tail above {aliasing_tol:g} of total power at "
+                f"spectral tail above {_ALIASING_TOL:g} of total power at "
                 f"t={psi0.t + (step + 1) * dt:.6g}; grid under-resolves the state",
                 AliasingWarning,
                 stacklevel=2,
             )
             aliasing_reported = True
         psi = np.fft.ifft(kin_half * spec)
-        if background_decay_rate > 0.0:
-            psi *= math.exp(-background_decay_rate * dt)
+        if decay > 0.0:
+            psi *= math.exp(-decay * dt)
         if not np.all(np.isfinite(psi.view(float))):
             bad = np.nonzero(~np.isfinite(psi.view(float)))[0]
             raise NumericsError("non-finite wavefunction",

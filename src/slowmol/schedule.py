@@ -22,9 +22,9 @@ class TanhRamp:
     rate: float      # ramp steepness, 1/us
 
     def __post_init__(self):
-        if self.omega0 < 0:
+        if not self.omega0 >= 0:
             raise ValueError("omega0 must be nonnegative")
-        if self.rate <= 0:
+        if not self.rate > 0:
             raise ValueError("rate must be positive")
         if not self.t_down < self.t_up:
             raise ValueError("t_down must precede t_up")
@@ -53,7 +53,7 @@ class Tabulated:
         v = np.asarray(self.values, dtype=float)
         if not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
-        if np.any(v < 0):
+        if not np.all(v >= 0):
             raise ValueError("control amplitudes must be nonnegative")
 
     def omega(self, t):

@@ -138,12 +138,22 @@ def test_exit_code_2_on_config_error(tmp_path, capsys):
 
 
 def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
-    for experiment, setting, named in [("imbalance", "sweep.etas=-1", "sweep.etas"),
-                                       ("imbalance", "sweep.etas=", "sweep.etas"),
-                                       ("mediums", "sweep.kinds=", "sweep.kinds"),
-                                       ("groupvel", "medium.g_tilde_rad_per_us=-1",
-                                        "medium: g_tilde")]:
-        assert main([experiment, "--out", str(tmp_path / "x"), "--set", setting]) == 2
+    # stopped light: a control plateau of 0 in the lossless desk medium
+    stopped = ["preset=desk-storage", "schedule.omega0_rad_per_us=0"]
+    table = ["preset=desk-storage", "schedule.form=table", "schedule.table_times_us=0,140",
+             "schedule.table_values_rad_per_us=0,0"]
+    for experiment, settings, named in [
+            ("imbalance", ["sweep.etas=-1"], "sweep.etas"),
+            ("imbalance", ["sweep.etas="], "sweep.etas"),
+            ("mediums", ["sweep.kinds="], "sweep.kinds"),
+            ("groupvel", ["medium.g_tilde_rad_per_us=-1"], "medium: g_tilde"),
+            ("groupvel", stopped, "schedule.omega0_rad_per_us"),
+            ("store", stopped, "schedule.omega0_rad_per_us"),
+            ("feasibility", stopped, "schedule.omega0_rad_per_us"),
+            ("mediums", stopped, "schedule.omega0_rad_per_us"),
+            ("groupvel", table, "schedule.table_values_rad_per_us")]:
+        args = [arg for setting in settings for arg in ("--set", setting)]
+        assert main([experiment, "--out", str(tmp_path / "x"), *args]) == 2
         assert named in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 

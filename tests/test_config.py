@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from slowmol import GaussianPulse, GpeParams, Grid1D, SolitonSpec, Tabulated, TanhRamp
 from slowmol.config import (
     RunConfig,
     load_config,
@@ -153,3 +154,25 @@ def test_load_config_with_overrides(tmp_path):
     assert cfg.experiment == "feasibility"
     with pytest.raises(ConfigError, match="key=value"):
         load_config(None, ["oops"])
+
+
+_GRID = {"z_min": 0.0, "z_max": 1.0, "n_z": 32, "dt": 0.1, "t_end": 1.0}
+_RAMP = {"omega0": 1.0, "t_down": 1.0, "t_up": 2.0, "rate": 1.0}
+_GPE = {"m_a": 0.5, "m_b": 0.5}
+
+
+@pytest.mark.parametrize("cls, kwargs, match", [
+    (Grid1D, {**_GRID, "dt": math.nan}, "dt"),
+    (Grid1D, {**_GRID, "t_end": math.nan}, "t_end"),
+    (GaussianPulse, {"center": 0.0, "rms_width": math.nan, "amplitude": 1.0}, "rms_width"),
+    (TanhRamp, {**_RAMP, "omega0": math.nan}, "omega0"),
+    (TanhRamp, {**_RAMP, "rate": math.nan}, "rate"),
+    (Tabulated, {"times": (0.0, 1.0), "values": (1.0, math.nan)}, "nonnegative"),
+    (GpeParams, {**_GPE, "m_a": math.nan}, "total mass"),
+    (GpeParams, {**_GPE, "n_b": math.nan}, "background densities"),
+    (GpeParams, {**_GPE, "background_amp": math.nan}, "background amplitude"),
+    (SolitonSpec, {"q": 0.5, "alpha": math.nan}, "alpha"),
+])
+def test_dataclass_invariants_reject_nan(cls, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        cls(**kwargs)

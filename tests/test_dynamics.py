@@ -18,6 +18,7 @@ from slowmol import (
     storage_fidelity,
     wea_propagate,
 )
+from slowmol import dynamics
 from slowmol.dynamics import gauss_legendre, integrate
 from conftest import constant_schedule, desk_pulse
 
@@ -281,6 +282,96 @@ def test_integrator_diverges_loudly_with_too_few_substeps(desk_medium):
     with pytest.raises(NumericsError, match="non-finite"):
         integrate_mean_field(s0, constant_schedule(800.0), desk_medium, grid,
                              substeps=1)
+
+
+def _five_array_reference(s0, sched, p, grid, m, advect, stride, inflow):
+    """The integrator written with one array per field: RK4 half-steps
+    Strang-split around the same advection; (t, flux, fields) per snapshot."""
+    lam = grid.cfl(p.c)
+    half_dt = 0.5 * grid.dt
+    g_field = p.g_tilde * math.sqrt(p.L)
+    g_signal = g_field * p.L
+    dec_a = -1j * p.delta - p.gamma_a
+    dec_b = -p.gamma_b
+    dec_e = -1j * p.Delta - p.gamma_e
+    dec_g = -p.gamma_g
+    E, a, b, e, g = (f.copy() for f in (s0.E, s0.phi_a, s0.phi_b, s0.phi_e, s0.phi_g))
+    flux = 0.0
+
+    def rhs(om, E, a, b, e, g):
+        hyb = np.conj(a) * np.conj(b) * e
+        dE = 1j * g_signal * hyb
+        conjE = np.conj(E)
+        da = dec_a * a + 1j * g_field * conjE * np.conj(b) * e
+        db = dec_b * b + 1j * g_field * conjE * np.conj(a) * e
+        de = dec_e * e + 1j * g_field * E * a * b + 1j * om * g
+        dg = dec_g * g + 1j * om * e
+        return dE, da, db, de, dg
+
+    def source_half(t0):
+        nonlocal E, a, b, e, g
+        h = half_dt / m
+        om_stage = np.asarray(sched.omega(t0 + 0.5 * h * np.arange(2 * m + 1)), dtype=float)
+        for j in range(m):
+            om0 = om_stage[2 * j]
+            om1 = om_stage[2 * j + 1]
+            om2 = om_stage[2 * j + 2]
+            k1 = rhs(om0, E, a, b, e, g)
+            k2 = rhs(om1, E + 0.5 * h * k1[0], a + 0.5 * h * k1[1],
+                     b + 0.5 * h * k1[2], e + 0.5 * h * k1[3], g + 0.5 * h * k1[4])
+            k3 = rhs(om1, E + 0.5 * h * k2[0], a + 0.5 * h * k2[1],
+                     b + 0.5 * h * k2[2], e + 0.5 * h * k2[3], g + 0.5 * h * k2[4])
+            k4 = rhs(om2, E + h * k3[0], a + h * k3[1],
+                     b + h * k3[2], e + h * k3[3], g + h * k3[4])
+            E = E + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            a = a + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            b = b + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+            e = e + (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+            g = g + (h / 6.0) * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
+
+    snaps = [(s0.t, flux, E.copy(), a.copy(), b.copy(), e.copy(), g.copy())]
+    n_steps = int(round(grid.t_end / grid.dt))
+    for n in range(n_steps):
+        t0 = s0.t + n * grid.dt
+        source_half(t0)
+        e_in = complex(inflow(t0 + grid.dt))
+        out_val = E[-1]
+        E = advect(E, lam, e_in)
+        flux += lam * (grid.dz / p.L) * (abs(out_val) ** 2 - abs(e_in) ** 2)
+        source_half(t0 + half_dt)
+        if (n + 1) % stride == 0 or n == n_steps - 1:
+            snaps.append((t0 + grid.dt, flux, E.copy(), a.copy(), b.copy(), e.copy(), g.copy()))
+    return snaps
+
+
+@pytest.mark.parametrize("advection, cfl", [("upwind", 1.0), ("muscl", 0.5)])
+def test_stacked_state_matches_the_five_array_reference_exactly(advection, cfl):
+    p = MediumParams(g_tilde=0.05, L=64.0, c=2.0, N_a=100.0, N_b=80.0,
+                     gamma_a=0.01, gamma_b=0.02, gamma_e=0.3, gamma_g=0.005,
+                     Delta=0.4, delta=-0.2)
+    dt = cfl * (64.0 / 63) / p.c
+    grid = Grid1D.for_speed(0.0, 64.0, 64, c=p.c, t_end=20 * dt, cfl=cfl)
+    sched = ControlSchedule.tanh_ramp(omega0=3.0, t_down=2.0, t_up=6.0, rate=1.0)
+    s0 = MeanFieldState.polariton_state(grid, p, desk_pulse(grid, 20.0, 4.0, 0.5), 3.0)
+
+    def inflow(t):
+        return 0.1 * math.exp(-((t - 2.0) ** 2))
+
+    advect = dynamics._advect_upwind if advection == "upwind" else dynamics._advect_muscl
+    ref = _five_array_reference(s0, sched, p, grid, 3, advect, 3, inflow)
+    snaps = integrate_mean_field(s0, sched, p, grid, snapshot_stride=3, substeps=3,
+                                 advection=advection, inflow=inflow)
+    assert len(snaps) == len(ref) == 8
+    for snap, (t, flux, *fields) in zip(snaps, ref):
+        assert (snap.t, snap.boundary_photon_flux) == (t, flux)
+        for name, want in zip(("E", "phi_a", "phi_b", "phi_e", "phi_g"), fields):
+            assert np.array_equal(getattr(snap, name), want), name
+
+    if advection == "upwind":
+        # the exact shift moves a bad value downstream only: cell 40 is the first
+        s0.phi_g[40] = math.nan
+        with pytest.raises(NumericsError, match="grid index 40$"):
+            integrate_mean_field(s0, sched, p, grid, substeps=3, advection=advection)
 
 
 def test_integrator_rejects_bad_options(desk_medium, desk_grid_small):
