@@ -51,6 +51,10 @@ class MediumParams:
                 raise ValueError(f"{name} must be nonnegative")
         if not (math.isfinite(self.Delta) and math.isfinite(self.delta)):
             raise ValueError("detunings Delta, delta must be finite")
+        # products, not ``**``: an overflowing float power raises OverflowError
+        if not math.isfinite(self.g_tilde * self.g_tilde * self.N_a * self.N_b):
+            raise ValueError("g_tilde^2 N_a N_b (the collective coupling squared) "
+                             "overflows a float")
 
     @property
     def gamma1(self) -> float:

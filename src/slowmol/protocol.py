@@ -14,10 +14,12 @@ from .dynamics import (
     Grid1D,
     MeanFieldState,
     SignalEnvelope,
+    charge_drifts,
+    half_step_substeps,
     integrate_mean_field,
     storage_fidelity,
 )
-from .errors import FeasibilityRefused, StoppedLightError
+from .errors import FeasibilityRefused, NumericsError, StoppedLightError
 from .medium import (
     MediumKind,
     MediumParams,
@@ -136,7 +138,8 @@ def run_storage_retrieval(
     Runs the mean-field integrator through the full schedule, then reports
     the stored molecular profile against -E_in/sqrt(L) (shift-aligned
     residual), the retrieved-vs-input fidelity and efficiency, the
-    analytic velocity curve, and the feasibility margins.  Refuses to run
+    analytic velocity curve, the feasibility margins, and the run's outer
+    steps, total RK4 substeps and worst charge drifts.  Refuses to run
     when the feasibility gate fails, unless forced.
     """
     v_plateau = group_velocity_with_decay(p, sched.plateau)
@@ -166,7 +169,11 @@ def run_storage_retrieval(
         t_store = 0.5 * (span[0] + span[1]) if span[1] > span[0] else 0.5 * grid.t_end
     stored = min(snaps, key=lambda s: abs(s.t - t_store))
 
-    scalars: dict[str, float] = {}
+    counts = half_step_substeps(s0.t, sched, p, grid, substeps)
+    scalars: dict[str, float] = {"outer_steps": len(counts) // 2,
+                                 "rk4_substeps": int(counts.sum())}
+    for name, drift in zip(("q1", "q2", "q3"), charge_drifts(snaps, p)):
+        scalars[f"charge_drift_{name}"] = drift
     input_norm = pulse.norm_sq()
     trivial = input_norm == 0.0
     scalars["trivial_input"] = float(trivial)
@@ -261,6 +268,10 @@ def scaling_exponent(kind: MediumKind, p_base: MediumParams, omega: float,
     y = slowdown(gc2, omega, p_base.gamma1 * p_base.gamma2)
     if not np.all(np.isfinite(y)):
         raise StoppedLightError("slowdown is infinite: control off and no decay floor")
+    if not np.all(y > 0):
+        # log(0) would turn the fitted slope into nan
+        raise NumericsError(f"{kind.value}: slowdown is 0 on the atom-number scan, "
+                            "no exponent to fit")
     slope, _ = np.polyfit(np.log(np.asarray(n_grid, dtype=float)), np.log(y), 1)
     return float(slope)
 

@@ -24,6 +24,8 @@ class TanhRamp:
     def __post_init__(self):
         if not self.omega0 >= 0:
             raise ValueError("omega0 must be nonnegative")
+        if not math.isfinite(self.omega0 * self.omega0):
+            raise ValueError("omega0 squared overflows a float")
         if not self.rate > 0:
             raise ValueError("rate must be positive")
         if not self.t_down < self.t_up:
@@ -55,6 +57,9 @@ class Tabulated:
             raise ValueError("times must be strictly increasing")
         if not np.all(v >= 0):
             raise ValueError("control amplitudes must be nonnegative")
+        top = float(v.max())
+        if not math.isfinite(top * top):
+            raise ValueError("control amplitudes squared overflow a float")
 
     def omega(self, t):
         t = np.asarray(t, dtype=float)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +79,10 @@ def test_store_with_desk_preset(tmp_path):
     summary = read_summary(out)
     assert float(summary["fidelity"]) > 0.95
     assert float(summary["mapping_residual"]) < 0.03
+    assert int(summary["outer_steps"]) == 307
+    assert int(summary["rk4_substeps"]) >= 2 * 307
+    for q in ("q1", "q2", "q3"):
+        assert float(summary[f"charge_drift_{q}"]) <= 1e-6
     header, _ = read_csv(out / "storage_report.csv")
     assert header == ["z_um", "re_E_in", "im_E_in", "re_phig_stored",
                       "im_phig_stored", "re_E_out", "im_E_out"]
@@ -151,7 +156,17 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
             ("store", stopped, "schedule.omega0_rad_per_us"),
             ("feasibility", stopped, "schedule.omega0_rad_per_us"),
             ("mediums", stopped, "schedule.omega0_rad_per_us"),
-            ("groupvel", table, "schedule.table_values_rad_per_us")]:
+            ("groupvel", table, "schedule.table_values_rad_per_us"),
+            ("groupvel", ["schedule.form=table", "schedule.table_times_us=0,140",
+                          "schedule.table_values_rad_per_us=1,1e300"],
+             "schedule: control amplitudes"),
+            *[(experiment, [f"{key}=1e300"], named)
+              for key, named, experiments in [
+                  ("medium.g_tilde_rad_per_us", "medium: g_tilde",
+                   ("groupvel", "mediums", "feasibility", "imbalance")),
+                  ("schedule.omega0_rad_per_us", "schedule: omega0",
+                   ("groupvel", "mediums", "feasibility"))]
+              for experiment in experiments]]:
         args = [arg for setting in settings for arg in ("--set", setting)]
         assert main([experiment, "--out", str(tmp_path / "x"), *args]) == 2
         assert named in capsys.readouterr().err
@@ -182,6 +197,21 @@ def test_exit_code_2_on_non_finite_value(tmp_path, capsys, key, value):
                  "--set", f"{key}={value}"]) == 2
     assert key in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment", ["groupvel", "mediums", "feasibility", "imbalance"])
+@pytest.mark.parametrize("key", ["medium.g_tilde_rad_per_us", "medium.n_a", "medium.n_b",
+                                 "schedule.omega0_rad_per_us", "medium.length_um",
+                                 "medium.c_um_per_us"])
+@pytest.mark.parametrize("value", ["1e-300", "1e-30", "1", "1e30", "1e300"])
+def test_extreme_values_exit_cleanly(tmp_path, experiment, key, value):
+    code = main([experiment, "--out", str(tmp_path / "x"), "--set", f"{key}={value}"])
+    assert code in (0, 2, 3, 4)
+    files = [path for path in tmp_path.rglob("*") if path.is_file()]
+    if code != 0:
+        assert files == []
+    for path in files:
+        assert not re.search(r"\bnan\b", path.read_text(encoding="utf-8"), re.I), path.name
 
 
 def test_exit_code_4_on_feasibility_refusal(tmp_path, capsys):

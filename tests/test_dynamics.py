@@ -19,7 +19,7 @@ from slowmol import (
     wea_propagate,
 )
 from slowmol import dynamics
-from slowmol.dynamics import gauss_legendre, integrate
+from slowmol.dynamics import gauss_legendre, half_step_substeps, integrate
 from conftest import constant_schedule, desk_pulse
 
 
@@ -372,6 +372,61 @@ def test_stacked_state_matches_the_five_array_reference_exactly(advection, cfl):
         s0.phi_g[40] = math.nan
         with pytest.raises(NumericsError, match="grid index 40$"):
             integrate_mean_field(s0, sched, p, grid, substeps=3, advection=advection)
+
+
+# ------------------------------------------------------- substep sizing
+
+def _old_rule_count(p, omega, half_dt):
+    """Substeps of one half-step under the run-wide rule, at control ``omega``."""
+    w = (math.hypot(omega, math.sqrt(p.pair_coupling_sq)) + abs(p.Delta) + abs(p.delta)
+         + max(p.gamma_a, p.gamma_b, p.gamma_e, p.gamma_g))
+    return max(1, math.ceil(half_dt * w / 0.1))
+
+
+def test_auto_substeps_under_constant_control_match_the_old_rule_exactly():
+    p = MediumParams(g_tilde=0.05, L=64.0, c=2.0, N_a=100.0, N_b=80.0,
+                     gamma_e=0.3, Delta=0.4, delta=-0.2)
+    grid = Grid1D.for_speed(0.0, 64.0, 64, c=p.c, t_end=10.0)
+    om = 3.0
+    sched = constant_schedule(om)
+    m = _old_rule_count(p, om, 0.5 * grid.dt)
+    assert m > 1
+    assert half_step_substeps(0.0, sched, p, grid).tolist() == [m] * (2 * 20)
+    s0 = MeanFieldState.polariton_state(grid, p, desk_pulse(grid, 20.0, 4.0, 0.5), om)
+    auto = integrate_mean_field(s0, sched, p, grid, snapshot_stride=3)
+    fixed = integrate_mean_field(s0, sched, p, grid, snapshot_stride=3, substeps=m)
+    assert len(auto) == len(fixed) == 8
+    for a, b in zip(auto, fixed):
+        assert (a.t, a.boundary_photon_flux) == (b.t, b.boundary_photon_flux)
+        for name in ("E", "phi_a", "phi_b", "phi_e", "phi_g"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_auto_substeps_follow_the_storage_ramp_on_the_desk_grid(desk_medium):
+    from slowmol import standard_storage_schedule
+    grid = Grid1D.for_speed(0.0, 200.0, 1024, c=desk_medium.c, t_end=140.0)
+    counts = half_step_substeps(0.0, standard_storage_schedule(), desk_medium, grid)
+    assert len(counts) == 2864
+    assert (counts[0], counts[-1], counts.min(), counts.sum()) == (16, 16, 2, 13780)
+    # the run-wide rule gave 16 everywhere; an explicit count is used as given
+    assert half_step_substeps(0.0, standard_storage_schedule(), desk_medium, grid,
+                              substeps=5).tolist() == [5] * 2864
+
+
+def test_auto_substeps_see_a_table_knot_inside_a_half_step(desk_medium):
+    grid = Grid1D.for_speed(0.0, 200.0, 256, c=desk_medium.c, t_end=2.0)
+    half_dt = 0.5 * grid.dt
+    t_knot = 2.5 * half_dt   # strictly inside half-step 2
+    sched = ControlSchedule.tabulated(
+        [0.0, t_knot - 0.1 * half_dt, t_knot, t_knot + 0.1 * half_dt, 10.0],
+        [1.0, 1.0, 1000.0, 1.0, 1.0])
+    counts = half_step_substeps(0.0, sched, desk_medium, grid)
+    assert float(sched.omega(2 * half_dt)) == float(sched.omega(3 * half_dt)) == 1.0
+    tall = _old_rule_count(desk_medium, 1000.0, half_dt)
+    flat = _old_rule_count(desk_medium, 1.0, half_dt)
+    assert tall > flat
+    assert counts[2] == tall
+    assert np.all(np.delete(counts, 2) == flat)
 
 
 def test_integrator_rejects_bad_options(desk_medium, desk_grid_small):

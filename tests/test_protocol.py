@@ -9,6 +9,8 @@ from slowmol import (
     Grid1D,
     MediumKind,
     MediumParams,
+    NumericsError,
+    conserved_charges,
     feasibility_check,
     imbalance_sweep,
     medium_comparison,
@@ -18,6 +20,7 @@ from slowmol import (
     storage_span,
     velocity_curve,
 )
+from slowmol.dynamics import half_step_substeps
 from slowmol.reports import read_csv
 from conftest import desk_pulse
 
@@ -181,6 +184,15 @@ def test_scaling_exponents_per_kind():
             slope, abs=1e-6)
 
 
+def test_scaling_exponent_refuses_a_vanishing_slowdown():
+    # g_tilde^2 underflows to 0: log(0) would make the fitted slope nan
+    for g_tilde in (0.0, 1e-300):
+        p = MediumParams(g_tilde=g_tilde)
+        with pytest.raises(NumericsError, match="heteronuclear-dimer"):
+            scaling_exponent(MediumKind.HETERONUCLEAR_DIMER, p, 10 * math.pi,
+                             np.logspace(5, 7, 5))
+
+
 def test_medium_comparison_ordering_at_large_n():
     p = MediumParams.krb()
     sched = standard_storage_schedule()
@@ -220,6 +232,28 @@ def test_storage_retrieval_quick_run():
     assert rep.feasibility.all_ok
     # velocity series follows the analytic curve
     assert set(rep.series) == {"t_us", "omega_rad_per_us", "vg_over_c"}
+
+
+def test_storage_reports_its_step_counts_and_charge_drifts():
+    p = desk_params()
+    grid = Grid1D.for_speed(0.0, 200.0, 256, c=p.c, t_end=40.0)
+    sched = ControlSchedule.tanh_ramp(omega0=10 * math.pi, t_down=8.0, t_up=25.0,
+                                      rate=0.5)
+    rep = run_storage_retrieval(p, sched, desk_pulse(grid), grid, snapshot_stride=10)
+    counts = half_step_substeps(0.0, sched, p, grid)
+    assert counts.min() < counts.max()
+    assert rep.scalars["outer_steps"] == round(40.0 / grid.dt) == len(counts) // 2
+    assert rep.scalars["rk4_substeps"] == counts.sum()
+    # worst relative drift over the snapshots, one charge at a time
+    q0 = conserved_charges(rep.snapshots[0], p)
+    for i in range(3):
+        worst = max(abs(conserved_charges(s, p)[i] + (s.boundary_photon_flux if i == 2 else 0.0)
+                        - q0[i]) / abs(q0[i]) for s in rep.snapshots)
+        assert rep.scalars[f"charge_drift_q{i + 1}"] == worst
+        assert worst <= 1e-6
+    lines = rep.summary_lines()
+    assert f"rk4_substeps = {counts.sum()}" in lines
+    assert f"outer_steps = {len(counts) // 2}" in lines
 
 
 def test_storage_gate_refuses_then_force_runs():
