@@ -18,10 +18,15 @@ is conserved up to boundary flux of the light term.
 
 The integrator carries the signal and the four matter fields as one complex
 state array of shape (5, n_z), rows in the order E, phi_a, phi_b, phi_e,
-phi_g, so each RK4 stage and update is one array expression.  Each matter
-half-step gets its own RK4 substep count, sized from the largest control
-field on that half-step (``half_step_substeps``): the plateaus need many,
-the stored phase, where Omega is near 0, only a few.
+phi_g, so each RK4 stage and update acts on whole (5, n_z) blocks.  Each
+matter half-step gets its own RK4 substep count, sized from the largest
+control field on that half-step (``half_step_substeps``): the plateaus need
+many, the stored phase, where Omega is near 0, only a few.  The stages,
+the update and the right-hand side write into buffers allocated once per
+integration, so a substep allocates no array.  Each element is still
+computed by the same operations in the same order as the plain array
+expressions (``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)`` and so on), so the
+fields are bit for bit those of an allocating step.
 """
 
 from __future__ import annotations
@@ -407,7 +412,13 @@ def integrate_mean_field(
     half-step; an integer gives every half-step that count.  The state is
     one (5, n_z) array with rows E, phi_a, phi_b, phi_e, phi_g; row 0 alone
     is advected.  Snapshots (copies, one ``MeanFieldState`` field per row)
-    are emitted every ``snapshot_stride`` outer steps.
+    are emitted every ``snapshot_stride`` outer steps; ``s0`` is not changed.
+
+    The four RK4 stages, the stage input, the update accumulator and the
+    right-hand side's scratch rows are allocated once per call and written
+    through the ufuncs' output arguments.  Every element keeps the operation order of
+    the plain expressions, e.g. ``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``,
+    so the buffered step reproduces them bit for bit.
     """
     if advection not in ("upwind", "muscl"):
         raise ConfigError(f"unknown advection scheme {advection!r}")
@@ -435,28 +446,74 @@ def integrate_mean_field(
     y = np.array([s0.E, s0.phi_a, s0.phi_b, s0.phi_e, s0.phi_g], dtype=complex)
     flux = float(s0.boundary_photon_flux)
 
-    def rhs(om: float, y: np.ndarray) -> np.ndarray:
-        E, a, b, e, g = y
-        cE, ca, cb = np.conj(y[:3])
-        return np.array([
-            1j * g_signal * (ca * cb * e),
-            dec_a * a + 1j * g_field * cE * cb * e,
-            dec_b * b + 1j * g_field * cE * ca * e,
-            dec_e * e + 1j * g_field * E * a * b + 1j * om * g,
-            dec_g * g + 1j * om * e,
-        ])
+    # every buffer of the matter step, allocated once per call; the views
+    # that rhs reads and writes are taken once too, so a substep allocates
+    # nothing.  The last argument of each ufunc call is its output.
+    n_z = grid.n_z
+    k1, k2, k3, k4, y_stage, acc = np.empty((6, 5, n_z), dtype=complex)
+    conj = np.empty((3, n_z), dtype=complex)
+    pair = np.empty((2, n_z), dtype=complex)
+    tmp = np.empty(n_z, dtype=complex)
+    cE, ca, cb = conj
+    cb_ca = conj[2:0:-1]
+    dec = np.array([[dec_a], [dec_b], [dec_e], [dec_g]], dtype=complex)
+    c_field = 1j * g_field
+    c_signal = 1j * g_signal
+    mul, add = np.multiply, np.add
 
-    def source_half(y: np.ndarray, t0: float, m: int) -> np.ndarray:
+    def reads(v: np.ndarray) -> tuple:
+        return v[:3], v[0], v[1], v[2], v[3], v[1:], v[4:2:-1]
+
+    def writes(k: np.ndarray) -> tuple:
+        return k[0], k[1:], k[1:3], k[3], k[3:]
+
+    def rhs(om: float, y: tuple, out: tuple) -> None:
+        """dy/dt of the state seen through ``reads`` into the stage seen
+        through ``writes``; per element, in this order:
+            E'     = (1j g_signal) ((ca cb) e)
+            phi_a' = dec_a a + (((1j g_field) cE) cb) e
+            phi_b' = dec_b b + (((1j g_field) cE) ca) e
+            phi_e' = (dec_e e + (((1j g_field) E) a) b) + (1j om) g
+            phi_g' = dec_g g + (1j om) e
+        """
+        y_sig, E, a, b, e, y_mat, g_e = y
+        d_E, d_mat, d_ab, d_e, d_eg = out
+        np.conjugate(y_sig, conj)
+        mul(ca, cb, tmp)
+        mul(tmp, e, tmp)
+        mul(c_signal, tmp, d_E)
+        mul(dec, y_mat, d_mat)        # the four decay terms
+        mul(c_field, cE, tmp)
+        mul(tmp, cb_ca, pair)         # rows cb, ca: phi_a', phi_b'
+        mul(pair, e, pair)
+        add(d_ab, pair, d_ab)
+        mul(c_field, E, tmp)
+        mul(tmp, a, tmp)
+        mul(tmp, b, tmp)
+        add(d_e, tmp, d_e)
+        mul(1j * om, g_e, pair)       # rows g, e: phi_e', phi_g'
+        add(d_eg, pair, d_eg)
+
+    y_in, stage_in = reads(y), reads(y_stage)
+    k1_out, k2_out, k3_out, k4_out = (writes(k) for k in (k1, k2, k3, k4))
+
+    def source_half(t0: float, m: int) -> None:
+        """m RK4 substeps of y in place: y + (h/6)(((k1 + 2 k2) + 2 k3) + k4)."""
         h = half_dt / m
         om_stage = np.asarray(sched.omega(t0 + 0.5 * h * np.arange(2 * m + 1)), dtype=float)
         for j in range(m):
             om0, om1, om2 = om_stage[2 * j:2 * j + 3]
-            k1 = rhs(om0, y)
-            k2 = rhs(om1, y + 0.5 * h * k1)
-            k3 = rhs(om1, y + 0.5 * h * k2)
-            k4 = rhs(om2, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return y
+            rhs(om0, y_in, k1_out)
+            add(y, mul(0.5 * h, k1, y_stage), y_stage)
+            rhs(om1, stage_in, k2_out)
+            add(y, mul(0.5 * h, k2, y_stage), y_stage)
+            rhs(om1, stage_in, k3_out)
+            add(y, mul(h, k3, y_stage), y_stage)
+            rhs(om2, stage_in, k4_out)
+            add(k1, mul(2, k2, acc), acc)
+            add(acc, mul(2, k3, y_stage), acc)
+            add(acc, k4, acc)
+            add(y, mul(h / 6.0, acc, acc), y)
 
     def snapshot(t: float) -> MeanFieldState:
         return MeanFieldState(t, grid.z, *y.copy(), boundary_photon_flux=flux)
@@ -467,12 +524,12 @@ def integrate_mean_field(
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             t0 = s0.t + n * grid.dt
-            y = source_half(y, t0, counts[2 * n])
+            source_half(t0, counts[2 * n])
             e_in = complex(inflow(t0 + grid.dt)) if inflow is not None else 0.0 + 0.0j
             out_val = y[0, -1]
             y[0] = advect(y[0], lam, e_in)
             flux += lam * dz_over_L * (abs(out_val) ** 2 - abs(e_in) ** 2)
-            y = source_half(y, t0 + half_dt, counts[2 * n + 1])
+            source_half(t0 + half_dt, counts[2 * n + 1])
             finite = np.isfinite(y)
             if not finite.all():
                 # row-major: the first bad column of the first row that has one

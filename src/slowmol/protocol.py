@@ -19,7 +19,7 @@ from .dynamics import (
     integrate_mean_field,
     storage_fidelity,
 )
-from .errors import FeasibilityRefused, NumericsError, StoppedLightError
+from .errors import ConfigError, FeasibilityRefused, NumericsError, StoppedLightError
 from .medium import (
     MediumKind,
     MediumParams,
@@ -29,6 +29,9 @@ from .medium import (
 )
 from .reports import ExperimentReport, FeasibilityReport
 from .schedule import ControlSchedule
+
+# criterion 5: the worst relative drift of Q1, Q2 and Q3 + flux a lossless run accepts
+_CHARGE_DRIFT_LIMIT = 1e-6
 
 
 def velocity_curve(p: MediumParams, sched: ControlSchedule, t: np.ndarray,
@@ -53,7 +56,9 @@ def feasibility_check(p: MediumParams, t_s: float, sched: ControlSchedule,
     compression: v_g * t_s / L                (pulse length vs. medium)
 
     The optical depth is d = g_tilde^2 N_a N_b L / (gamma2 c) and v_g is the
-    decay-corrected velocity at the schedule plateau.
+    decay-corrected velocity at the schedule plateau.  A medium whose
+    optical depth is 0 (no effective coupling) has no spectral window:
+    ``ConfigError`` naming ``medium.g_tilde_rad_per_us``.
     """
     if t_s <= 0:
         raise ValueError("t_s must be positive")
@@ -65,9 +70,12 @@ def feasibility_check(p: MediumParams, t_s: float, sched: ControlSchedule,
         depth = math.inf
     v_plateau = group_velocity_with_decay(p, sched.plateau)
     window = math.sqrt(depth) * v_plateau / p.L  # inf depth -> trivially wide window
+    if not window > 0:
+        raise ConfigError("medium.g_tilde_rad_per_us: the optical depth g_tilde^2 N_a N_b L "
+                          "/ (gamma2 c) is 0, so the spectral window is empty")
     margins = {
         "storage": t_storage * p.gamma1,
-        "spectral": (1.0 / t_s) / window if window > 0 else math.inf,
+        "spectral": (1.0 / t_s) / window,
         "compression": v_plateau * t_s / p.L,
     }
     return FeasibilityReport(optical_depth=depth, margins=margins, threshold=threshold)
@@ -140,7 +148,10 @@ def run_storage_retrieval(
     residual), the retrieved-vs-input fidelity and efficiency, the
     analytic velocity curve, the feasibility margins, and the run's outer
     steps, total RK4 substeps and worst charge drifts.  Refuses to run
-    when the feasibility gate fails, unless forced.
+    when the feasibility gate fails, unless forced.  A lossless run (every
+    gamma 0) conserves the charges, so a worst drift above
+    ``_CHARGE_DRIFT_LIMIT`` raises ``NumericsError``; with decay the drift
+    is only reported.
     """
     v_plateau = group_velocity_with_decay(p, sched.plateau)
     width = pulse.descriptor.rms_width if pulse.descriptor is not None else _rms_width(pulse)
@@ -172,8 +183,16 @@ def run_storage_retrieval(
     counts = half_step_substeps(s0.t, sched, p, grid, substeps)
     scalars: dict[str, float] = {"outer_steps": len(counts) // 2,
                                  "rk4_substeps": int(counts.sum())}
-    for name, drift in zip(("q1", "q2", "q3"), charge_drifts(snaps, p)):
+    drifts = charge_drifts(snaps, p)
+    for name, drift in zip(("q1", "q2", "q3"), drifts):
         scalars[f"charge_drift_{name}"] = drift
+    worst = float(np.max(drifts))
+    lossless = p.gamma_a == p.gamma_b == p.gamma_e == p.gamma_g == 0.0
+    if lossless and not worst <= _CHARGE_DRIFT_LIMIT:
+        setting = "0 (automatic)" if substeps == "auto" else substeps
+        raise NumericsError(f"worst charge drift {worst:.3g} of a lossless run exceeds "
+                            f"{_CHARGE_DRIFT_LIMIT:g} at run.substeps = {setting}; "
+                            "use more RK4 substeps")
     input_norm = pulse.norm_sq()
     trivial = input_norm == 0.0
     scalars["trivial_input"] = float(trivial)

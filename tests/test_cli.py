@@ -152,6 +152,9 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
             ("imbalance", ["sweep.etas="], "sweep.etas"),
             ("mediums", ["sweep.kinds="], "sweep.kinds"),
             ("groupvel", ["medium.g_tilde_rad_per_us=-1"], "medium: g_tilde"),
+            # no optical depth (g_tilde^2 is 0 or underflows), so no spectral window
+            ("feasibility", ["medium.g_tilde_rad_per_us=0"], "medium.g_tilde_rad_per_us"),
+            ("feasibility", ["medium.g_tilde_rad_per_us=1e-300"], "medium.g_tilde_rad_per_us"),
             ("groupvel", stopped, "schedule.omega0_rad_per_us"),
             ("store", stopped, "schedule.omega0_rad_per_us"),
             ("feasibility", stopped, "schedule.omega0_rad_per_us"),
@@ -211,7 +214,21 @@ def test_extreme_values_exit_cleanly(tmp_path, experiment, key, value):
     if code != 0:
         assert files == []
     for path in files:
-        assert not re.search(r"\bnan\b", path.read_text(encoding="utf-8"), re.I), path.name
+        assert not re.search(r"\b(nan|inf)\b", path.read_text(encoding="utf-8"), re.I), path.name
+
+
+def test_lossless_store_exits_3_on_charge_drift(tmp_path, capsys):
+    # four substeps turn about 1.5 rad per RK4 step at the plateau: Q3 drifts 5.4e-3
+    code = main(["store", "--out", str(tmp_path / "x"), "--set", "preset=desk-storage",
+                 "--set", "grid.n_z=256", "--set", "grid.t_end_us=40",
+                 "--set", "grid.snapshot_stride=10", "--set", "schedule.t_down_us=8",
+                 "--set", "schedule.t_up_us=25", "--set", "schedule.rate_per_us=0.5",
+                 "--set", "run.substeps=4"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "charge drift 0.00539" in err
+    assert "run.substeps = 4" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_4_on_feasibility_refusal(tmp_path, capsys):

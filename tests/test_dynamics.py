@@ -374,6 +374,30 @@ def test_stacked_state_matches_the_five_array_reference_exactly(advection, cfl):
             integrate_mean_field(s0, sched, p, grid, substeps=3, advection=advection)
 
 
+def test_stage_buffers_leak_into_no_state_or_snapshot():
+    p = MediumParams(g_tilde=0.05, L=64.0, c=2.0, N_a=100.0, N_b=80.0,
+                     gamma_e=0.3, Delta=0.4, delta=-0.2)
+    grid = Grid1D.for_speed(0.0, 64.0, 64, c=p.c, t_end=10.0)
+    sched = ControlSchedule.tanh_ramp(omega0=3.0, t_down=2.0, t_up=6.0, rate=1.0)
+    s0 = MeanFieldState.polariton_state(grid, p, desk_pulse(grid, 20.0, 4.0, 0.5), 3.0)
+    names = ("E", "phi_a", "phi_b", "phi_e", "phi_g")
+    before = [getattr(s0, name).copy() for name in names]
+    first = integrate_mean_field(s0, sched, p, grid, snapshot_stride=3)
+    for name, want in zip(names, before):
+        assert np.array_equal(getattr(s0, name), want), name
+    assert len(first) == 8
+    for i, a in enumerate(first):
+        for b in first[i + 1:]:
+            for x in names:
+                for y in names:
+                    assert not np.shares_memory(getattr(a, x), getattr(b, y)), (x, y)
+    second = integrate_mean_field(s0, sched, p, grid, snapshot_stride=3)
+    for a, b in zip(first, second):
+        assert (a.t, a.boundary_photon_flux) == (b.t, b.boundary_photon_flux)
+        for name in names:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 # ------------------------------------------------------- substep sizing
 
 def _old_rule_count(p, omega, half_dt):

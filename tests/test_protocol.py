@@ -256,6 +256,17 @@ def test_storage_reports_its_step_counts_and_charge_drifts():
     assert f"outer_steps = {len(counts) // 2}" in lines
 
 
+def test_lossy_storage_reports_a_drift_that_a_lossless_run_refuses():
+    # the lossless run with these settings exits 3 (tests/test_cli.py); with
+    # decay the charges are not conserved, so the drift is only reported
+    p = desk_params(gamma_e=1e-3)
+    grid = Grid1D.for_speed(0.0, 200.0, 256, c=p.c, t_end=40.0)
+    sched = ControlSchedule.tanh_ramp(omega0=10 * math.pi, t_down=8.0, t_up=25.0,
+                                      rate=0.5)
+    rep = run_storage_retrieval(p, sched, desk_pulse(grid), grid, substeps=4, force=True)
+    assert rep.scalars["charge_drift_q3"] > 1e-6
+
+
 def test_storage_gate_refuses_then_force_runs():
     # strong ground-molecule decay wrecks the storage window
     p = desk_params(gamma_g=0.1)
