@@ -32,7 +32,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, FeasibilityRefused, NumericsError, StoppedLightError
 from .medium import group_velocity_with_decay, mixing_angle, velocity_floor
-from .reports import ExperimentReport, fmt_float, write_report
+from .reports import ExperimentReport, fmt_float, format_column, write_report
 
 _CURVE_COLUMNS = ["t_us", "omega_rad_per_us", "vg_over_c"]
 
@@ -78,21 +78,30 @@ def _curve_files(reports: list[ExperimentReport], curve_ids: list[str],
     return {**files, **_gnuplot(config, names)}
 
 
-def _frame_files(prefix: str, stem: str, frames, header: list[str], columns) -> dict:
+def _frame_files(prefix: str, stem: str, z: np.ndarray, frames, header: list[str],
+                 columns) -> dict:
     """One CSV per frame plus the manifest ``<stem>s.csv`` of frame times.
-    ``columns(frame)`` builds a frame's table only when its file is written."""
+    Every frame table opens with the same ``z_um`` column, formatted once
+    here; ``columns(frame)`` builds the rest of a frame's table only when
+    its file is written."""
+    z_cells = list(format_column(z))
+
+    def table(frame):
+        return [z_cells, *columns(frame)]
+
     names = [f"{stem}_{i:05d}.csv" for i in range(len(frames))]
-    files = {prefix + name: (header, functools.partial(columns, frame))
+    files = {prefix + name: (["z_um", *header], functools.partial(table, frame))
              for name, frame in zip(names, frames)}
     files[prefix + stem + "s.csv"] = (["index", "t_us", "file"], [
         [str(i) for i in range(len(frames))], [frame.t for frame in frames], names])
     return files
 
 
-def _snapshot_files(prefix: str, snapshots, fields: tuple[str, ...]) -> dict:
+def _snapshot_files(prefix: str, z: np.ndarray, snapshots,
+                    fields: tuple[str, ...]) -> dict:
     """Mean-field snapshots: z_um, then re_/im_ pairs of ``fields``."""
-    header = ["z_um"] + [f"{part}_{name}" for name in fields for part in ("re", "im")]
-    return _frame_files(prefix, "snapshot", snapshots, header, lambda snap: [snap.z] + [
+    header = [f"{part}_{name}" for name in fields for part in ("re", "im")]
+    return _frame_files(prefix, "snapshot", z, snapshots, header, lambda snap: [
         part for name in fields for part in (getattr(snap, name).real,
                                              getattr(snap, name).imag)])
 
@@ -154,7 +163,7 @@ def run_propagate(config: RunConfig) -> ExperimentReport:
     theta_t = mixing_angle(p, float(sched.omega(last.t)))
     peak_pred = math.cos(theta_t) / math.cos(theta0)
     return _report(config, {
-        **_snapshot_files("", snaps, ("E", "phi_a", "phi_b", "phi_e", "phi_g")),
+        **_snapshot_files("", grid.z, snaps, ("E", "phi_a", "phi_b", "phi_e", "phi_g")),
         "summary.txt": _text([
             f"t_end_us = {fmt_float(last.t)}",
             f"travel_measured_um = {fmt_float(travel_meas)}",
@@ -186,7 +195,7 @@ def run_store(config: RunConfig) -> ExperimentReport:
              prof["phig_stored"].real, prof["phig_stored"].imag,
              prof["e_out"].real, prof["e_out"].imag]),
         "velocity_curve.csv": (_CURVE_COLUMNS, [report.series[k] for k in _CURVE_COLUMNS]),
-        **_snapshot_files("snapshots/", report.snapshots, ("E", "phi_g")),
+        **_snapshot_files("snapshots/", grid.z, report.snapshots, ("E", "phi_g")),
         "summary.txt": _text(report.summary_lines()),
     }, report)
 
@@ -265,20 +274,25 @@ def run_gpe_soliton(config: RunConfig) -> ExperimentReport:
     main_track = min(
         (tr for tr in trajectories if len(tr) >= 2),
         key=lambda tr: abs(tr.positions[0] - kw["z0"]), default=None)
+    n0, n1 = frames[0].norm(), frames[-1].norm()
+    # healing_alpha demands u_gg > 0 and a background, so e0 > 0
+    e0, e1 = (gpe_mod.energy_functional(wf, p) for wf in (frames[0], frames[-1]))
     lines = [
         f"q = {fmt_float(kw['q'])}",
         f"sound_speed_um_per_us = {fmt_float(v_s)}",
         f"expected_speed_um_per_us = {fmt_float(v_expected)}",
-        f"norm_initial = {fmt_float(frames[0].norm())}",
-        f"norm_final = {fmt_float(frames[-1].norm())}",
+        f"norm_initial = {fmt_float(n0)}",
+        f"norm_final = {fmt_float(n1)}",
+        f"norm_drift = {fmt_float(abs(n1 - n0) / n0)}",
+        f"energy_drift = {fmt_float(abs(e1 - e0) / e0)}",
         f"min_density_final = {fmt_float(float(frames[-1].density().min()))}",
         f"expected_min_density = {fmt_float((1.0 - kw['q']**2) * p.background_amp**2)}",
     ]
     if main_track is not None and len(main_track) > 2:
         lines.append(f"measured_speed_um_per_us = {fmt_float(main_track.fit_speed())}")
     return _report(config, {
-        **_frame_files("frames/", "frame", frames, ["z_um", "density", "phase"],
-                       lambda wf: [wf.z, wf.density(), np.angle(wf.psi)]),
+        **_frame_files("frames/", "frame", grid.z, frames, ["density", "phase"],
+                       lambda wf: [wf.density(), np.angle(wf.psi)]),
         "trajectory.csv": _trajectory_table((tr.times, tr.positions) for tr in trajectories),
         "summary.txt": _text(lines),
     })

@@ -56,14 +56,18 @@ def feasibility_check(p: MediumParams, t_s: float, sched: ControlSchedule,
     compression: v_g * t_s / L                (pulse length vs. medium)
 
     The optical depth is d = g_tilde^2 N_a N_b L / (gamma2 c) and v_g is the
-    decay-corrected velocity at the schedule plateau.  A medium whose
-    optical depth is 0 (no effective coupling) has no spectral window:
-    ``ConfigError`` naming ``medium.g_tilde_rad_per_us``.
+    decay-corrected velocity at the schedule plateau.  A medium without
+    effective coupling (g_tilde^2 N_a N_b is 0 or underflows, lossless
+    media included) or whose optical depth is 0 stores nothing and has no
+    spectral window: ``ConfigError`` naming ``medium.g_tilde_rad_per_us``.
     """
     if t_s <= 0:
         raise ValueError("t_s must be positive")
     if t_storage < 0:
         raise ValueError("t_storage must be nonnegative")
+    if p.pair_coupling_sq == 0.0:
+        raise ConfigError("medium.g_tilde_rad_per_us: the coupling g_tilde^2 N_a N_b is 0, "
+                          "so the medium stores nothing and has no spectral window")
     if p.gamma2 > 0:
         depth = p.pair_coupling_sq * p.L / (p.gamma2 * p.c)
     else:
@@ -95,10 +99,14 @@ def storage_span(sched: ControlSchedule, t_end: float,
 def _aligned_mapping_residual(z: np.ndarray, stored: np.ndarray,
                               pulse: SignalEnvelope) -> float:
     """L2 distance between the stored field and -E_in(z - s), minimized over
-    the translation s, relative to the input norm."""
+    the translation s, relative to the input norm; 1.0 for an all-zero
+    stored field, whose correlation has no peak to align on."""
     target_norm = math.sqrt(float(np.sum(np.abs(pulse.samples) ** 2)))
     if target_norm == 0.0:
         raise ValueError("zero-norm input envelope")
+    if not np.any(stored):
+        # nothing stored: the distance to any in-grid reference is its whole norm
+        return 1.0
 
     def residual(shift: float) -> float:
         ref = -pulse.value_at(z - shift)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -21,17 +21,25 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
+def format_column(column) -> Iterator[str]:
+    """The cells of a float column, made lazily as a table's rows are joined:
+    ``repr`` of each value read as a Python float, the shortest round-trip
+    digits, as ``fmt_float`` gives one.  A column shared by many tables is
+    formatted once with ``list(format_column(column))``."""
+    return map(repr, np.asarray(column, dtype=float).tolist())
+
+
 def _cells(column):
-    """A list of strings passes through; anything else is read as floats
-    and formatted lazily, one cell per row as the row is joined."""
+    """A list of strings passes through; anything else is a float column."""
     if isinstance(column, list) and all(isinstance(x, str) for x in column):
         return column
-    return map(repr, np.asarray(column, dtype=float).tolist())
+    return format_column(column)
 
 
 def write_csv(path: Path, header: list[str], columns: list) -> None:
     """One CSV table.  A column is a float array or a list of strings
-    (integer cells such as indices are passed as strings)."""
+    (integer cells such as indices, or a column formatted once by
+    ``format_column`` and shared by many tables, are passed as strings)."""
     if len(header) != len(columns):
         raise ValueError("header and column counts differ")
     n = len(columns[0])

@@ -128,6 +128,8 @@ def test_gpe_soliton_outputs(tmp_path):
     assert code == 0
     summary = read_summary(out)
     assert float(summary["measured_speed_um_per_us"]) == pytest.approx(0.6, rel=0.05)
+    assert float(summary["norm_drift"]) <= 1e-10 * 5.0  # criterion 7, 5 us
+    assert float(summary["energy_drift"]) <= 1e-6
     frames = (out / "frames" / "frames.csv").read_text().splitlines()
     assert frames[0] == "index,t_us,file"
     header, _ = read_csv(out / "frames" / "frame_00000.csv")
@@ -147,6 +149,10 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
     stopped = ["preset=desk-storage", "schedule.omega0_rad_per_us=0"]
     table = ["preset=desk-storage", "schedule.form=table", "schedule.table_times_us=0,140",
              "schedule.table_values_rad_per_us=0,0"]
+    # the lossless desk medium without coupling stores nothing
+    uncoupled = ["preset=desk-storage", "medium.g_tilde_rad_per_us=0"]
+    tiny_store = ["grid.n_z=256", "grid.t_end_us=40", "grid.snapshot_stride=10",
+                  "schedule.t_down_us=8", "schedule.t_up_us=25", "schedule.rate_per_us=0.5"]
     for experiment, settings, named in [
             ("imbalance", ["sweep.etas=-1"], "sweep.etas"),
             ("imbalance", ["sweep.etas="], "sweep.etas"),
@@ -155,6 +161,8 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
             # no optical depth (g_tilde^2 is 0 or underflows), so no spectral window
             ("feasibility", ["medium.g_tilde_rad_per_us=0"], "medium.g_tilde_rad_per_us"),
             ("feasibility", ["medium.g_tilde_rad_per_us=1e-300"], "medium.g_tilde_rad_per_us"),
+            ("feasibility", uncoupled, "medium.g_tilde_rad_per_us"),
+            ("store", uncoupled + tiny_store, "medium.g_tilde_rad_per_us"),
             ("groupvel", stopped, "schedule.omega0_rad_per_us"),
             ("store", stopped, "schedule.omega0_rad_per_us"),
             ("feasibility", stopped, "schedule.omega0_rad_per_us"),

@@ -10,6 +10,7 @@ from slowmol import (
     ConfigError,
     GpeParams,
     Grid1D,
+    NumericsError,
     SolitonSpec,
     SupersonicError,
     WaveFunction,
@@ -295,6 +296,86 @@ def test_underresolved_state_warns_about_aliasing():
         wf0 = soliton_product([sharp, anti], P, grid)
     with pytest.warns(AliasingWarning):
         split_step_evolve(wf0, P, grid, snapshot_stride=10**6)
+
+
+def _unfused_split_step(psi0, p, grid, snapshot_stride, nonlinearity, decay):
+    """Reference: the Strang step with both kinetic half-steps in every step
+    (four FFTs), the frames as (t, psi) pairs."""
+    dt, n_steps = grid.dt, max(1, int(round(grid.t_end / grid.dt)))
+    veff = effective_potential(p, grid.n_z)
+    k = 2.0 * math.pi * np.fft.fftfreq(grid.n_z, d=grid.dz)
+    kin_half = np.exp(-1j * (k**2) * dt / (4.0 * p.m_total))
+    tail = np.abs(k) >= 0.9 * float(np.max(np.abs(k)))
+    reported = False
+    psi = psi0.psi.copy()
+    frames = [(psi0.t, psi.copy())]
+    for step in range(n_steps):
+        t_mid = psi0.t + (step + 0.5) * dt
+        psi = np.fft.ifft(kin_half * np.fft.fft(psi))
+        if nonlinearity == "self-consistent":
+            nl = p.u_gg * np.abs(psi) ** 2
+        else:
+            nl = p.u_gg * (p.background_amp**2 * math.exp(-2.0 * decay * t_mid))
+        psi *= np.exp(-1j * (veff + nl) * dt)
+        spec = np.fft.fft(psi)
+        if not reported and float(np.sum(np.abs(spec[tail]) ** 2)) > \
+                1e-8 * float(np.sum(np.abs(spec) ** 2)):
+            warnings.warn(f"spectral tail above 1e-08 of total power at "
+                          f"t={psi0.t + (step + 1) * dt:.6g}; grid under-resolves "
+                          "the state", AliasingWarning)
+            reported = True
+        psi = np.fft.ifft(kin_half * spec) * math.exp(-decay * dt)
+        if (step + 1) % snapshot_stride == 0 or step == n_steps - 1:
+            frames.append((psi0.t + (step + 1) * dt, psi.copy()))
+    return frames
+
+
+@pytest.mark.parametrize("nonlinearity,decay", [
+    ("self-consistent", 0.0), ("frozen", 0.0), ("self-consistent", 0.2), ("frozen", 0.2)])
+def test_fused_kinetic_steps_match_the_unfused_strang_step(nonlinearity, decay):
+    # 200 steps, frames every 30: the last frame is off the stride
+    grid = soliton_grid(n_z=512, t_end=1.0)
+    wf0 = soliton_product([SolitonSpec.for_params(P, q=0.7, z0=-10.0, direction=-1),
+                           SolitonSpec.for_params(P, q=0.7, z0=10.0)], P, grid)
+    frames = split_step_evolve(wf0, P, grid, snapshot_stride=30,
+                               nonlinearity=nonlinearity, background_decay_rate=decay)
+    ref = _unfused_split_step(wf0, P, grid, 30, nonlinearity, decay)
+    assert [f.t for f in frames] == [t for t, _ in ref]
+    assert len(frames) == 8
+    for f, (_, psi) in zip(frames, ref):
+        assert np.max(np.abs(f.psi - psi)) <= 1e-10
+    assert np.array_equal(frames[0].psi, wf0.psi)
+    if decay:
+        assert frames[-1].norm() < 0.7 * frames[0].norm()
+
+
+def test_fused_step_warns_of_aliasing_at_the_unfused_step_time():
+    grid = soliton_grid(n_z=256, t_end=0.05, dt=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        wf0 = soliton_product([SolitonSpec(q=1.0, z0=0.0, alpha=1e-4),
+                               SolitonSpec(q=1.0, z0=10.0, direction=-1, alpha=1e-4)],
+                              P, grid)
+    messages = []
+    for evolve in (lambda: split_step_evolve(wf0, P, grid, snapshot_stride=10**6),
+                   lambda: _unfused_split_step(wf0, P, grid, 10**6, "self-consistent", 0.0)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evolve()
+        messages.append([str(w.message) for w in caught
+                         if issubclass(w.category, AliasingWarning)])
+    assert len(messages[0]) == 1
+    assert "at t=0.001;" in messages[0][0]
+    assert messages[0] == messages[1]
+
+
+def test_nan_in_the_initial_field_raises_at_the_first_step():
+    grid = soliton_grid(n_z=256, t_end=0.1, dt=1e-3)
+    psi = np.ones(grid.n_z, dtype=complex)
+    psi[40] = np.nan
+    with pytest.raises(NumericsError, match="non-finite wavefunction at t=0.001") as exc:
+        split_step_evolve(WaveFunction(z=grid.z, psi=psi), P, grid)
+    assert exc.value.t == grid.dt
 
 
 @pytest.mark.parametrize("q", [0.5, 0.8, 0.95])

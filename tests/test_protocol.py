@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slowmol import (
+    ConfigError,
     ControlSchedule,
     FeasibilityRefused,
     Grid1D,
@@ -127,6 +128,25 @@ def test_golden_section_matches_a_brute_force_scan():
     best = fine[np.argmin([residual(s) for s in fine])]
     assert abs(x - best) <= 1e-5
     assert abs(best - 0.0731) <= 1e-6
+
+
+def test_mapping_residual_of_an_empty_store_is_one():
+    from slowmol.protocol import _aligned_mapping_residual
+
+    grid = Grid1D.for_speed(0.0, 200.0, 256, c=2.0, t_end=10.0)
+    pulse = desk_pulse(grid)
+    assert _aligned_mapping_residual(grid.z, np.zeros(grid.n_z, dtype=complex), pulse) == 1.0
+    # a faithful store still aligns to a near-zero residual
+    assert _aligned_mapping_residual(grid.z, -pulse.samples, pulse) <= 1e-6
+
+
+def test_feasibility_refuses_a_medium_without_coupling():
+    # lossless (infinite depth) and lossy media alike, g_tilde 0 or underflowing
+    for g_tilde, gamma_e in [(0.0, 0.0), (0.0, 1.0), (1e-300, 0.0)]:
+        p = MediumParams(g_tilde=g_tilde, L=200.0, c=2.0, N_a=100.0, N_b=100.0,
+                         gamma_e=gamma_e)
+        with pytest.raises(ConfigError, match="medium.g_tilde_rad_per_us"):
+            feasibility_check(p, t_s=1.0, sched=fast_storage_schedule(), t_storage=50.0)
 
 
 # ------------------------------------------------------------ imbalance sweep
