@@ -26,6 +26,7 @@ from . import protocol
 from .config import EXPERIMENTS, RunConfig, load_config, serialize_config
 from .dynamics import (
     MeanFieldState,
+    amplitude_ratio,
     integrate_mean_field,
     pulse_center,
     wea_propagate,
@@ -39,10 +40,6 @@ _CURVE_COLUMNS = ["t_us", "omega_rad_per_us", "vg_over_c"]
 
 def _curve_grid(config: RunConfig) -> np.ndarray:
     return np.linspace(0.0, config.curve.t_end_us, config.curve.points)
-
-
-def _substeps(config: RunConfig):
-    return "auto" if config.run.substeps == 0 else config.run.substeps
 
 
 def _text(lines: list[str]) -> str:
@@ -152,16 +149,14 @@ def run_propagate(config: RunConfig) -> ExperimentReport:
     snaps = integrate_mean_field(
         s0, sched, p, grid,
         snapshot_stride=config.grid.snapshot_stride,
-        substeps=_substeps(config), advection=config.run.advection,
+        substeps=config.run.substeps, advection=config.run.advection,
     )
     last = snaps[-1]
     oracle = wea_propagate(pulse, sched, p, last.t)
     travel_meas = pulse_center(grid.z, last.E) - pulse_center(grid.z, snaps[0].E)
     travel_pred = pulse_center(grid.z, oracle.samples) - config.pulse.center_um
     peak_meas = float(np.max(np.abs(last.E)) / np.max(np.abs(snaps[0].E)))
-    theta0 = mixing_angle(p, float(sched.omega(0.0)))
-    theta_t = mixing_angle(p, float(sched.omega(last.t)))
-    peak_pred = math.cos(theta_t) / math.cos(theta0)
+    peak_pred = amplitude_ratio(p, sched, last.t)
     return _report(config, {
         **_snapshot_files("", grid.z, snaps, ("E", "phi_a", "phi_b", "phi_e", "phi_g")),
         "summary.txt": _text([
@@ -182,7 +177,7 @@ def run_store(config: RunConfig) -> ExperimentReport:
     report = protocol.run_storage_retrieval(
         p, sched, pulse, grid,
         force=config.run.force,
-        substeps=_substeps(config),
+        substeps=config.run.substeps,
         snapshot_stride=config.grid.snapshot_stride,
         advection=config.run.advection,
     )

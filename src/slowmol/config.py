@@ -311,6 +311,14 @@ class RunConfig:
             raise ConfigError("gpe.nonlinearity: must be self-consistent or frozen")
         if self.gpe.background_decay_per_us < 0:
             raise ConfigError("gpe.background_decay_per_us: must be nonnegative")
+        if self.experiment in ("gpe-soliton", "gpe-split"):
+            # a gray soliton's healing width 1/sqrt(M U_gg |Phi0|^2) needs both
+            if not self.gpe.u_gg_rad_um_per_us > 0:
+                raise ConfigError("gpe.u_gg_rad_um_per_us: a gray soliton needs a "
+                                  "repulsive interaction (> 0)")
+            if not 0 < self.gpe.background_amp * self.gpe.background_amp < math.inf:
+                raise ConfigError("gpe.background_amp: a gray soliton needs a background "
+                                  "density |Phi0|^2 that is positive and finite")
         if self.soliton.seed_separation_widths < 0:
             raise ConfigError("soliton.seed_separation_widths: must be nonnegative")
         if self.run.substeps < 0:

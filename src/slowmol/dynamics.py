@@ -43,6 +43,10 @@ from .schedule import ControlSchedule, Tabulated
 
 # RK4 substeps aim for (fastest frequency on the half-step) * substep <= this phase.
 _SUBSTEP_PHASE_TARGET = 0.1
+# weak excitation: peak photon density below this fraction of the smaller atomic one
+_WEA_DENSITY_RATIO = 1e-2
+# relative tolerance of wea_propagate's distance on a closed-form schedule
+_WEA_QUAD_REL_TOL = 1e-8
 _MAX_OUTER_STEPS = 2_000_000
 # 12-node Gauss-Legendre rule on [-1, 1]; panel doubling stops after this many halvings
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -154,9 +158,9 @@ class SignalEnvelope:
             return math.inf if peak > 0 else 0.0
         return peak / n_min
 
-    def wea_admissible(self, p: MediumParams, limit: float = 1e-2) -> bool:
+    def wea_admissible(self, p: MediumParams) -> bool:
         """Weak-excitation check: photon density well below atomic density."""
-        return self.photon_density_ratio(p) < limit
+        return self.photon_density_ratio(p) < _WEA_DENSITY_RATIO
 
     def norm_sq(self) -> float:
         dz = float(self.z[1] - self.z[0])
@@ -260,14 +264,25 @@ def charge_drifts(snapshots: list[MeanFieldState],
     return tuple(float(x) for x in np.max(np.abs(q - q[0]), axis=0) / scale)
 
 
+def amplitude_ratio(p: MediumParams, sched: ControlSchedule, t: float) -> float:
+    """Weak-excitation amplitude law cos(theta(t))/cos(theta(0)) of a pulse
+    riding the dark state; ``ValueError`` if cos(theta(0)) is 0."""
+    theta0 = mixing_angle(p, float(sched.omega(0.0)))
+    theta_t = mixing_angle(p, float(sched.omega(t)))
+    cos0 = math.cos(theta0)
+    if cos0 == 0.0:
+        raise ValueError("amplitude law undefined: control field off at t=0")
+    return math.cos(theta_t) / cos0
+
+
 def wea_propagate(env0: SignalEnvelope, sched: ControlSchedule, p: MediumParams,
-                  t: float, *, quad_rel_tol: float = 1e-8) -> SignalEnvelope:
+                  t: float) -> SignalEnvelope:
     """Closed-form weak-excitation propagation.
 
     The envelope translates by the integral of the group velocity over
     [0, t] (Gauss-Legendre panels, halved until converged for a closed-form
-    schedule) and rescales by cos(theta(t))/cos(theta(0)); the temporal
-    profile is otherwise unchanged.
+    schedule) and rescales by ``amplitude_ratio``; the temporal profile is
+    otherwise unchanged.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -280,14 +295,9 @@ def wea_propagate(env0: SignalEnvelope, sched: ControlSchedule, p: MediumParams,
         # one pass over the knot panels, where the integrand is analytic
         dist = gauss_legendre(v_g, [0.0, *(k for k in sched.form.times if 0.0 < k < t), t])
     else:
-        dist = integrate(v_g, 0.0, t, quad_rel_tol)
+        dist = integrate(v_g, 0.0, t, _WEA_QUAD_REL_TOL)
 
-    theta0 = mixing_angle(p, float(sched.omega(0.0)))
-    theta_t = mixing_angle(p, float(sched.omega(t)))
-    cos0 = math.cos(theta0)
-    if cos0 == 0.0:
-        raise ValueError("amplitude law undefined: control field off at t=0")
-    factor = math.cos(theta_t) / cos0
+    factor = amplitude_ratio(p, sched, t)
 
     samples = factor * env0.value_at(env0.z - dist)
     desc = None
@@ -352,16 +362,17 @@ def _advect_muscl(E: np.ndarray, lam: float, e_in: complex) -> np.ndarray:
 
 
 def half_step_substeps(t0: float, sched: ControlSchedule, p: MediumParams, grid: Grid1D,
-                       substeps: int | str = "auto") -> np.ndarray:
+                       substeps: int = 0) -> np.ndarray:
     """RK4 substep count of each matter half-step (two per outer step) of an
     integration from ``t0`` to the grid horizon.
 
-    ``substeps="auto"`` sizes each half-step from its own fastest frequency
+    ``substeps=0`` sizes each half-step from its own fastest frequency
     w = hypot(Omega_max, g_tilde sqrt(N_a N_b)) + |Delta| + |delta| + max gamma,
     with Omega_max the largest control value on the half-step, so that
     w * substep <= _SUBSTEP_PHASE_TARGET.  Omega_max is exact from the two
     end values (plus any table knot inside): a table is piecewise linear and
-    a tanh ramp has a single minimum.  An integer gives that count everywhere.
+    a tanh ramp has a single minimum.  A positive count is used everywhere;
+    a negative one is a ``ConfigError``.
     """
     n_steps = max(1, int(round(grid.t_end / grid.dt)))
     if n_steps > _MAX_OUTER_STEPS:
@@ -370,11 +381,10 @@ def half_step_substeps(t0: float, sched: ControlSchedule, p: MediumParams, grid:
             "(smaller c or shorter horizon) or coarsen the grid"
         )
     n_half = 2 * n_steps
-    if substeps != "auto":
-        m = int(substeps)
-        if m < 1:
-            raise ConfigError("substeps must be a positive integer")
-        return np.full(n_half, m)
+    if substeps < 0:
+        raise ConfigError("substeps must be nonnegative (0 = automatic)")
+    if substeps:
+        return np.full(n_half, substeps)
     half_dt = 0.5 * grid.dt
     edges = t0 + half_dt * np.arange(n_half + 1)
     om = np.asarray(sched.omega(edges), dtype=float)
@@ -397,7 +407,7 @@ def integrate_mean_field(
     grid: Grid1D,
     *,
     snapshot_stride: int = 10,
-    substeps: int | str = "auto",
+    substeps: int = 0,
     advection: str = "upwind",
     inflow: Optional[Callable[[float], complex]] = None,
 ) -> list[MeanFieldState]:
@@ -407,11 +417,11 @@ def integrate_mean_field(
     advection step of the signal at speed c, half a matter/source step.
     The matter/source system is integrated pointwise with classical RK4,
     subcycled so the fastest Rabi frequency stays resolved: with
-    ``substeps="auto"`` each half-step takes its own count from
+    ``substeps=0`` (automatic) each half-step takes its own count from
     ``half_step_substeps``, set by the largest control field on that
-    half-step; an integer gives every half-step that count.  The state is
-    one (5, n_z) array with rows E, phi_a, phi_b, phi_e, phi_g; row 0 alone
-    is advected.  Snapshots (copies, one ``MeanFieldState`` field per row)
+    half-step; a positive count gives every half-step that count.  The
+    state is one (5, n_z) array with rows E, phi_a, phi_b, phi_e, phi_g;
+    row 0 alone is advected.  Snapshots (copies, one ``MeanFieldState`` field per row)
     are emitted every ``snapshot_stride`` outer steps; ``s0`` is not changed.
 
     The four RK4 stages, the stage input, the update accumulator and the

@@ -22,6 +22,12 @@ from .reports import ExperimentReport
 
 # spectral-tail power fraction above which split_step_evolve warns of aliasing
 _ALIASING_TOL = 1e-8
+# track_minima: a dip is a local minimum below this fraction of the background
+# density, and joins a track at most this many grid cells from its last position
+_DIP_DEPTH = 0.9
+_MAX_JUMP_CELLS = 20.0
+# DipTrajectory.fit_speed fits the trailing half of a track
+_FIT_TAIL = 0.5
 
 
 @dataclass(frozen=True)
@@ -355,20 +361,20 @@ class DipTrajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def fit_speed(self, tail_frac: float = 0.5) -> float:
-        """Slope of a linear fit over the trailing fraction of the track."""
+    def fit_speed(self) -> float:
+        """Slope of a linear fit over the trailing half of the track."""
         n = len(self.times)
         if n < 2:
             raise ValueError("need at least two samples to fit a speed")
-        start = min(n - 2, int(n * (1.0 - tail_frac)))
+        start = min(n - 2, int(n * (1.0 - _FIT_TAIL)))
         t = np.asarray(self.times[start:])
         x = np.asarray(self.positions[start:])
         return float(np.polyfit(t, x, 1)[0])
 
 
-def _frame_minima(wf: WaveFunction, background: float, threshold: float) -> list[float]:
+def _frame_minima(wf: WaveFunction, background: float) -> list[float]:
     d = wf.density()
-    cut = threshold * background
+    cut = _DIP_DEPTH * background
     idx = np.nonzero((d[1:-1] < d[:-2]) & (d[1:-1] < d[2:]) & (d[1:-1] < cut))[0] + 1
     out = []
     dz = wf.dz
@@ -380,24 +386,22 @@ def _frame_minima(wf: WaveFunction, background: float, threshold: float) -> list
 
 
 def track_minima(frames: Sequence[WaveFunction], *,
-                 background_density: Optional[float] = None,
-                 depth_threshold: float = 0.9,
-                 max_jump: Optional[float] = None) -> list[DipTrajectory]:
-    """Locate density dips below ``depth_threshold`` times the background in
+                 background_density: Optional[float] = None) -> list[DipTrajectory]:
+    """Locate density dips below ``_DIP_DEPTH`` times the background in
     every frame and associate them across frames by nearest-neighbor
-    continuity.  Contested associations flag the trajectories involved
-    rather than merging them."""
+    continuity, at most ``_MAX_JUMP_CELLS`` cells from frame to frame.
+    Contested associations flag the trajectories involved rather than
+    merging them."""
     if len(frames) < 2:
         raise ValueError("need at least two frames")
     if background_density is None:
         background_density = float(np.median(frames[0].density()))
-    if max_jump is None:
-        max_jump = 20.0 * frames[0].dz
+    max_jump = _MAX_JUMP_CELLS * frames[0].dz
 
     active: list[DipTrajectory] = []
     done: list[DipTrajectory] = []
     for wf in frames:
-        minima = _frame_minima(wf, background_density, depth_threshold)
+        minima = _frame_minima(wf, background_density)
         claims: dict[int, list[float]] = {}
         unmatched: list[float] = []
         for pos in minima:

@@ -32,6 +32,8 @@ from .schedule import ControlSchedule
 
 # criterion 5: the worst relative drift of Q1, Q2 and Q3 + flux a lossless run accepts
 _CHARGE_DRIFT_LIMIT = 1e-6
+# the storage span is where the control stays below this fraction of its plateau
+_STORAGE_FRACTION = 0.1
 
 
 def velocity_curve(p: MediumParams, sched: ControlSchedule, t: np.ndarray,
@@ -85,11 +87,10 @@ def feasibility_check(p: MediumParams, t_s: float, sched: ControlSchedule,
     return FeasibilityReport(optical_depth=depth, margins=margins, threshold=threshold)
 
 
-def storage_span(sched: ControlSchedule, t_end: float,
-                 fraction: float = 0.1) -> tuple[float, float]:
-    """Interval where the control stays below ``fraction`` of its plateau."""
+def storage_span(sched: ControlSchedule, t_end: float) -> tuple[float, float]:
+    """Interval where the control stays below ``_STORAGE_FRACTION`` of its plateau."""
     t = np.linspace(0.0, t_end, 4097)
-    low = np.asarray(sched.omega(t)) <= fraction * sched.plateau
+    low = np.asarray(sched.omega(t)) <= _STORAGE_FRACTION * sched.plateau
     if not np.any(low):
         return (0.0, 0.0)
     idx = np.nonzero(low)[0]
@@ -144,22 +145,21 @@ def run_storage_retrieval(
     grid: Grid1D,
     *,
     force: bool = False,
-    t_store: Optional[float] = None,
-    substeps: int | str = "auto",
+    substeps: int = 0,
     snapshot_stride: int = 10,
     advection: str = "upwind",
 ) -> ExperimentReport:
     """Store a signal pulse in the molecular field and retrieve it.
 
     Runs the mean-field integrator through the full schedule, then reports
-    the stored molecular profile against -E_in/sqrt(L) (shift-aligned
-    residual), the retrieved-vs-input fidelity and efficiency, the
-    analytic velocity curve, the feasibility margins, and the run's outer
-    steps, total RK4 substeps and worst charge drifts.  Refuses to run
-    when the feasibility gate fails, unless forced.  A lossless run (every
-    gamma 0) conserves the charges, so a worst drift above
-    ``_CHARGE_DRIFT_LIMIT`` raises ``NumericsError``; with decay the drift
-    is only reported.
+    the stored molecular profile (the snapshot nearest the middle of the
+    storage span) against -E_in/sqrt(L) (shift-aligned residual), the
+    retrieved-vs-input fidelity and efficiency, the analytic velocity
+    curve, the feasibility margins, and the run's outer steps, total RK4
+    substeps and worst charge drifts.  Refuses to run when the feasibility
+    gate fails, unless forced.  A lossless run (every gamma 0) conserves
+    the charges, so a worst drift above ``_CHARGE_DRIFT_LIMIT`` raises
+    ``NumericsError``; with decay the drift is only reported.
     """
     v_plateau = group_velocity_with_decay(p, sched.plateau)
     width = pulse.descriptor.rms_width if pulse.descriptor is not None else _rms_width(pulse)
@@ -184,8 +184,7 @@ def run_storage_retrieval(
         snapshot_stride=snapshot_stride, substeps=substeps, advection=advection,
     )
 
-    if t_store is None:
-        t_store = 0.5 * (span[0] + span[1]) if span[1] > span[0] else 0.5 * grid.t_end
+    t_store = 0.5 * (span[0] + span[1]) if span[1] > span[0] else 0.5 * grid.t_end
     stored = min(snaps, key=lambda s: abs(s.t - t_store))
 
     counts = half_step_substeps(s0.t, sched, p, grid, substeps)
@@ -197,9 +196,8 @@ def run_storage_retrieval(
     worst = float(np.max(drifts))
     lossless = p.gamma_a == p.gamma_b == p.gamma_e == p.gamma_g == 0.0
     if lossless and not worst <= _CHARGE_DRIFT_LIMIT:
-        setting = "0 (automatic)" if substeps == "auto" else substeps
         raise NumericsError(f"worst charge drift {worst:.3g} of a lossless run exceeds "
-                            f"{_CHARGE_DRIFT_LIMIT:g} at run.substeps = {setting}; "
+                            f"{_CHARGE_DRIFT_LIMIT:g} at run.substeps = {substeps}; "
                             "use more RK4 substeps")
     input_norm = pulse.norm_sq()
     trivial = input_norm == 0.0

@@ -30,15 +30,17 @@ def format_column(column) -> Iterator[str]:
 
 
 def _cells(column):
-    """A list of strings passes through; anything else is a float column."""
-    if isinstance(column, list) and all(isinstance(x, str) for x in column):
+    """A list of strings passes through; anything else is a float column.
+    The first cell decides, so a shared column is not scanned once per
+    table; an empty list counts as strings."""
+    if isinstance(column, list) and (not column or isinstance(column[0], str)):
         return column
     return format_column(column)
 
 
 def write_csv(path: Path, header: list[str], columns: list) -> None:
-    """One CSV table.  A column is a float array or a list of strings
-    (integer cells such as indices, or a column formatted once by
+    """One CSV table.  A column is a float array or list, or a list of
+    strings (integer cells such as indices, or a column formatted once by
     ``format_column`` and shared by many tables, are passed as strings)."""
     if len(header) != len(columns):
         raise ValueError("header and column counts differ")
@@ -48,14 +50,6 @@ def write_csv(path: Path, header: list[str], columns: list) -> None:
             raise ValueError("columns must have equal length")
     rows = map(",".join, zip(*map(_cells, columns)))
     Path(path).write_text("\n".join([",".join(header), *rows]) + "\n", encoding="utf-8")
-
-
-def read_csv(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = text[0].split(",")
-    rows = [line.split(",") for line in text[1:]]
-    cols = {name: np.array([float(r[j]) for r in rows]) for j, name in enumerate(header)}
-    return header, cols
 
 
 @dataclass

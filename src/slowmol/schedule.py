@@ -76,8 +76,6 @@ class ControlSchedule:
     def omega(self, t):
         return self.form.omega(t)
 
-    __call__ = omega
-
     @property
     def plateau(self) -> float:
         """Nominal full-on amplitude used for feasibility estimates."""

@@ -1,3 +1,6 @@
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from slowmol import ControlSchedule, Grid1D, MediumParams, SignalEnvelope
@@ -22,3 +25,12 @@ def desk_pulse(grid, center=40.0, width=8.0, amplitude=1.0):
 
 def constant_schedule(omega):
     return ControlSchedule.tabulated([0.0, 1.0e6], [omega, omega])
+
+
+def read_csv(path):
+    """Header and float columns (keyed by name) of a written CSV table."""
+    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    header = text[0].split(",")
+    rows = [line.split(",") for line in text[1:]]
+    cols = {name: np.array([float(r[j]) for r in rows]) for j, name in enumerate(header)}
+    return header, cols

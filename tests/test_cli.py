@@ -10,7 +10,7 @@ from slowmol import cli
 from slowmol.cli import main, run
 from slowmol.config import load_config
 from slowmol.errors import ConfigError
-from slowmol.reports import read_csv
+from conftest import read_csv
 
 KRB_ARGS = ["--set", "medium.g_tilde_rad_per_us=5e-5",
             "--set", "medium.n_a=1.0e6", "--set", "medium.n_b=5.0e6"]
@@ -153,6 +153,10 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
     uncoupled = ["preset=desk-storage", "medium.g_tilde_rad_per_us=0"]
     tiny_store = ["grid.n_z=256", "grid.t_end_us=40", "grid.snapshot_stride=10",
                   "schedule.t_down_us=8", "schedule.t_up_us=25", "schedule.rate_per_us=0.5"]
+    # a gray soliton needs a repulsive interaction and a background
+    no_soliton = ["gpe.u_gg_rad_um_per_us=0", "gpe.u_gg_rad_um_per_us=-1",
+                  "gpe.background_amp=0", "gpe.background_amp=1e-200",
+                  "gpe.background_amp=1e200"]
     for experiment, settings, named in [
             ("imbalance", ["sweep.etas=-1"], "sweep.etas"),
             ("imbalance", ["sweep.etas="], "sweep.etas"),
@@ -177,11 +181,16 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
                    ("groupvel", "mediums", "feasibility", "imbalance")),
                   ("schedule.omega0_rad_per_us", "schedule: omega0",
                    ("groupvel", "mediums", "feasibility"))]
-              for experiment in experiments]]:
+              for experiment in experiments],
+            *[(experiment, [setting], setting.partition("=")[0])
+              for experiment in ("gpe-soliton", "gpe-split") for setting in no_soliton]]:
         args = [arg for setting in settings for arg in ("--set", setting)]
         assert main([experiment, "--out", str(tmp_path / "x"), *args]) == 2
         assert named in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+    # experiments without a soliton do not read the interaction
+    for i, setting in enumerate(no_soliton):
+        assert main(["groupvel", "--out", str(tmp_path / f"gv{i}"), "--set", setting]) == 0
 
 
 def test_cli_import_loads_no_scipy():

@@ -432,6 +432,9 @@ def test_auto_substeps_follow_the_storage_ramp_on_the_desk_grid(desk_medium):
     counts = half_step_substeps(0.0, standard_storage_schedule(), desk_medium, grid)
     assert len(counts) == 2864
     assert (counts[0], counts[-1], counts.min(), counts.sum()) == (16, 16, 2, 13780)
+    # 0 selects the automatic counts, as run.substeps = 0 does
+    assert np.array_equal(half_step_substeps(0.0, standard_storage_schedule(), desk_medium,
+                                             grid, substeps=0), counts)
     # the run-wide rule gave 16 everywhere; an explicit count is used as given
     assert half_step_substeps(0.0, standard_storage_schedule(), desk_medium, grid,
                               substeps=5).tolist() == [5] * 2864
@@ -460,7 +463,7 @@ def test_integrator_rejects_bad_options(desk_medium, desk_grid_small):
                              desk_grid_small, advection="spectral")
     with pytest.raises(ConfigError):
         integrate_mean_field(s0, constant_schedule(1.0), desk_medium,
-                             desk_grid_small, substeps=0)
+                             desk_grid_small, substeps=-1)
 
 
 def _advect_error(n_z, scheme):

@@ -22,8 +22,7 @@ from slowmol import (
     velocity_curve,
 )
 from slowmol.dynamics import half_step_substeps
-from slowmol.reports import read_csv
-from conftest import desk_pulse
+from conftest import desk_pulse, read_csv
 
 
 def fast_storage_schedule():

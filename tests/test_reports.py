@@ -13,6 +13,10 @@ def test_write_report_bytes(tmp_path):
                       [np.array([0.1, -2.0, 1e-300]), ["a", "b-c", "d"],
                        ["0", "1", "10"]]),
         "nested/deeper/lazy.csv": (["y"], lambda: [[3, 0.5]]),
+        # a list column's first cell types it: float lists such as the
+        # trajectory table's are formatted, an empty list is written as given
+        "trajectory.csv": (["t_us", "dip_index", "z_um"],
+                           [[np.float64(0.25), 1.5, 2], ["0", "0", "1"], [-0.0, 1e-300, 3.0]]),
         "empty.csv": (["t_us", "file"], [[], []]),
         "notes.txt": "alpha = 1\nbeta = none\n",
     })
@@ -20,11 +24,13 @@ def test_write_report_bytes(tmp_path):
     assert (tmp_path / "table.csv").read_bytes() == (
         b"x,label,index\n0.1,a,0\n-2.0,b-c,1\n1e-300,d,10\n")
     assert (tmp_path / "nested" / "deeper" / "lazy.csv").read_bytes() == b"y\n3.0\n0.5\n"
+    assert (tmp_path / "trajectory.csv").read_bytes() == (
+        b"t_us,dip_index,z_um\n0.25,0,-0.0\n1.5,0,1e-300\n2.0,1,3.0\n")
     assert (tmp_path / "empty.csv").read_bytes() == b"t_us,file\n"
     assert (tmp_path / "notes.txt").read_bytes() == b"alpha = 1\nbeta = none\n"
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
                   if p.is_file()) == ["empty.csv", "nested/deeper/lazy.csv",
-                                      "notes.txt", "table.csv"]
+                                      "notes.txt", "table.csv", "trajectory.csv"]
 
 
 def test_format_column_is_repr_of_each_float():
