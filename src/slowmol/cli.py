@@ -28,6 +28,7 @@ from .dynamics import (
     MeanFieldState,
     amplitude_ratio,
     integrate_mean_field,
+    integration_diagnostics,
     pulse_center,
     wea_propagate,
 )
@@ -157,6 +158,9 @@ def run_propagate(config: RunConfig) -> ExperimentReport:
     travel_pred = pulse_center(grid.z, oracle.samples) - config.pulse.center_um
     peak_meas = float(np.max(np.abs(last.E)) / np.max(np.abs(snaps[0].E)))
     peak_pred = amplitude_ratio(p, sched, last.t)
+    # reported, never gated: a cfl < 1 scheme dissipates Q3 by design
+    diagnostics = [f"{key} = {fmt_float(val) if isinstance(val, float) else val}"
+                   for key, val in integration_diagnostics(snaps, p, grid).items()]
     return _report(config, {
         **_snapshot_files("", grid.z, snaps, ("E", "phi_a", "phi_b", "phi_e", "phi_g")),
         "summary.txt": _text([
@@ -165,6 +169,7 @@ def run_propagate(config: RunConfig) -> ExperimentReport:
             f"travel_predicted_um = {fmt_float(travel_pred)}",
             f"peak_ratio_measured = {fmt_float(peak_meas)}",
             f"peak_ratio_predicted = {fmt_float(peak_pred)}",
+            *diagnostics,
         ]),
     })
 

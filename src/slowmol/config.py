@@ -316,9 +316,16 @@ class RunConfig:
             if not self.gpe.u_gg_rad_um_per_us > 0:
                 raise ConfigError("gpe.u_gg_rad_um_per_us: a gray soliton needs a "
                                   "repulsive interaction (> 0)")
-            if not 0 < self.gpe.background_amp * self.gpe.background_amp < math.inf:
+            density = self.gpe.background_amp * self.gpe.background_amp
+            if not 0 < density < math.inf:
                 raise ConfigError("gpe.background_amp: a gray soliton needs a background "
                                   "density |Phi0|^2 that is positive and finite")
+            product = ((self.gpe.mass_a_us_per_um2 + self.gpe.mass_b_us_per_um2)
+                       * self.gpe.u_gg_rad_um_per_us * density)
+            if not 0 < product < math.inf:
+                raise ConfigError("gpe.u_gg_rad_um_per_us: the healing width "
+                                  "1/sqrt(M U_gg |Phi0|^2) needs a positive, finite "
+                                  f"product (got {product:.3g})")
         if self.soliton.seed_separation_widths < 0:
             raise ConfigError("soliton.seed_separation_widths: must be nonnegative")
         if self.run.substeps < 0:

@@ -21,7 +21,20 @@ state array of shape (5, n_z), rows in the order E, phi_a, phi_b, phi_e,
 phi_g, so each RK4 stage and update acts on whole (5, n_z) blocks.  Each
 matter half-step gets its own RK4 substep count, sized from the largest
 control field on that half-step (``half_step_substeps``): the plateaus need
-many, the stored phase, where Omega is near 0, only a few.  The stages,
+many, the stored phase, where Omega is near 0, only a few.
+
+A lossless automatic run (every gamma 0, ``substeps=0``) also sizes its
+steps from the drift it measures.  The phase per substep theta is state:
+it starts at ``_SUBSTEP_PHASE_TARGET`` and after each outer step follows
+the elementary controller theta <- theta (b/d)^(1/5) (Hairer, Norsett &
+Wanner, Solving ODEs I, sec. II.4), where d is the worst relative change
+of Q1, Q2 and Q3 across that step's two matter half-steps and b spreads a
+tenth of ``CHARGE_DRIFT_LIMIT`` over the outer steps.  The exponent is the
+measured drift law of this step (25-32x per doubling of theta, RK4's
+h^5), not an a-priori error model: its prefactor varies about 500x
+between grids and schedules.  theta stays within [0.1, 0.3] rad, so no
+run takes more substeps than the fixed 0.1 rad rule.  Lossy runs and an
+explicit substep count keep the fixed rule.  The stages,
 the update and the right-hand side write into buffers allocated once per
 integration, so a substep allocates no array.  Each element is still
 computed by the same operations in the same order as the plain array
@@ -41,8 +54,13 @@ from .errors import ConfigError, NumericsError
 from .medium import MediumParams, mixing_angle, slowdown
 from .schedule import ControlSchedule, Tabulated
 
-# RK4 substeps aim for (fastest frequency on the half-step) * substep <= this phase.
+# RK4 substeps aim for (fastest frequency on the half-step) * substep <= this phase;
+# the drift controller of a lossless run starts here and never goes below it
 _SUBSTEP_PHASE_TARGET = 0.1
+# ... nor above this phase, where the desk store's fidelity moves by 1.7e-8
+_SUBSTEP_PHASE_MAX = 0.3
+# criterion 5: the worst relative drift of Q1, Q2 and Q3 + flux a lossless run accepts
+CHARGE_DRIFT_LIMIT = 1e-6
 # weak excitation: peak photon density below this fraction of the smaller atomic one
 _WEA_DENSITY_RATIO = 1e-2
 # relative tolerance of wea_propagate's distance on a closed-form schedule
@@ -87,6 +105,11 @@ class Grid1D:
 
     def cfl(self, c: float) -> float:
         return c * self.dt / self.dz
+
+    @property
+    def outer_steps(self) -> int:
+        """Number of dt steps to the horizon, at least one."""
+        return max(1, int(round(self.t_end / self.dt)))
 
     @classmethod
     def for_speed(cls, z_min: float, z_max: float, n_z: int, c: float,
@@ -173,7 +196,8 @@ class MeanFieldState:
 
     ``boundary_photon_flux`` is the cumulative net photon number that has
     left the domain through the edges up to time t (outflow minus inflow),
-    used for flux-corrected conservation checks.
+    used for flux-corrected conservation checks.  ``rk4_substeps`` is the
+    cumulative number of RK4 substeps taken up to time t.
     """
 
     t: float
@@ -184,6 +208,7 @@ class MeanFieldState:
     phi_e: np.ndarray
     phi_g: np.ndarray
     boundary_photon_flux: float = 0.0
+    rk4_substeps: int = 0
 
     def __post_init__(self):
         n = len(self.z)
@@ -239,17 +264,27 @@ def conserved_charges(s: MeanFieldState, p: MediumParams) -> tuple[float, float,
     Q3 is conserved up to boundary flux of the light term; add
     ``s.boundary_photon_flux`` before comparing across times.
     """
-    return tuple(float(q) for q in _charges(s, p.L))
+    return tuple(float(q) for q in _state_charges(s, p.L))
 
 
-def _charges(s: MeanFieldState, L: float) -> list:
-    """The charge sums of ``conserved_charges``, as numpy scalars."""
-    dz = float(s.z[1] - s.z[0])
-    n_e = np.abs(s.phi_e) ** 2
-    n_g = np.abs(s.phi_g) ** 2
-    return [np.sum(np.abs(s.phi_a) ** 2 + n_e + n_g) * dz,
-            np.sum(np.abs(s.phi_b) ** 2 + n_e + n_g) * dz,
-            np.sum(np.abs(s.E) ** 2 / L + n_e + n_g) * dz]
+def _charges(rows, dz: float, L: float) -> list:
+    """The charge sums of ``conserved_charges`` over the rows E, phi_a,
+    phi_b, phi_e, phi_g of ``rows``, as numpy scalars."""
+    E, phi_a, phi_b, phi_e, phi_g = rows
+    n_e = np.abs(phi_e) ** 2
+    n_g = np.abs(phi_g) ** 2
+    return [np.sum(np.abs(phi_a) ** 2 + n_e + n_g) * dz,
+            np.sum(np.abs(phi_b) ** 2 + n_e + n_g) * dz,
+            np.sum(np.abs(E) ** 2 / L + n_e + n_g) * dz]
+
+
+def _state_charges(s: MeanFieldState, L: float) -> list:
+    return _charges((s.E, s.phi_a, s.phi_b, s.phi_e, s.phi_g), float(s.z[1] - s.z[0]), L)
+
+
+def _drift_scale(q0: np.ndarray) -> np.ndarray:
+    """What a charge drift is relative to: |q0|, or 1 where q0 is 0."""
+    return np.where(q0 == 0.0, 1.0, np.abs(q0))
 
 
 def charge_drifts(snapshots: list[MeanFieldState],
@@ -258,10 +293,21 @@ def charge_drifts(snapshots: list[MeanFieldState],
     relative to the first snapshot's value (absolute where that is 0)."""
     # the kernel, not conserved_charges: perfbench's traced pass takes any
     # call of that name for one of its own (untraced) checks leaking through
-    q = np.array([_charges(s, p.L) for s in snapshots])
+    q = np.array([_state_charges(s, p.L) for s in snapshots])
     q[:, 2] += [s.boundary_photon_flux for s in snapshots]
-    scale = np.where(q[0] == 0.0, 1.0, np.abs(q[0]))
-    return tuple(float(x) for x in np.max(np.abs(q - q[0]), axis=0) / scale)
+    return tuple(float(x) for x in np.max(np.abs(q - q[0]), axis=0) / _drift_scale(q[0]))
+
+
+def integration_diagnostics(snapshots: list[MeanFieldState], p: MediumParams,
+                            grid: Grid1D) -> dict:
+    """What an ``integrate_mean_field`` run did: its outer steps, the RK4
+    substeps it took, its CFL number and ``charge_drifts`` per charge."""
+    out = {"outer_steps": grid.outer_steps,
+           "rk4_substeps": snapshots[-1].rk4_substeps - snapshots[0].rk4_substeps,
+           "cfl": grid.cfl(p.c)}
+    for name, drift in zip(("q1", "q2", "q3"), charge_drifts(snapshots, p)):
+        out[f"charge_drift_{name}"] = drift
+    return out
 
 
 def amplitude_ratio(p: MediumParams, sched: ControlSchedule, t: float) -> float:
@@ -364,27 +410,47 @@ def _advect_muscl(E: np.ndarray, lam: float, e_in: complex) -> np.ndarray:
 def half_step_substeps(t0: float, sched: ControlSchedule, p: MediumParams, grid: Grid1D,
                        substeps: int = 0) -> np.ndarray:
     """RK4 substep count of each matter half-step (two per outer step) of an
-    integration from ``t0`` to the grid horizon.
+    integration from ``t0`` to the grid horizon, under the fixed rule.
 
-    ``substeps=0`` sizes each half-step from its own fastest frequency
-    w = hypot(Omega_max, g_tilde sqrt(N_a N_b)) + |Delta| + |delta| + max gamma,
-    with Omega_max the largest control value on the half-step, so that
-    w * substep <= _SUBSTEP_PHASE_TARGET.  Omega_max is exact from the two
-    end values (plus any table knot inside): a table is piecewise linear and
-    a tanh ramp has a single minimum.  A positive count is used everywhere;
-    a negative one is a ``ConfigError``.
+    ``substeps=0`` sizes each half-step from its own fastest frequency w
+    (``_half_step_frequencies``) so that w * substep <= _SUBSTEP_PHASE_TARGET.
+    A positive count is used everywhere; a negative one is a ``ConfigError``.
+    A lossless automatic integration starts from these counts and then
+    sizes its steps from its measured drift (see ``integrate_mean_field``).
     """
-    n_steps = max(1, int(round(grid.t_end / grid.dt)))
+    n_half = _half_steps(grid)
+    if substeps < 0:
+        raise ConfigError("substeps must be nonnegative (0 = automatic)")
+    if substeps:
+        return np.full(n_half, substeps)
+    return _substep_counts(0.5 * grid.dt, _half_step_frequencies(t0, sched, p, grid),
+                           _SUBSTEP_PHASE_TARGET)
+
+
+def _half_steps(grid: Grid1D) -> int:
+    """Two matter half-steps per outer step; ``ConfigError`` for absurdly many."""
+    n_steps = grid.outer_steps
     if n_steps > _MAX_OUTER_STEPS:
         raise ConfigError(
             f"{n_steps} advection steps requested; rescale to desk parameters "
             "(smaller c or shorter horizon) or coarsen the grid"
         )
-    n_half = 2 * n_steps
-    if substeps < 0:
-        raise ConfigError("substeps must be nonnegative (0 = automatic)")
-    if substeps:
-        return np.full(n_half, substeps)
+    return 2 * n_steps
+
+
+def _substep_counts(half_dt: float, w: np.ndarray, theta: float) -> np.ndarray:
+    """RK4 substeps that keep w * substep <= theta on each half-step."""
+    return np.maximum(1, np.ceil(half_dt * w / theta)).astype(int)
+
+
+def _half_step_frequencies(t0: float, sched: ControlSchedule, p: MediumParams,
+                           grid: Grid1D) -> np.ndarray:
+    """Fastest frequency of each matter half-step of an integration from ``t0``:
+    w = hypot(Omega_max, g_tilde sqrt(N_a N_b)) + |Delta| + |delta| + max gamma,
+    with Omega_max the largest control value on the half-step.  Omega_max is
+    exact from the two end values (plus any table knot inside): a table is
+    piecewise linear and a tanh ramp has a single minimum."""
+    n_half = _half_steps(grid)
     half_dt = 0.5 * grid.dt
     edges = t0 + half_dt * np.arange(n_half + 1)
     om = np.asarray(sched.omega(edges), dtype=float)
@@ -394,10 +460,22 @@ def half_step_substeps(t0: float, sched: ControlSchedule, p: MediumParams, grid:
         j = np.searchsorted(edges, sched.form.times, side="right") - 1
         inside = (j >= 0) & (j < n_half)
         np.maximum.at(om_max, j[inside], np.asarray(sched.form.values)[inside])
-    w = (np.hypot(om_max, math.sqrt(p.pair_coupling_sq))
-         + abs(p.Delta) + abs(p.delta)
-         + max(p.gamma_a, p.gamma_b, p.gamma_e, p.gamma_g))
-    return np.maximum(1, np.ceil(half_dt * w / _SUBSTEP_PHASE_TARGET)).astype(int)
+    return (np.hypot(om_max, math.sqrt(p.pair_coupling_sq))
+            + abs(p.Delta) + abs(p.delta)
+            + max(p.gamma_a, p.gamma_b, p.gamma_e, p.gamma_g))
+
+
+def _next_phase_target(theta: float, drift: float, budget: float) -> float:
+    """Elementary step-size controller theta (budget/drift)^(1/5), its factor
+    clipped to [1/2, 3/2] (3/2 for a zero drift) and theta to
+    [_SUBSTEP_PHASE_TARGET, _SUBSTEP_PHASE_MAX]."""
+    if drift == 0.0:
+        factor = 1.5
+    elif drift < math.inf:
+        factor = min(max((budget / drift) ** 0.2, 0.5), 1.5)
+    else:  # a charge overflowed (inf or nan): shrink
+        factor = 0.5
+    return min(max(theta * factor, _SUBSTEP_PHASE_TARGET), _SUBSTEP_PHASE_MAX)
 
 
 def integrate_mean_field(
@@ -416,13 +494,22 @@ def integrate_mean_field(
     Strang splitting per outer step: half a matter/source step, one
     advection step of the signal at speed c, half a matter/source step.
     The matter/source system is integrated pointwise with classical RK4,
-    subcycled so the fastest Rabi frequency stays resolved: with
-    ``substeps=0`` (automatic) each half-step takes its own count from
-    ``half_step_substeps``, set by the largest control field on that
-    half-step; a positive count gives every half-step that count.  The
-    state is one (5, n_z) array with rows E, phi_a, phi_b, phi_e, phi_g;
-    row 0 alone is advected.  Snapshots (copies, one ``MeanFieldState`` field per row)
-    are emitted every ``snapshot_stride`` outer steps; ``s0`` is not changed.
+    subcycled so the fastest Rabi frequency stays resolved: each half-step
+    takes max(1, ceil(half_dt w / theta)) substeps, w its fastest frequency
+    (``_half_step_frequencies``).  With ``substeps=0`` (automatic) and decay,
+    theta is the fixed 0.1 rad of ``half_step_substeps``.  A lossless
+    automatic run controls theta from its measured drift: after each outer
+    step, once the fields are finite, d is the worst relative change of Q1,
+    Q2 and Q3 across the two matter half-steps (scaled like
+    ``charge_drifts``; the advection's change of the photon term,
+    boundary flux and the dissipation of a cfl < 1 scheme, is taken out of
+    Q3), and theta becomes ``_next_phase_target(theta, d, b)`` with
+    b = 0.1 CHARGE_DRIFT_LIMIT / outer steps.  A positive count gives every
+    half-step that count.  The state is one (5, n_z) array with rows E,
+    phi_a, phi_b, phi_e, phi_g; row 0 alone is advected.  Snapshots (copies,
+    one ``MeanFieldState`` field per row, with the cumulative flux and
+    substep count) are emitted every ``snapshot_stride`` outer steps; ``s0``
+    is not changed.
 
     The four RK4 stages, the stage input, the update accumulator and the
     right-hand side's scratch rows are allocated once per call and written
@@ -440,9 +527,16 @@ def integrate_mean_field(
     if not np.allclose(s0.z, grid.z):
         raise ConfigError("initial state grid does not match the integration grid")
 
-    counts = half_step_substeps(s0.t, sched, p, grid, substeps).tolist()
-    n_steps = len(counts) // 2
     half_dt = 0.5 * grid.dt
+    controlled = substeps == 0 and p.lossless
+    if controlled:
+        w = _half_step_frequencies(s0.t, sched, p, grid)
+        n_steps = len(w) // 2
+        theta = _SUBSTEP_PHASE_TARGET
+        budget = 0.1 * CHARGE_DRIFT_LIMIT / n_steps
+    else:
+        counts = half_step_substeps(s0.t, sched, p, grid, substeps).tolist()
+        n_steps = len(counts) // 2
 
     g_field = p.g_tilde * math.sqrt(p.L)   # matter-equation coupling
     g_signal = g_field * p.L               # signal source-term coupling
@@ -455,6 +549,10 @@ def integrate_mean_field(
 
     y = np.array([s0.E, s0.phi_a, s0.phi_b, s0.phi_e, s0.phi_g], dtype=complex)
     flux = float(s0.boundary_photon_flux)
+    taken = int(s0.rk4_substeps)
+    if controlled:
+        q = np.array(_charges(y, grid.dz, p.L))
+        scale = _drift_scale(q + [0.0, 0.0, flux])
 
     # every buffer of the matter step, allocated once per call; the views
     # that rhs reads and writes are taken once too, so a substep allocates
@@ -526,7 +624,13 @@ def integrate_mean_field(
             add(y, mul(h / 6.0, acc, acc), y)
 
     def snapshot(t: float) -> MeanFieldState:
-        return MeanFieldState(t, grid.z, *y.copy(), boundary_photon_flux=flux)
+        return MeanFieldState(t, grid.z, *y.copy(), boundary_photon_flux=flux,
+                              rk4_substeps=taken)
+
+    def photons() -> float:
+        """The photon term sum(|E|^2) dz / L of Q3, whose change under
+        advection the drift controller leaves out."""
+        return float(np.vdot(y[0], y[0]).real) * dz_over_L
 
     snaps = [snapshot(s0.t)]
     # divergence is caught by the finiteness check; silence the overflow
@@ -534,17 +638,29 @@ def integrate_mean_field(
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             t0 = s0.t + n * grid.dt
-            source_half(t0, counts[2 * n])
+            m0, m1 = (_substep_counts(half_dt, w[2 * n:2 * n + 2], theta).tolist()
+                      if controlled else counts[2 * n:2 * n + 2])
+            source_half(t0, m0)
             e_in = complex(inflow(t0 + grid.dt)) if inflow is not None else 0.0 + 0.0j
             out_val = y[0, -1]
+            advected = -photons()
             y[0] = advect(y[0], lam, e_in)
             flux += lam * dz_over_L * (abs(out_val) ** 2 - abs(e_in) ** 2)
-            source_half(t0 + half_dt, counts[2 * n + 1])
+            advected += photons()
+            source_half(t0 + half_dt, m1)
+            taken += m0 + m1
             finite = np.isfinite(y)
             if not finite.all():
                 # row-major: the first bad column of the first row that has one
                 raise NumericsError("non-finite field value", t=t0 + grid.dt,
                                     index=int(np.nonzero(~finite)[1][0]))
+            if controlled:
+                q_end = np.array(_charges(y, grid.dz, p.L))
+                change = q_end - q
+                change[2] -= advected
+                theta = _next_phase_target(theta, float(np.max(np.abs(change) / scale)),
+                                           budget)
+                q = q_end
             if (n + 1) % snapshot_stride == 0 or n == n_steps - 1:
                 snaps.append(snapshot(t0 + grid.dt))
     return snaps

@@ -67,6 +67,11 @@ class MediumParams:
         return self.gamma_a + self.gamma_b + self.gamma_e
 
     @property
+    def lossless(self) -> bool:
+        """Every matter decay rate is 0, so the charges Q1-Q3 are conserved."""
+        return self.gamma_a == self.gamma_b == self.gamma_e == self.gamma_g == 0.0
+
+    @property
     def pair_coupling_sq(self) -> float:
         """Square of the collective coupling, g_tilde^2 N_a N_b, in (rad/us)^2."""
         return self.g_tilde**2 * self.N_a * self.N_b

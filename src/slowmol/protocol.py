@@ -11,12 +11,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import (
+    CHARGE_DRIFT_LIMIT,
     Grid1D,
     MeanFieldState,
     SignalEnvelope,
-    charge_drifts,
-    half_step_substeps,
     integrate_mean_field,
+    integration_diagnostics,
     storage_fidelity,
 )
 from .errors import ConfigError, FeasibilityRefused, NumericsError, StoppedLightError
@@ -30,8 +30,6 @@ from .medium import (
 from .reports import ExperimentReport, FeasibilityReport
 from .schedule import ControlSchedule
 
-# criterion 5: the worst relative drift of Q1, Q2 and Q3 + flux a lossless run accepts
-_CHARGE_DRIFT_LIMIT = 1e-6
 # the storage span is where the control stays below this fraction of its plateau
 _STORAGE_FRACTION = 0.1
 
@@ -155,11 +153,12 @@ def run_storage_retrieval(
     the stored molecular profile (the snapshot nearest the middle of the
     storage span) against -E_in/sqrt(L) (shift-aligned residual), the
     retrieved-vs-input fidelity and efficiency, the analytic velocity
-    curve, the feasibility margins, and the run's outer steps, total RK4
-    substeps and worst charge drifts.  Refuses to run when the feasibility
-    gate fails, unless forced.  A lossless run (every gamma 0) conserves
-    the charges, so a worst drift above ``_CHARGE_DRIFT_LIMIT`` raises
-    ``NumericsError``; with decay the drift is only reported.
+    curve, the feasibility margins, and the run's outer steps, the RK4
+    substeps it took, its CFL number and worst charge drifts.  Refuses to
+    run when the feasibility gate fails, unless forced.  A lossless run
+    (every gamma 0) conserves the charges, so a worst drift above
+    ``CHARGE_DRIFT_LIMIT`` raises ``NumericsError``; with decay the drift is
+    only reported.
     """
     v_plateau = group_velocity_with_decay(p, sched.plateau)
     width = pulse.descriptor.rms_width if pulse.descriptor is not None else _rms_width(pulse)
@@ -187,17 +186,12 @@ def run_storage_retrieval(
     t_store = 0.5 * (span[0] + span[1]) if span[1] > span[0] else 0.5 * grid.t_end
     stored = min(snaps, key=lambda s: abs(s.t - t_store))
 
-    counts = half_step_substeps(s0.t, sched, p, grid, substeps)
-    scalars: dict[str, float] = {"outer_steps": len(counts) // 2,
-                                 "rk4_substeps": int(counts.sum())}
-    drifts = charge_drifts(snaps, p)
-    for name, drift in zip(("q1", "q2", "q3"), drifts):
-        scalars[f"charge_drift_{name}"] = drift
-    worst = float(np.max(drifts))
-    lossless = p.gamma_a == p.gamma_b == p.gamma_e == p.gamma_g == 0.0
-    if lossless and not worst <= _CHARGE_DRIFT_LIMIT:
+    scalars: dict[str, float] = integration_diagnostics(snaps, p, grid)
+    # np.max, not max: a nan drift must fail the gate wherever it sits
+    worst = float(np.max([scalars[f"charge_drift_{name}"] for name in ("q1", "q2", "q3")]))
+    if p.lossless and not worst <= CHARGE_DRIFT_LIMIT:
         raise NumericsError(f"worst charge drift {worst:.3g} of a lossless run exceeds "
-                            f"{_CHARGE_DRIFT_LIMIT:g} at run.substeps = {substeps}; "
+                            f"{CHARGE_DRIFT_LIMIT:g} at run.substeps = {substeps}; "
                             "use more RK4 substeps")
     input_norm = pulse.norm_sq()
     trivial = input_norm == 0.0

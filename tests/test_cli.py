@@ -9,6 +9,7 @@ import pytest
 from slowmol import cli
 from slowmol.cli import main, run
 from slowmol.config import load_config
+from slowmol.dynamics import half_step_substeps
 from slowmol.errors import ConfigError
 from conftest import read_csv
 
@@ -81,6 +82,7 @@ def test_store_with_desk_preset(tmp_path):
     assert float(summary["mapping_residual"]) < 0.03
     assert int(summary["outer_steps"]) == 307
     assert int(summary["rk4_substeps"]) >= 2 * 307
+    assert float(summary["cfl"]) == 1.0
     for q in ("q1", "q2", "q3"):
         assert float(summary[f"charge_drift_{q}"]) <= 1e-6
     header, _ = read_csv(out / "storage_report.csv")
@@ -94,9 +96,10 @@ def test_store_with_desk_preset(tmp_path):
 
 def test_propagate_snapshot_dump(tmp_path):
     out = tmp_path / "prop"
-    code = main(["propagate", "--out", str(out), "--set", "preset=desk-storage",
-                 "--set", "grid.n_z=256", "--set", "grid.t_end_us=10",
-                 "--set", "grid.snapshot_stride=20"])
+    settings = ["preset=desk-storage", "grid.n_z=256", "grid.t_end_us=10",
+                "grid.snapshot_stride=20"]
+    code = main(["propagate", "--out", str(out),
+                 *[arg for setting in settings for arg in ("--set", setting)]])
     assert code == 0
     header, cols = read_csv(out / "snapshot_00000.csv")
     assert header[:3] == ["z_um", "re_E", "im_E"]
@@ -105,6 +108,31 @@ def test_propagate_snapshot_dump(tmp_path):
     travel = float(summary["travel_measured_um"])
     predicted = float(summary["travel_predicted_um"])
     assert travel == pytest.approx(predicted, rel=0.05)
+    # what the integrator did
+    config = load_config(None, ["experiment=propagate", *settings])
+    grid, p = config.to_grid(), config.to_medium_params()
+    outer = int(summary["outer_steps"])
+    assert outer == round(10.0 / grid.dt) == 26
+    assert float(summary["cfl"]) == p.c * grid.dt / grid.dz
+    fixed_rule = half_step_substeps(0.0, config.to_schedule(), p, grid)
+    assert 2 * outer <= int(summary["rk4_substeps"]) <= fixed_rule.sum()
+    for q in ("q1", "q2", "q3"):
+        assert 0.0 <= float(summary[f"charge_drift_{q}"]) <= 1e-6
+    assert list(summary)[-6:] == ["outer_steps", "rk4_substeps", "cfl", "charge_drift_q1",
+                                  "charge_drift_q2", "charge_drift_q3"]
+
+
+def test_propagate_reports_but_never_gates_the_drift_of_a_dissipative_scheme(tmp_path):
+    # MUSCL at cfl < 1 dissipates the photon term, so Q3 drifts far above 1e-6
+    out = tmp_path / "prop"
+    code = main(["propagate", "--out", str(out), "--set", "preset=desk-storage",
+                 "--set", "grid.n_z=256", "--set", "grid.t_end_us=10",
+                 "--set", "grid.snapshot_stride=20", "--set", "run.advection=muscl",
+                 "--set", "grid.cfl=0.7"])
+    assert code == 0
+    summary = read_summary(out)
+    assert float(summary["cfl"]) == pytest.approx(0.7, rel=1e-12)
+    assert float(summary["charge_drift_q3"]) > 1e-4
 
 
 def test_gpe_split_outputs(tmp_path):
@@ -157,6 +185,9 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
     no_soliton = ["gpe.u_gg_rad_um_per_us=0", "gpe.u_gg_rad_um_per_us=-1",
                   "gpe.background_amp=0", "gpe.background_amp=1e-200",
                   "gpe.background_amp=1e200"]
+    # each factor passes alone, but M U_gg |Phi0|^2 overflows or underflows
+    no_healing_width = [["gpe.u_gg_rad_um_per_us=1e200", "gpe.background_amp=1e100"],
+                        ["gpe.u_gg_rad_um_per_us=1e-200", "gpe.background_amp=1e-100"]]
     for experiment, settings, named in [
             ("imbalance", ["sweep.etas=-1"], "sweep.etas"),
             ("imbalance", ["sweep.etas="], "sweep.etas"),
@@ -183,7 +214,9 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
                    ("groupvel", "mediums", "feasibility"))]
               for experiment in experiments],
             *[(experiment, [setting], setting.partition("=")[0])
-              for experiment in ("gpe-soliton", "gpe-split") for setting in no_soliton]]:
+              for experiment in ("gpe-soliton", "gpe-split") for setting in no_soliton],
+            *[(experiment, settings, "gpe.u_gg_rad_um_per_us")
+              for experiment in ("gpe-soliton", "gpe-split") for settings in no_healing_width]]:
         args = [arg for setting in settings for arg in ("--set", setting)]
         assert main([experiment, "--out", str(tmp_path / "x"), *args]) == 2
         assert named in capsys.readouterr().err
@@ -191,6 +224,9 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
     # experiments without a soliton do not read the interaction
     for i, setting in enumerate(no_soliton):
         assert main(["groupvel", "--out", str(tmp_path / f"gv{i}"), "--set", setting]) == 0
+    for i, settings in enumerate(no_healing_width):
+        args = [arg for setting in settings for arg in ("--set", setting)]
+        assert main(["groupvel", "--out", str(tmp_path / f"gv_product{i}"), *args]) == 0
 
 
 def test_cli_import_loads_no_scipy():

@@ -456,6 +456,66 @@ def test_auto_substeps_see_a_table_knot_inside_a_half_step(desk_medium):
     assert np.all(np.delete(counts, 2) == flat)
 
 
+def test_lossless_desk_run_takes_the_substeps_its_drift_allows(desk_medium, monkeypatch):
+    from slowmol import standard_storage_schedule
+    grid = Grid1D.for_speed(0.0, 200.0, 1024, c=desk_medium.c, t_end=140.0)
+    sched = standard_storage_schedule()
+    fixed = half_step_substeps(0.0, sched, desk_medium, grid)
+    rule = dynamics._substep_counts
+    loose = rule(0.5 * grid.dt, dynamics._half_step_frequencies(0.0, sched, desk_medium, grid),
+                 0.3)
+    # every count the controller asks the shared rule for, with its phase target
+    asked = []
+
+    def recording(half_dt, w, theta):
+        counts = rule(half_dt, w, theta)
+        asked.append((theta, counts))
+        return counts
+
+    monkeypatch.setattr(dynamics, "_substep_counts", recording)
+    s0 = MeanFieldState.polariton_state(grid, desk_medium, desk_pulse(grid),
+                                        float(sched.omega(0.0)))
+    snaps = integrate_mean_field(s0, sched, desk_medium, grid, snapshot_stride=20)
+    counts = np.concatenate([c for _, c in asked])
+    assert len(counts) == len(fixed) == 2864
+    assert counts.sum() == snaps[-1].rk4_substeps < fixed.sum() == 13780
+    assert np.all((loose <= counts) & (counts <= fixed))
+    assert all(0.1 <= theta <= 0.3 for theta, _ in asked)
+    assert asked[0][0] == 0.1 and asked[-1][0] > 0.1
+    assert max(dynamics.charge_drifts(snaps, desk_medium)) <= 1e-7
+    # the cumulative count travels with the snapshots
+    assert snaps[0].rk4_substeps == 0
+    assert all(a.rk4_substeps < b.rk4_substeps for a, b in zip(snaps, snaps[1:]))
+
+
+def test_advection_dissipation_does_not_pin_the_phase_target(desk_medium):
+    # MUSCL at cfl = 0.5 dissipates the photon term far beyond the drift budget;
+    # only the matter half-steps' change steers the step, so it still grows
+    grid = Grid1D.for_speed(0.0, 200.0, 256, c=desk_medium.c, t_end=20.0, cfl=0.5)
+    sched = ControlSchedule.tanh_ramp(omega0=10 * math.pi, t_down=8.0, t_up=25.0, rate=0.5)
+    s0 = MeanFieldState.polariton_state(grid, desk_medium, desk_pulse(grid),
+                                        float(sched.omega(0.0)))
+    snaps = integrate_mean_field(s0, sched, desk_medium, grid, snapshot_stride=50,
+                                 advection="muscl")
+    assert dynamics.charge_drifts(snaps, desk_medium)[2] > 1e-3
+    assert snaps[-1].rk4_substeps < half_step_substeps(0.0, sched, desk_medium, grid).sum()
+
+
+def test_phase_target_controller_law():
+    step = dynamics._next_phase_target
+    budget = 1e-10
+    assert step(0.2, budget, budget) == 0.2                          # on budget
+    assert step(0.2, budget * 1.25**5, budget) == pytest.approx(0.16)  # (b/d)^(1/5) = 0.8
+    assert step(0.16, budget / 1.25**5, budget) == pytest.approx(0.2)
+    assert step(0.2, budget / 32, budget) == pytest.approx(0.3)      # 2, clipped to 3/2
+    assert step(0.28, budget * 32, budget) == pytest.approx(0.14)    # 1/2, clipped
+    assert step(0.1, 0.0, budget) == pytest.approx(0.15)             # no drift: 3/2
+    assert step(0.25, 0.0, budget) == 0.3                            # capped
+    assert step(0.1, 1.0, budget) == 0.1                             # floored
+    # an overflowing charge (inf, or inf - inf) halves the step
+    assert step(0.3, math.inf, budget) == step(0.3, math.nan, budget) == 0.15
+
+
 def test_integrator_rejects_bad_options(desk_medium, desk_grid_small):
     s0 = MeanFieldState.uniform_medium(desk_grid_small, desk_medium)
     with pytest.raises(ConfigError):
