@@ -17,13 +17,14 @@ import math
 import os
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import gpe as gpe_mod
 from . import protocol
-from .config import EXPERIMENTS, RunConfig, load_config, serialize_config
+from .config import EXPERIMENTS, RunConfig, keyed, load_config, serialize_config
 from .dynamics import (
     MeanFieldState,
     amplitude_ratio,
@@ -146,6 +147,8 @@ def run_propagate(config: RunConfig) -> ExperimentReport:
     sched = config.to_schedule()
     grid = config.to_grid()
     pulse = config.to_pulse(grid)
+    # a pulse is located by its centroid: it must be on the grid at the start and the end
+    start = keyed("pulse.center_um, pulse.peak_amplitude", pulse_center, grid.z, pulse.samples)
     s0 = MeanFieldState.polariton_state(grid, p, pulse, float(sched.omega(0.0)))
     snaps = integrate_mean_field(
         s0, sched, p, grid,
@@ -154,8 +157,9 @@ def run_propagate(config: RunConfig) -> ExperimentReport:
     )
     last = snaps[-1]
     oracle = wea_propagate(pulse, sched, p, last.t)
-    travel_meas = pulse_center(grid.z, last.E) - pulse_center(grid.z, snaps[0].E)
-    travel_pred = pulse_center(grid.z, oracle.samples) - config.pulse.center_um
+    travel_meas = keyed("grid.t_end_us", pulse_center, grid.z, last.E) - start
+    travel_pred = (keyed("grid.t_end_us", pulse_center, grid.z, oracle.samples)
+                   - config.pulse.center_um)
     peak_meas = float(np.max(np.abs(last.E)) / np.max(np.abs(snaps[0].E)))
     peak_pred = amplitude_ratio(p, sched, last.t)
     # reported, never gated: a cfl < 1 scheme dissipates Q3 by design
@@ -203,8 +207,9 @@ def run_store(config: RunConfig) -> ExperimentReport:
 def run_imbalance(config: RunConfig) -> ExperimentReport:
     p = config.to_medium_params()
     sched = config.to_schedule()
-    reports = protocol.imbalance_sweep(
-        config.sweep.n_total, config.sweep.etas, sched, p, t_grid=_curve_grid(config))
+    # validate has checked the ratios, so only N_a N_b g_tilde^2 can overflow here
+    reports = keyed("sweep.n_total", protocol.imbalance_sweep, config.sweep.n_total,
+                    config.sweep.etas, sched, p, t_grid=_curve_grid(config))
     ids = [f"eta{i:02d}" for i in range(len(reports))]
     summary = [f"min_vg_over_c_{cid} = {fmt_float(rep.scalars['min_vg_over_c'])} "
                f"(eta = {fmt_float(rep.params['eta'])})"
@@ -250,16 +255,12 @@ def run_feasibility(config: RunConfig) -> ExperimentReport:
 def run_gpe_soliton(config: RunConfig) -> ExperimentReport:
     p = config.to_gpe_params()
     grid = config.to_gpe_grid()
-    kw = config.to_soliton_spec_kwargs()
-    alpha = gpe_mod.healing_alpha(p)
+    spec = config.to_soliton_spec(gpe_mod.healing_alpha(p))
     # evolve a zero-winding pair: the configured soliton plus a receding
     # opposite-direction partner, so the state fits the periodic grid
     quarter_span = 0.25 * (grid.z_max - grid.z_min)
-    spec = gpe_mod.SolitonSpec(q=kw["q"], z0=kw["z0"], direction=kw["direction"],
-                               alpha=alpha)
-    partner = gpe_mod.SolitonSpec(
-        q=kw["q"], z0=kw["z0"] - kw["direction"] * quarter_span,
-        direction=-kw["direction"], alpha=alpha)
+    partner = replace(spec, z0=spec.z0 - spec.direction * quarter_span,
+                      direction=-spec.direction)
     wf0 = gpe_mod.soliton_product([spec, partner], p, grid)
     frames = gpe_mod.split_step_evolve(
         wf0, p, grid,
@@ -273,12 +274,12 @@ def run_gpe_soliton(config: RunConfig) -> ExperimentReport:
     v_expected = spec.speed(v_s)
     main_track = min(
         (tr for tr in trajectories if len(tr) >= 2),
-        key=lambda tr: abs(tr.positions[0] - kw["z0"]), default=None)
+        key=lambda tr: abs(tr.positions[0] - spec.z0), default=None)
     n0, n1 = frames[0].norm(), frames[-1].norm()
     # healing_alpha demands u_gg > 0 and a background, so e0 > 0
     e0, e1 = (gpe_mod.energy_functional(wf, p) for wf in (frames[0], frames[-1]))
     lines = [
-        f"q = {fmt_float(kw['q'])}",
+        f"q = {fmt_float(spec.q)}",
         f"sound_speed_um_per_us = {fmt_float(v_s)}",
         f"expected_speed_um_per_us = {fmt_float(v_expected)}",
         f"norm_initial = {fmt_float(n0)}",
@@ -286,7 +287,7 @@ def run_gpe_soliton(config: RunConfig) -> ExperimentReport:
         f"norm_drift = {fmt_float(abs(n1 - n0) / n0)}",
         f"energy_drift = {fmt_float(abs(e1 - e0) / e0)}",
         f"min_density_final = {fmt_float(float(frames[-1].density().min()))}",
-        f"expected_min_density = {fmt_float((1.0 - kw['q']**2) * p.background_amp**2)}",
+        f"expected_min_density = {fmt_float((1.0 - spec.q**2) * p.background_amp**2)}",
     ]
     if main_track is not None and len(main_track) > 2:
         lines.append(f"measured_speed_um_per_us = {fmt_float(main_track.fit_speed())}")

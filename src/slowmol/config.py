@@ -15,16 +15,28 @@ import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .dynamics import Grid1D, SignalEnvelope
+from .dynamics import Grid1D, SignalEnvelope, check_options
 from .errors import ConfigError
-from .gpe import GpeParams
-from .medium import MediumKind, MediumParams
+from .gpe import (GpeParams, SolitonSpec, check_evolution, check_free_background, check_split,
+                  healing_alpha)
+from .medium import MediumKind, MediumParams, effective_pair_density, population_split
+from .protocol import check_durations
 from .schedule import ControlSchedule
 from .units import rad_per_us_from_hz
 
 EXPERIMENTS = ("groupvel", "propagate", "store", "imbalance", "mediums",
                "gpe-soliton", "gpe-split", "feasibility")
 PRESETS = ("none", "desk-storage")
+
+
+def keyed(key: str, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, its ``ValueError`` reported as a
+    ``ConfigError`` of ``key``: each invariant is stated once, by the library
+    module that uses the value, and named here by its key."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -169,100 +181,61 @@ class RunConfig:
 
     def to_medium_params(self) -> MediumParams:
         m = self.medium
-        try:
-            return MediumParams(
-                g_tilde=m.g_tilde_rad_per_us,
-                L=m.length_um,
-                c=m.c_um_per_us,
-                N_a=m.n_a,
-                N_b=m.n_b,
-                gamma_a=m.gamma_a_rad_per_us,
-                gamma_b=m.gamma_b_rad_per_us,
-                gamma_e=m.gamma_e_rad_per_us,
-                gamma_g=m.gamma_g_rad_per_us,
-                Delta=m.one_photon_detuning_rad_per_us,
-                delta=m.two_photon_detuning_rad_per_us,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"medium: {exc}") from exc
+        return keyed("medium", MediumParams, g_tilde=m.g_tilde_rad_per_us, L=m.length_um,
+                     c=m.c_um_per_us, N_a=m.n_a, N_b=m.n_b, gamma_a=m.gamma_a_rad_per_us,
+                     gamma_b=m.gamma_b_rad_per_us, gamma_e=m.gamma_e_rad_per_us,
+                     gamma_g=m.gamma_g_rad_per_us, Delta=m.one_photon_detuning_rad_per_us,
+                     delta=m.two_photon_detuning_rad_per_us)
 
     def to_schedule(self) -> ControlSchedule:
         s = self.schedule
-        try:
-            if s.form == "tanh":
-                return ControlSchedule.tanh_ramp(
-                    omega0=s.omega0_rad_per_us, t_down=s.t_down_us,
-                    t_up=s.t_up_us, rate=s.rate_per_us)
-            if s.form == "table":
-                if not s.table_times_us:
-                    raise ValueError("table form requires schedule.table_times_us")
-                return ControlSchedule.tabulated(s.table_times_us,
-                                                 s.table_values_rad_per_us)
-        except ValueError as exc:
-            raise ConfigError(f"schedule: {exc}") from exc
+        if s.form == "tanh":
+            return keyed("schedule", ControlSchedule.tanh_ramp, omega0=s.omega0_rad_per_us,
+                         t_down=s.t_down_us, t_up=s.t_up_us, rate=s.rate_per_us)
+        if s.form == "table":
+            if not s.table_times_us:
+                raise ConfigError("schedule: table form requires schedule.table_times_us")
+            return keyed("schedule", ControlSchedule.tabulated, s.table_times_us,
+                         s.table_values_rad_per_us)
         raise ConfigError(f"schedule.form: unknown form {s.form!r}")
 
     def to_grid(self) -> Grid1D:
         g = self.grid
-        c = self.medium.c_um_per_us
-        try:
-            if g.dt_us > 0:
-                return Grid1D(z_min=g.z_min_um, z_max=g.z_max_um, n_z=g.n_z,
-                              dt=g.dt_us, t_end=g.t_end_us)
-            return Grid1D.for_speed(z_min=g.z_min_um, z_max=g.z_max_um,
-                                    n_z=g.n_z, c=c, t_end=g.t_end_us, cfl=g.cfl)
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from exc
+        if g.dt_us > 0:
+            return keyed("grid", Grid1D, z_min=g.z_min_um, z_max=g.z_max_um, n_z=g.n_z,
+                         dt=g.dt_us, t_end=g.t_end_us)
+        return keyed("grid", Grid1D.for_speed, z_min=g.z_min_um, z_max=g.z_max_um, n_z=g.n_z,
+                     c=self.medium.c_um_per_us, t_end=g.t_end_us, cfl=g.cfl)
 
     def to_pulse(self, grid: Grid1D) -> SignalEnvelope:
         p = self.pulse
-        try:
-            return SignalEnvelope.gaussian(grid, center=p.center_um,
-                                           rms_width=p.rms_width_um,
-                                           amplitude=p.peak_amplitude)
-        except ValueError as exc:
-            raise ConfigError(f"pulse: {exc}") from exc
+        return keyed("pulse", SignalEnvelope.gaussian, grid, center=p.center_um,
+                     rms_width=p.rms_width_um, amplitude=p.peak_amplitude)
 
     def to_gpe_params(self) -> GpeParams:
         g = self.gpe
-        try:
-            return GpeParams(
-                m_a=g.mass_a_us_per_um2, m_b=g.mass_b_us_per_um2,
-                u_gg=g.u_gg_rad_um_per_us, u_ab=g.u_ab_rad_um_per_us,
-                v_ext=g.potential_rad_per_us,
-                n_a=g.n_a_per_um, n_b=g.n_b_per_um,
-                background_amp=g.background_amp,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"gpe: {exc}") from exc
+        return keyed("gpe", GpeParams, m_a=g.mass_a_us_per_um2, m_b=g.mass_b_us_per_um2,
+                     u_gg=g.u_gg_rad_um_per_us, u_ab=g.u_ab_rad_um_per_us,
+                     v_ext=g.potential_rad_per_us, n_a=g.n_a_per_um, n_b=g.n_b_per_um,
+                     background_amp=g.background_amp)
 
     def to_gpe_grid(self) -> Grid1D:
         g = self.gpegrid
-        try:
-            return Grid1D(z_min=g.z_min_um, z_max=g.z_max_um, n_z=g.n_z,
-                          dt=g.dt_us, t_end=g.t_end_us)
-        except ValueError as exc:
-            raise ConfigError(f"gpegrid: {exc}") from exc
+        return keyed("gpegrid", Grid1D, z_min=g.z_min_um, z_max=g.z_max_um, n_z=g.n_z,
+                     dt=g.dt_us, t_end=g.t_end_us)
 
-    def to_soliton_spec_kwargs(self) -> dict:
+    def to_soliton_spec(self, alpha: float = 1.0) -> SolitonSpec:
+        """The configured soliton, with squared healing width ``alpha``."""
         s = self.soliton
-        if not 0.0 < s.q <= 1.0:
-            raise ConfigError("soliton.q: must lie in (0, 1]")
-        if s.direction not in (-1, 1):
-            raise ConfigError("soliton.direction: must be +1 or -1")
-        return {"q": s.q, "z0": s.z0_um, "direction": s.direction}
+        return keyed("soliton.q, soliton.direction", SolitonSpec, q=s.q, z0=s.z0_um,
+                     direction=s.direction, alpha=alpha)
 
     def sweep_kinds(self) -> list[MediumKind]:
-        out = []
-        for name in self.sweep.kinds:
-            try:
-                out.append(MediumKind(name))
-            except ValueError as exc:
-                raise ConfigError(f"sweep.kinds: unknown medium kind {name!r}") from exc
-        return out
+        return keyed("sweep.kinds", list, map(MediumKind, self.sweep.kinds))
 
     def validate(self) -> "RunConfig":
-        """Check every physical invariant reachable from the document."""
+        """Check every physical invariant reachable from the document, each
+        through the library's own check (see ``keyed``)."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"experiment: {self.experiment!r} is not one of {', '.join(EXPERIMENTS)}")
@@ -271,69 +244,58 @@ class RunConfig:
         self.to_medium_params()
         self.to_schedule()
         self.to_grid()
-        self.to_gpe_params()
+        gpe_params = self.to_gpe_params()
         self.to_gpe_grid()
-        self.to_soliton_spec_kwargs()
-        self.sweep_kinds()
+        self.to_soliton_spec()
+        kinds = self.sweep_kinds()
         if self.curve.points < 2:
             raise ConfigError("curve.points: need at least two samples")
         if self.curve.t_end_us <= 0:
             raise ConfigError("curve.t_end_us: must be positive")
-        if self.sweep.n_total <= 0:
-            raise ConfigError("sweep.n_total: must be positive")
+        if not kinds:
+            raise ConfigError("sweep.kinds: need at least one medium kind")
+        if not 0 < self.sweep.n_scan_min < self.sweep.n_scan_max:
+            raise ConfigError("sweep.n_scan_min/max: need 0 < min < max")
+        keyed("sweep.n_total", population_split, self.sweep.n_total)
+        if self.experiment == "mediums":
+            # the pair density of every kind, up to the scan's largest N, is a float
+            for key, n in (("sweep.n_total", self.sweep.n_total),
+                           ("sweep.n_scan_max", self.sweep.n_scan_max)):
+                keyed(key, list, (effective_pair_density(kind, n) for kind in kinds))
         if not self.sweep.etas:
             raise ConfigError("sweep.etas: need at least one imbalance ratio")
-        if not self.sweep.kinds:
-            raise ConfigError("sweep.kinds: need at least one medium kind")
-        for eta in self.sweep.etas:
-            if not isinstance(eta, (int, float)):
-                raise ConfigError("sweep.etas: expected a comma-separated list of numbers")
-            if eta <= 0:
-                raise ConfigError(
-                    "sweep.etas: all imbalance ratios must be positive")
-        for name, values in (("schedule.table_times_us", self.schedule.table_times_us),
+        for name, values in (("sweep.etas", self.sweep.etas),
+                             ("schedule.table_times_us", self.schedule.table_times_us),
                              ("schedule.table_values_rad_per_us",
                               self.schedule.table_values_rad_per_us)):
             for v in values:
                 if not isinstance(v, (int, float)):
                     raise ConfigError(f"{name}: expected a comma-separated list of numbers")
-        if not 0 < self.sweep.n_scan_min < self.sweep.n_scan_max:
-            raise ConfigError("sweep.n_scan_min/max: need 0 < min < max")
+        keyed("sweep.etas", population_split, self.sweep.n_total, min(self.sweep.etas))
         if self.sweep.n_scan_points < 2:
             raise ConfigError("sweep.n_scan_points: need at least two")
-        if self.feasibility.t_s_us <= 0:
-            raise ConfigError("feasibility.t_s_us: must be positive")
-        if self.feasibility.t_storage_us < 0:
-            raise ConfigError("feasibility.t_storage_us: must be nonnegative")
+        keyed("feasibility.t_s_us", check_durations, t_s=self.feasibility.t_s_us)
+        keyed("feasibility.t_storage_us", check_durations,
+              t_storage=self.feasibility.t_storage_us)
         if self.feasibility.threshold <= 0:
             raise ConfigError("feasibility.threshold: must be positive")
-        if self.gpe.nonlinearity not in ("self-consistent", "frozen"):
-            raise ConfigError("gpe.nonlinearity: must be self-consistent or frozen")
-        if self.gpe.background_decay_per_us < 0:
-            raise ConfigError("gpe.background_decay_per_us: must be nonnegative")
+        keyed("gpe.nonlinearity", check_evolution, nonlinearity=self.gpe.nonlinearity)
+        keyed("gpe.background_decay_per_us", check_evolution,
+              background_decay_rate=self.gpe.background_decay_per_us)
+        keyed("soliton.seed_separation_widths", check_split,
+              seed_separation_widths=self.soliton.seed_separation_widths)
         if self.experiment in ("gpe-soliton", "gpe-split"):
-            # a gray soliton's healing width 1/sqrt(M U_gg |Phi0|^2) needs both
-            if not self.gpe.u_gg_rad_um_per_us > 0:
-                raise ConfigError("gpe.u_gg_rad_um_per_us: a gray soliton needs a "
-                                  "repulsive interaction (> 0)")
-            density = self.gpe.background_amp * self.gpe.background_amp
-            if not 0 < density < math.inf:
-                raise ConfigError("gpe.background_amp: a gray soliton needs a background "
-                                  "density |Phi0|^2 that is positive and finite")
-            product = ((self.gpe.mass_a_us_per_um2 + self.gpe.mass_b_us_per_um2)
-                       * self.gpe.u_gg_rad_um_per_us * density)
-            if not 0 < product < math.inf:
-                raise ConfigError("gpe.u_gg_rad_um_per_us: the healing width "
-                                  "1/sqrt(M U_gg |Phi0|^2) needs a positive, finite "
-                                  f"product (got {product:.3g})")
-        if self.soliton.seed_separation_widths < 0:
-            raise ConfigError("soliton.seed_separation_widths: must be nonnegative")
-        if self.run.substeps < 0:
-            raise ConfigError("run.substeps: must be nonnegative (0 = automatic)")
-        if self.run.advection not in ("upwind", "muscl"):
-            raise ConfigError("run.advection: must be upwind or muscl")
-        if self.grid.snapshot_stride < 1 or self.gpegrid.snapshot_stride < 1:
-            raise ConfigError("snapshot_stride: must be at least 1")
+            # the healing width 1/sqrt(M U_gg |Phi0|^2) needs both keys
+            keyed("gpe.u_gg_rad_um_per_us, gpe.background_amp", healing_alpha, gpe_params)
+            keyed("gpe.potential_rad_per_us", check_free_background, gpe_params)
+        if self.experiment == "gpe-split":
+            keyed("soliton.q", check_split, q=self.soliton.q)
+        keyed("run.substeps", check_options, substeps=self.run.substeps)
+        keyed("run.advection", check_options, advection=self.run.advection)
+        for key, stride in (("grid.snapshot_stride", self.grid.snapshot_stride),
+                            ("gpegrid.snapshot_stride", self.gpegrid.snapshot_stride)):
+            if stride < 1:
+                raise ConfigError(f"{key}: must be at least 1")
         return self
 
 
@@ -397,9 +359,7 @@ def _apply_pairs(config: RunConfig, pairs: list[tuple[str, str]]) -> RunConfig:
     # the preset rewires defaults, so resolve it before any other key
     for key, raw in pairs:
         if key == "preset":
-            preset = raw.strip()
-            if preset not in PRESETS:
-                raise ConfigError(f"preset: {preset!r} is not one of {', '.join(PRESETS)}")
+            preset = raw.strip()  # validate rejects a name outside PRESETS
             config = replace(config, preset=preset)
             if preset == "desk-storage":
                 config = _apply_pairs(
@@ -454,17 +414,15 @@ def serialize_config(config: RunConfig) -> str:
 
 def load_config(path: str | Path | None,
                 overrides: list[str] | None = None) -> RunConfig:
-    """Config from an optional file plus repeatable key=value overrides."""
+    """Config from an optional file plus repeatable key=value overrides,
+    validated once after the last override (a file alone, by its parse)."""
     pairs: list[tuple[str, str]] = []
-    if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
-        config = parse_config(text)
-    else:
-        config = RunConfig()
-    if overrides:
-        for item in overrides:
-            if "=" not in item:
-                raise ConfigError(f"override {item!r} is not of the form key=value")
-            key, _, raw = item.partition("=")
-            pairs.append((key.strip(), raw))
-    return parse_pairs(pairs, base=config)
+    for item in overrides or []:
+        if "=" not in item:
+            raise ConfigError(f"override {item!r} is not of the form key=value")
+        key, _, raw = item.partition("=")
+        pairs.append((key.strip(), raw))
+    if path is None:
+        return parse_pairs(pairs)
+    config = parse_config(Path(path).read_text(encoding="utf-8"))
+    return parse_pairs(pairs, base=config) if pairs else config

@@ -18,28 +18,10 @@ is conserved up to boundary flux of the light term.
 
 The integrator carries the signal and the four matter fields as one complex
 state array of shape (5, n_z), rows in the order E, phi_a, phi_b, phi_e,
-phi_g, so each RK4 stage and update acts on whole (5, n_z) blocks.  Each
-matter half-step gets its own RK4 substep count, sized from the largest
-control field on that half-step (``half_step_substeps``): the plateaus need
-many, the stored phase, where Omega is near 0, only a few.
-
-A lossless automatic run (every gamma 0, ``substeps=0``) also sizes its
-steps from the drift it measures.  The phase per substep theta is state:
-it starts at ``_SUBSTEP_PHASE_TARGET`` and after each outer step follows
-the elementary controller theta <- theta (b/d)^(1/5) (Hairer, Norsett &
-Wanner, Solving ODEs I, sec. II.4), where d is the worst relative change
-of Q1, Q2 and Q3 across that step's two matter half-steps and b spreads a
-tenth of ``CHARGE_DRIFT_LIMIT`` over the outer steps.  The exponent is the
-measured drift law of this step (25-32x per doubling of theta, RK4's
-h^5), not an a-priori error model: its prefactor varies about 500x
-between grids and schedules.  theta stays within [0.1, 0.3] rad, so no
-run takes more substeps than the fixed 0.1 rad rule.  Lossy runs and an
-explicit substep count keep the fixed rule.  The stages,
-the update and the right-hand side write into buffers allocated once per
-integration, so a substep allocates no array.  Each element is still
-computed by the same operations in the same order as the plain array
-expressions (``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)`` and so on), so the
-fields are bit for bit those of an allocating step.
+phi_g, and subcycles each matter half-step with RK4.  The substep counts
+follow the fastest frequency of the half-step (``half_step_substeps``); a
+lossless automatic run also steers them by the charge drift it measures
+(``integrate_mean_field``).
 """
 
 from __future__ import annotations
@@ -65,7 +47,9 @@ CHARGE_DRIFT_LIMIT = 1e-6
 _WEA_DENSITY_RATIO = 1e-2
 # relative tolerance of wea_propagate's distance on a closed-form schedule
 _WEA_QUAD_REL_TOL = 1e-8
+# caps on one run: its outer steps, and the RK4 substeps the fixed 0.1 rad rule gives it
 _MAX_OUTER_STEPS = 2_000_000
+_MAX_RK4_SUBSTEPS = 100_000_000
 # 12-node Gauss-Legendre rule on [-1, 1]; panel doubling stops after this many halvings
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _MAX_HALVINGS = 16
@@ -118,7 +102,7 @@ class Grid1D:
         exact-shift regime, cfl<1 genuine first-order upwind."""
         if not 0 < cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
-        dz = (z_max - z_min) / (n_z - 1)
+        dz = (z_max - z_min) / max(n_z - 1, 1)  # __post_init__ rejects n_z < 16
         return cls(z_min=z_min, z_max=z_max, n_z=n_z, dt=cfl * dz / c, t_end=t_end)
 
 
@@ -131,8 +115,9 @@ class GaussianPulse:
     amplitude: float   # dimensionless peak value of E
 
     def __post_init__(self):
-        if not self.rms_width > 0:
-            raise ValueError("rms_width must be positive")
+        # a product, not ``**``: an overflowing float power raises OverflowError
+        if not (self.rms_width > 0 and 0 < self.rms_width * self.rms_width < math.inf):
+            raise ValueError("rms_width must be positive, and its square positive and finite")
 
     def sample(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -419,12 +404,20 @@ def half_step_substeps(t0: float, sched: ControlSchedule, p: MediumParams, grid:
     sizes its steps from its measured drift (see ``integrate_mean_field``).
     """
     n_half = _half_steps(grid)
-    if substeps < 0:
-        raise ConfigError("substeps must be nonnegative (0 = automatic)")
+    check_options(substeps=substeps)
     if substeps:
         return np.full(n_half, substeps)
     return _substep_counts(0.5 * grid.dt, _half_step_frequencies(t0, sched, p, grid),
                            _SUBSTEP_PHASE_TARGET)
+
+
+def check_options(*, substeps: int = 0, advection: str = "upwind") -> None:
+    """``integrate_mean_field``'s option checks (``ConfigError``), each argument
+    defaulting to a valid value: substeps >= 0 (0 = automatic), a known scheme."""
+    if substeps < 0:
+        raise ConfigError("substeps must be nonnegative (0 = automatic)")
+    if advection not in ("upwind", "muscl"):
+        raise ConfigError(f"unknown advection scheme {advection!r}")
 
 
 def _half_steps(grid: Grid1D) -> int:
@@ -432,8 +425,8 @@ def _half_steps(grid: Grid1D) -> int:
     n_steps = grid.outer_steps
     if n_steps > _MAX_OUTER_STEPS:
         raise ConfigError(
-            f"{n_steps} advection steps requested; rescale to desk parameters "
-            "(smaller c or shorter horizon) or coarsen the grid"
+            f"grid.t_end_us: {n_steps} advection steps requested; rescale to desk "
+            "parameters (smaller c or shorter horizon) or coarsen the grid"
         )
     return 2 * n_steps
 
@@ -449,7 +442,8 @@ def _half_step_frequencies(t0: float, sched: ControlSchedule, p: MediumParams,
     w = hypot(Omega_max, g_tilde sqrt(N_a N_b)) + |Delta| + |delta| + max gamma,
     with Omega_max the largest control value on the half-step.  Omega_max is
     exact from the two end values (plus any table knot inside): a table is
-    piecewise linear and a tanh ramp has a single minimum."""
+    piecewise linear and a tanh ramp has a single minimum.  ``ConfigError``
+    if the fixed rule would take more than ``_MAX_RK4_SUBSTEPS`` in all."""
     n_half = _half_steps(grid)
     half_dt = 0.5 * grid.dt
     edges = t0 + half_dt * np.arange(n_half + 1)
@@ -460,15 +454,25 @@ def _half_step_frequencies(t0: float, sched: ControlSchedule, p: MediumParams,
         j = np.searchsorted(edges, sched.form.times, side="right") - 1
         inside = (j >= 0) & (j < n_half)
         np.maximum.at(om_max, j[inside], np.asarray(sched.form.values)[inside])
-    return (np.hypot(om_max, math.sqrt(p.pair_coupling_sq))
-            + abs(p.Delta) + abs(p.delta)
-            + max(p.gamma_a, p.gamma_b, p.gamma_e, p.gamma_g))
+    w = (np.hypot(om_max, math.sqrt(p.pair_coupling_sq))
+         + abs(p.Delta) + abs(p.delta)
+         + max(p.gamma_a, p.gamma_b, p.gamma_e, p.gamma_g))
+    total = half_dt * float(np.sum(w)) / _SUBSTEP_PHASE_TARGET
+    if not total <= _MAX_RK4_SUBSTEPS:
+        raise ConfigError(
+            "medium: the fastest frequency hypot(Omega, g_tilde sqrt(N_a N_b)) + |Delta| + "
+            f"|delta| + max gamma reaches {float(np.max(w)):.3g} rad/us, so the run needs "
+            f"{total:.3g} RK4 substeps (more than {_MAX_RK4_SUBSTEPS:g})")
+    return w
 
 
 def _next_phase_target(theta: float, drift: float, budget: float) -> float:
-    """Elementary step-size controller theta (budget/drift)^(1/5), its factor
-    clipped to [1/2, 3/2] (3/2 for a zero drift) and theta to
-    [_SUBSTEP_PHASE_TARGET, _SUBSTEP_PHASE_MAX]."""
+    """Elementary step-size controller theta (budget/drift)^(1/5) (Hairer,
+    Norsett & Wanner, Solving ODEs I, sec. II.4), its factor clipped to
+    [1/2, 3/2] (3/2 for a zero drift) and theta to [_SUBSTEP_PHASE_TARGET,
+    _SUBSTEP_PHASE_MAX].  The exponent is the measured drift law of the RK4
+    matter step (25-32x per doubling of theta, RK4's h^5), not an a-priori
+    error model: its prefactor varies about 500x between grids and schedules."""
     if drift == 0.0:
         factor = 1.5
     elif drift < math.inf:
@@ -517,13 +521,11 @@ def integrate_mean_field(
     the plain expressions, e.g. ``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``,
     so the buffered step reproduces them bit for bit.
     """
-    if advection not in ("upwind", "muscl"):
-        raise ConfigError(f"unknown advection scheme {advection!r}")
+    check_options(advection=advection)
     lam = grid.cfl(p.c)
     if lam > 1.0 + 1e-9:
-        raise ConfigError(
-            f"CFL violation: c*dt/dz = {lam:.6g} > 1; reduce dt or use Grid1D.for_speed"
-        )
+        raise ConfigError(f"grid.dt_us: CFL violation: c*dt/dz = {lam:.6g} > 1; "
+                          "reduce dt or use Grid1D.for_speed")
     if not np.allclose(s0.z, grid.z):
         raise ConfigError("initial state grid does not match the integration grid")
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import AliasingWarning, ConfigError, NumericsError, SupersonicError
-from .dynamics import Grid1D, integrate
+from .dynamics import _MAX_OUTER_STEPS, Grid1D, integrate
 from .reports import ExperimentReport
 
 # spectral-tail power fraction above which split_step_evolve warns of aliasing
@@ -106,11 +106,18 @@ def healing_alpha(p: GpeParams) -> float:
     """Squared healing width alpha = 1 / (M U_gg |Phi0|^2).
 
     This is the value for which the analytic gray-soliton profile solves
-    the equation of motion exactly; sqrt(alpha) is the width scale.
+    the equation of motion exactly; sqrt(alpha) is the width scale.  It
+    needs a repulsive u_gg and a background, and a product whose
+    reciprocal is a positive, finite float: ``ValueError`` otherwise.
     """
-    if p.u_gg <= 0 or p.background_amp <= 0:
-        raise ValueError("healing width requires u_gg > 0 and a nonzero background")
-    return 1.0 / (p.m_total * p.u_gg * p.background_amp**2)
+    # products, not ``**``: an overflowing float power raises OverflowError
+    product = p.m_total * p.u_gg * (p.background_amp * p.background_amp)
+    alpha = 1.0 / product if product > 0 else 0.0
+    if not 0 < alpha < math.inf:
+        raise ValueError("a gray soliton needs a repulsive interaction and a background, "
+                         "with a positive, finite healing width 1/sqrt(M U_gg |Phi0|^2) "
+                         f"(M U_gg |Phi0|^2 = {product:.3g})")
+    return alpha
 
 
 def u_gg_from_scattering_length(a_gg: float, m_total: float, background_amp: float) -> float:
@@ -185,10 +192,12 @@ class WaveFunction:
         return float(np.sum(self.density()) * self.dz)
 
 
-def _check_free_background(p: GpeParams, grid: Grid1D) -> None:
-    veff = effective_potential(p, grid.n_z)
-    scale = max(1.0, abs(p.u_gg) * p.background_amp**2)
-    if float(np.max(np.abs(veff))) > 1e-10 * scale:
+def check_free_background(p: GpeParams) -> None:
+    """``ValueError`` unless the effective potential (``effective_potential``)
+    vanishes, as the analytic soliton profiles require."""
+    veff = np.asarray(p.v_ext, dtype=float) - v_ext_for_zero_effective(p)
+    scale = max(1.0, abs(p.u_gg) * p.background_amp * p.background_amp)
+    if not float(np.max(np.abs(veff))) <= 1e-10 * scale:
         raise ValueError(
             "analytic soliton profiles require zero effective potential; "
             "tune v_ext (see v_ext_for_zero_effective)"
@@ -205,7 +214,7 @@ def soliton_product(specs: Sequence[SolitonSpec], p: GpeParams,
     """
     if not specs:
         raise ValueError("need at least one soliton factor")
-    _check_free_background(p, grid)
+    check_free_background(p)
     z = grid.z
     psi = np.full(grid.n_z, p.background_amp, dtype=complex)
     span = grid.z_max - grid.z_min
@@ -292,11 +301,13 @@ def split_step_evolve(
     ``AliasingWarning`` when the spectral tail holds more than
     ``_ALIASING_TOL`` of the power.
     """
-    if nonlinearity not in ("self-consistent", "frozen"):
-        raise ConfigError(f"unknown nonlinearity mode {nonlinearity!r}")
+    check_evolution(nonlinearity=nonlinearity, background_decay_rate=background_decay_rate)
     horizon = grid.t_end if t_end is None else float(t_end)
     dt = grid.dt
     n_steps = max(1, int(round(horizon / dt)))
+    if n_steps > _MAX_OUTER_STEPS:
+        raise ConfigError(f"gpegrid.t_end_us: {n_steps} steps requested; shorten the "
+                          "horizon or take a longer dt")
     n = grid.n_z
     dz = grid.dz
     veff = effective_potential(p, n)
@@ -306,7 +317,7 @@ def split_step_evolve(
     phase_scale = float(np.max(np.abs(p.u_gg * dens0 + veff)))
     if dt * phase_scale >= 0.1:
         raise ConfigError(
-            f"dt too coarse for the nonlinear phase: dt*max|U|psi|^2+V| = "
+            f"gpegrid.dt_us: dt too coarse for the nonlinear phase: dt*max|U|psi|^2+V| = "
             f"{dt * phase_scale:.3g} >= 0.1"
         )
 
@@ -315,7 +326,7 @@ def split_step_evolve(
     kin_full = kin_half**2
     tail = np.abs(k) >= 0.9 * float(np.max(np.abs(k)))
     aliasing_reported = False
-    decay = max(background_decay_rate, 0.0)
+    decay = background_decay_rate
     z = grid.z
 
     frames = [WaveFunction(z=z, psi=psi, t=psi0.t)]
@@ -348,6 +359,16 @@ def split_step_evolve(
             # close the fused half-step: the state at t_next itself
             frames.append(WaveFunction(z=z, psi=np.fft.ifft(kin_half * spec), t=t_next))
     return frames
+
+
+def check_evolution(*, nonlinearity: str = "self-consistent",
+                    background_decay_rate: float = 0.0) -> None:
+    """``split_step_evolve``'s option checks (``ConfigError``), each argument
+    defaulting to a valid value: ``nonlinearity`` is a mode, the rate >= 0."""
+    if nonlinearity not in ("self-consistent", "frozen"):
+        raise ConfigError(f"unknown nonlinearity mode {nonlinearity!r}")
+    if not background_decay_rate >= 0:
+        raise ConfigError("background decay rate must be nonnegative")
 
 
 @dataclass
@@ -434,6 +455,15 @@ def track_minima(frames: Sequence[WaveFunction], *,
     return [tr for tr in done if len(tr) >= 1]
 
 
+def check_split(*, q: float = 0.5, seed_separation_widths: float = 0.0) -> None:
+    """``soliton_split_experiment``'s argument checks (``ValueError``), each
+    defaulting to a valid value: 0 < q < 1 (a moving soliton), widths >= 0."""
+    if not 0.0 < q < 1.0:
+        raise ValueError("splitting requires q strictly inside (0, 1)")
+    if not seed_separation_widths >= 0:
+        raise ValueError("seed_separation_widths must be nonnegative")
+
+
 def soliton_split_experiment(
     q: float,
     p: GpeParams,
@@ -456,10 +486,7 @@ def soliton_split_experiment(
     Fewer than two persistent dips mark the experiment as failed with
     diagnostics in the scalars.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError("splitting requires q strictly inside (0, 1)")
-    if seed_separation_widths < 0:
-        raise ValueError("seed_separation_widths must be nonnegative")
+    check_split(q=q, seed_separation_widths=seed_separation_widths)
     alpha = healing_alpha(p)
     half_gap = 0.5 * seed_separation_widths * math.sqrt(alpha) / q
     seed = soliton_product(

@@ -209,25 +209,31 @@ def mapping_coefficient(p: MediumParams, omega0: float, omega_t: float) -> float
     )
 
 
+def population_split(n_total: float, eta: float = 1.0) -> tuple[float, float]:
+    """(N_a, N_b) = (N/(1+eta), eta*N/(1+eta)): a total N at imbalance eta = N_b/N_a."""
+    if not n_total > 0:
+        raise ValueError("n_total must be positive")
+    if not eta > 0:
+        raise ValueError("imbalance ratio eta must be positive")
+    return n_total / (1.0 + eta), eta * n_total / (1.0 + eta)
+
+
 def effective_pair_density(kind: MediumKind, n_total: float, eta: float = 1.0) -> float:
     """Effective density product controlling the slowdown for each medium kind.
 
     Atomic ensembles slow in proportion to N, molecular media to higher
     powers of N; the heteronuclear dimer takes the imbalance eta = N_b/N_a
-    into account, the trimer assumes a balanced three-way split.
+    into account, the trimer assumes a balanced three-way split.  A
+    density that overflows a float is a ``ValueError``.
     """
-    if n_total <= 0:
-        raise ValueError("n_total must be positive")
-    if eta <= 0:
-        raise ValueError("imbalance ratio eta must be positive")
-    if kind is MediumKind.ATOMIC_EIT:
-        return n_total
-    if kind is MediumKind.HOMONUCLEAR_DIMER:
-        return n_total**2
-    if kind is MediumKind.HETERONUCLEAR_DIMER:
-        n_a = n_total / (1.0 + eta)
-        n_b = eta * n_total / (1.0 + eta)
-        return n_a * n_b
-    if kind is MediumKind.HETERONUCLEAR_TRIMER:
-        return n_total**3 / 27.0
-    raise ValueError(f"unknown medium kind {kind!r}")
+    n_a, n_b = population_split(n_total, eta)
+    try:
+        density = (n_a * n_b if kind is MediumKind.HETERONUCLEAR_DIMER
+                   else n_total**_DENSITY_EXPONENT[kind]
+                   / (27.0 if kind is MediumKind.HETERONUCLEAR_TRIMER else 1.0))
+    except OverflowError:
+        density = math.inf
+    if not density < math.inf:
+        raise ValueError(f"the {kind.value} pair density of n_total = {n_total:.3g} "
+                         "overflows a float")
+    return density

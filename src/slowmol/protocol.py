@@ -25,6 +25,7 @@ from .medium import (
     MediumParams,
     effective_pair_density,
     group_velocity_with_decay,
+    population_split,
     slowdown,
 )
 from .reports import ExperimentReport, FeasibilityReport
@@ -47,6 +48,15 @@ def velocity_curve(p: MediumParams, sched: ControlSchedule, t: np.ndarray,
     return p.c / (1.0 + slowdown(gc2, om, p.gamma1 * p.gamma2))
 
 
+def check_durations(*, t_s: float = 1.0, t_storage: float = 0.0) -> None:
+    """``feasibility_check``'s duration checks (``ValueError``), each argument
+    defaulting to a valid value: t_s > 0, t_storage >= 0."""
+    if not t_s > 0:
+        raise ValueError("t_s must be positive")
+    if not t_storage >= 0:
+        raise ValueError("t_storage must be nonnegative")
+
+
 def feasibility_check(p: MediumParams, t_s: float, sched: ControlSchedule,
                       t_storage: float, *, threshold: float = 0.1) -> FeasibilityReport:
     """Evaluate the three storage inequalities as margin ratios.
@@ -61,10 +71,7 @@ def feasibility_check(p: MediumParams, t_s: float, sched: ControlSchedule,
     media included) or whose optical depth is 0 stores nothing and has no
     spectral window: ``ConfigError`` naming ``medium.g_tilde_rad_per_us``.
     """
-    if t_s <= 0:
-        raise ValueError("t_s must be positive")
-    if t_storage < 0:
-        raise ValueError("t_storage must be nonnegative")
+    check_durations(t_s=t_s, t_storage=t_storage)
     if p.pair_coupling_sq == 0.0:
         raise ConfigError("medium.g_tilde_rad_per_us: the coupling g_tilde^2 N_a N_b is 0, "
                           "so the medium stores nothing and has no spectral window")
@@ -255,20 +262,16 @@ def imbalance_sweep(
     """Analytic group-velocity curves for a set of population imbalances.
 
     Each eta = N_b/N_a splits the fixed total N into N_a = N/(1+eta),
-    N_b = eta*N/(1+eta); the velocity uses the decay-corrected formula.
+    N_b = eta*N/(1+eta) (``population_split``); the velocity uses the
+    decay-corrected formula.
     """
-    if n_total <= 0:
-        raise ValueError("n_total must be positive")
-    for eta in etas:
-        if eta <= 0:
-            raise ValueError("all imbalance ratios must be positive")
     if t_grid is None:
         t_grid = np.linspace(0.0, 140.0, 281)
     omega = np.asarray(sched.omega(t_grid), dtype=float)
     out = []
     for eta in etas:
-        p = replace(p_base, N_a=n_total / (1.0 + eta),
-                    N_b=eta * n_total / (1.0 + eta))
+        n_a, n_b = population_split(n_total, eta)
+        p = replace(p_base, N_a=n_a, N_b=n_b)
         vg = velocity_curve(p, sched, t_grid)
         out.append(ExperimentReport(
             kind="imbalance",

@@ -85,8 +85,9 @@ class FeasibilityReport:
         return all(m < self.threshold for m in self.margins.values())
 
     def summary_lines(self) -> list[str]:
-        lines = [f"optical_depth = {fmt_float(self.optical_depth)}",
-                 f"threshold = {fmt_float(self.threshold)}"]
+        # a medium without excited-state decay has an infinite optical depth
+        depth = fmt_float(self.optical_depth) if self.optical_depth < math.inf else "unbounded"
+        lines = [f"optical_depth = {depth}", f"threshold = {fmt_float(self.threshold)}"]
         for key in sorted(self.margins):
             ok = "pass" if self._ok(key) else "fail"
             lines.append(f"margin_{key} = {fmt_float(self.margins[key])} ({ok})")

@@ -51,13 +51,12 @@ class Tabulated:
     def __post_init__(self):
         if len(self.times) != len(self.values) or len(self.times) < 2:
             raise ValueError("need at least two (time, value) samples")
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if not np.all(np.diff(t) > 0):
+        # plain Python: a table has a few knots, and validate builds it per document
+        if not all(a < b for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
-        if not np.all(v >= 0):
+        if not all(v >= 0 for v in self.values):
             raise ValueError("control amplitudes must be nonnegative")
-        top = float(v.max())
+        top = float(max(self.values))
         if not math.isfinite(top * top):
             raise ValueError("control amplitudes squared overflow a float")
 

@@ -187,7 +187,9 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
                   "gpe.background_amp=1e200"]
     # each factor passes alone, but M U_gg |Phi0|^2 overflows or underflows
     no_healing_width = [["gpe.u_gg_rad_um_per_us=1e200", "gpe.background_amp=1e100"],
-                        ["gpe.u_gg_rad_um_per_us=1e-200", "gpe.background_amp=1e-100"]]
+                        ["gpe.u_gg_rad_um_per_us=1e-200", "gpe.background_amp=1e-100"],
+                        # a subnormal product: its healing width 1/sqrt(...) is infinite
+                        ["gpe.u_gg_rad_um_per_us=1e-300", "gpe.background_amp=1e-5"]]
     for experiment, settings, named in [
             ("imbalance", ["sweep.etas=-1"], "sweep.etas"),
             ("imbalance", ["sweep.etas="], "sweep.etas"),
@@ -216,7 +218,21 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
             *[(experiment, [setting], setting.partition("=")[0])
               for experiment in ("gpe-soliton", "gpe-split") for setting in no_soliton],
             *[(experiment, settings, "gpe.u_gg_rad_um_per_us")
-              for experiment in ("gpe-soliton", "gpe-split") for settings in no_healing_width]]:
+              for experiment in ("gpe-soliton", "gpe-split") for settings in no_healing_width],
+            ("gpe-soliton", ["gpe.potential_rad_per_us=0.5"], "gpe.potential_rad_per_us"),
+            ("gpe-split", ["soliton.q=1"], "soliton.q"),
+            ("mediums", ["sweep.n_total=1e200"], "sweep.n_total"),
+            ("imbalance", ["sweep.n_total=1e200"], "sweep.n_total"),
+            ("propagate", [*tiny_store, "preset=desk-storage", "pulse.peak_amplitude=0"],
+             "pulse.peak_amplitude"),
+            ("propagate", [*tiny_store, "preset=desk-storage", "pulse.center_um=1e300"],
+             "pulse.center_um"),
+            *[(experiment, ["pulse.rms_width_um=1e300"], "pulse: rms_width")
+              for experiment in ("store", "propagate")],
+            *[(experiment, [*tiny_store, "preset=desk-storage",
+                            f"medium.{which}_photon_detuning_rad_per_us=1e300"], named)
+              for experiment in ("store", "propagate")
+              for which, named in (("one", "|Delta|"), ("two", "|delta|"))]]:
         args = [arg for setting in settings for arg in ("--set", setting)]
         assert main([experiment, "--out", str(tmp_path / "x"), *args]) == 2
         assert named in capsys.readouterr().err
