@@ -18,10 +18,11 @@ is conserved up to boundary flux of the light term.
 
 The integrator carries the signal and the four matter fields as one complex
 state array of shape (5, n_z), rows in the order E, phi_a, phi_b, phi_e,
-phi_g, and subcycles each matter half-step with RK4.  The substep counts
-follow the fastest frequency of the half-step (``half_step_substeps``); a
-lossless automatic run also steers them by the charge drift it measures
-(``integrate_mean_field``).
+phi_g, and subcycles each matter half-step.  A lossless automatic run takes
+the exact dark-state split (``_DarkStateSplit``): closed-form flows that keep
+Q3 to rounding, with substeps steered by the drift of Q1 it measures.  Runs
+with decay or an explicit substep count take classical RK4, with counts that
+follow the fastest frequency of the half-step (``half_step_substeps``).
 """
 
 from __future__ import annotations
@@ -36,13 +37,15 @@ from .errors import ConfigError, NumericsError
 from .medium import MediumParams, mixing_angle, slowdown
 from .schedule import ControlSchedule, Tabulated
 
-# RK4 substeps aim for (fastest frequency on the half-step) * substep <= this phase;
+# matter substeps aim for (fastest frequency on the half-step) * substep <= this phase;
 # the drift controller of a lossless run starts here and never goes below it
 _SUBSTEP_PHASE_TARGET = 0.1
-# ... nor above this phase, where the desk store's fidelity moves by 1.7e-8
-_SUBSTEP_PHASE_MAX = 0.3
 # criterion 5: the worst relative drift of Q1, Q2 and Q3 + flux a lossless run accepts
 CHARGE_DRIFT_LIMIT = 1e-6
+# the split's drift budget spreads half that limit over at least this many outer
+# steps, so a short run is held to the per-step drift of a long one (a 20-step
+# run spreading it over 20 steps drifts 3.3e-7 in Q1, where 2000 give 4.7e-9)
+_DRIFT_STEPS_MIN = 2000
 # weak excitation: peak photon density below this fraction of the smaller atomic one
 _WEA_DENSITY_RATIO = 1e-2
 # relative tolerance of wea_propagate's distance on a closed-form schedule
@@ -53,6 +56,10 @@ _MAX_RK4_SUBSTEPS = 100_000_000
 # 12-node Gauss-Legendre rule on [-1, 1]; panel doubling stops after this many halvings
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _MAX_HALVINGS = 16
+# the smallest normal float: the floor of a half angle or x that a sin(x)/x divides by
+_TINY = float(np.finfo(float).tiny)
+# below this (|kappa| h)^2 the pair flow's cosh and sinh(x)/x are their series to x^4
+_PAIR_SERIES_MAX = 1e-6
 
 
 @dataclass(frozen=True)
@@ -121,9 +128,11 @@ class GaussianPulse:
 
     def sample(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        return (self.amplitude
-                * np.exp(-((z - self.center) ** 2) / (2.0 * self.rms_width**2))
-                ).astype(complex)
+        # far off the pulse the square overflows to inf, and exp(-inf) = 0 is right
+        with np.errstate(over="ignore"):
+            return (self.amplitude
+                    * np.exp(-((z - self.center) ** 2) / (2.0 * self.rms_width**2))
+                    ).astype(complex)
 
 
 @dataclass
@@ -182,7 +191,7 @@ class MeanFieldState:
     ``boundary_photon_flux`` is the cumulative net photon number that has
     left the domain through the edges up to time t (outflow minus inflow),
     used for flux-corrected conservation checks.  ``rk4_substeps`` is the
-    cumulative number of RK4 substeps taken up to time t.
+    cumulative number of matter substeps (RK4 or split) taken up to time t.
     """
 
     t: float
@@ -252,24 +261,14 @@ def conserved_charges(s: MeanFieldState, p: MediumParams) -> tuple[float, float,
     return tuple(float(q) for q in _state_charges(s, p.L))
 
 
-def _charges(rows, dz: float, L: float) -> list:
-    """The charge sums of ``conserved_charges`` over the rows E, phi_a,
-    phi_b, phi_e, phi_g of ``rows``, as numpy scalars."""
-    E, phi_a, phi_b, phi_e, phi_g = rows
-    n_e = np.abs(phi_e) ** 2
-    n_g = np.abs(phi_g) ** 2
-    return [np.sum(np.abs(phi_a) ** 2 + n_e + n_g) * dz,
-            np.sum(np.abs(phi_b) ** 2 + n_e + n_g) * dz,
-            np.sum(np.abs(E) ** 2 / L + n_e + n_g) * dz]
-
-
 def _state_charges(s: MeanFieldState, L: float) -> list:
-    return _charges((s.E, s.phi_a, s.phi_b, s.phi_e, s.phi_g), float(s.z[1] - s.z[0]), L)
-
-
-def _drift_scale(q0: np.ndarray) -> np.ndarray:
-    """What a charge drift is relative to: |q0|, or 1 where q0 is 0."""
-    return np.where(q0 == 0.0, 1.0, np.abs(q0))
+    """The charge sums of ``conserved_charges``, as numpy scalars."""
+    dz = float(s.z[1] - s.z[0])
+    n_e = np.abs(s.phi_e) ** 2
+    n_g = np.abs(s.phi_g) ** 2
+    return [np.sum(np.abs(s.phi_a) ** 2 + n_e + n_g) * dz,
+            np.sum(np.abs(s.phi_b) ** 2 + n_e + n_g) * dz,
+            np.sum(np.abs(s.E) ** 2 / L + n_e + n_g) * dz]
 
 
 def charge_drifts(snapshots: list[MeanFieldState],
@@ -280,13 +279,15 @@ def charge_drifts(snapshots: list[MeanFieldState],
     # call of that name for one of its own (untraced) checks leaking through
     q = np.array([_state_charges(s, p.L) for s in snapshots])
     q[:, 2] += [s.boundary_photon_flux for s in snapshots]
-    return tuple(float(x) for x in np.max(np.abs(q - q[0]), axis=0) / _drift_scale(q[0]))
+    scale = np.where(q[0] == 0.0, 1.0, np.abs(q[0]))   # absolute where a charge is 0
+    return tuple(float(x) for x in np.max(np.abs(q - q[0]), axis=0) / scale)
 
 
 def integration_diagnostics(snapshots: list[MeanFieldState], p: MediumParams,
                             grid: Grid1D) -> dict:
-    """What an ``integrate_mean_field`` run did: its outer steps, the RK4
-    substeps it took, its CFL number and ``charge_drifts`` per charge."""
+    """What an ``integrate_mean_field`` run did: its outer steps, the matter
+    substeps it took (RK4 or split), its CFL number and ``charge_drifts`` per
+    charge."""
     out = {"outer_steps": grid.outer_steps,
            "rk4_substeps": snapshots[-1].rk4_substeps - snapshots[0].rk4_substeps,
            "cfl": grid.cfl(p.c)}
@@ -400,8 +401,9 @@ def half_step_substeps(t0: float, sched: ControlSchedule, p: MediumParams, grid:
     ``substeps=0`` sizes each half-step from its own fastest frequency w
     (``_half_step_frequencies``) so that w * substep <= _SUBSTEP_PHASE_TARGET.
     A positive count is used everywhere; a negative one is a ``ConfigError``.
-    A lossless automatic integration starts from these counts and then
-    sizes its steps from its measured drift (see ``integrate_mean_field``).
+    A lossless automatic integration takes the split step instead, never more
+    substeps than these counts, sized from its measured drift (see
+    ``integrate_mean_field``).
     """
     n_half = _half_steps(grid)
     check_options(substeps=substeps)
@@ -466,100 +468,198 @@ def _half_step_frequencies(t0: float, sched: ControlSchedule, p: MediumParams,
     return w
 
 
-def _next_phase_target(theta: float, drift: float, budget: float) -> float:
-    """Elementary step-size controller theta (budget/drift)^(1/5) (Hairer,
-    Norsett & Wanner, Solving ODEs I, sec. II.4), its factor clipped to
-    [1/2, 3/2] (3/2 for a zero drift) and theta to [_SUBSTEP_PHASE_TARGET,
-    _SUBSTEP_PHASE_MAX].  The exponent is the measured drift law of the RK4
-    matter step (25-32x per doubling of theta, RK4's h^5), not an a-priori
-    error model: its prefactor varies about 500x between grids and schedules."""
+def _next_split_phase(theta: float, drift: float, budget: float, ceiling: float) -> float:
+    """Elementary step-size controller theta (budget/drift)^(1/2) (Hairer,
+    Norsett & Wanner, Solving ODEs I, sec. II.4) of the split matter step,
+    its factor clipped to [1/2, 3/2] (3/2 for a zero drift, 1/2 for an
+    overflowing one), then theta to at most ``ceiling`` and at least
+    _SUBSTEP_PHASE_TARGET.  The exponent is the split's measured drift law:
+    its Q1 drift per outer step scales as h^2 (about 1/4 when h halves)."""
     if drift == 0.0:
         factor = 1.5
     elif drift < math.inf:
-        factor = min(max((budget / drift) ** 0.2, 0.5), 1.5)
+        factor = min(max((budget / drift) ** 0.5, 0.5), 1.5)
     else:  # a charge overflowed (inf or nan): shrink
         factor = 0.5
-    return min(max(theta * factor, _SUBSTEP_PHASE_TARGET), _SUBSTEP_PHASE_MAX)
+    return max(min(theta * factor, ceiling), _SUBSTEP_PHASE_TARGET)
 
 
-def integrate_mean_field(
-    s0: MeanFieldState,
-    sched: ControlSchedule,
-    p: MediumParams,
-    grid: Grid1D,
-    *,
-    snapshot_stride: int = 10,
-    substeps: int = 0,
-    advection: str = "upwind",
-    inflow: Optional[Callable[[float], complex]] = None,
-) -> list[MeanFieldState]:
-    """Advance the coupled signal/matter equations to the grid horizon.
+class _DarkStateSplit:
+    """Exact flows of the lossless matter equations on one grid, composed
+    into a second-order split step.
 
-    Strang splitting per outer step: half a matter/source step, one
-    advection step of the signal at speed c, half a matter/source step.
-    The matter/source system is integrated pointwise with classical RK4,
-    subcycled so the fastest Rabi frequency stays resolved: each half-step
-    takes max(1, ceil(half_dt w / theta)) substeps, w its fastest frequency
-    (``_half_step_frequencies``).  With ``substeps=0`` (automatic) and decay,
-    theta is the fixed 0.1 rad of ``half_step_substeps``.  A lossless
-    automatic run controls theta from its measured drift: after each outer
-    step, once the fields are finite, d is the worst relative change of Q1,
-    Q2 and Q3 across the two matter half-steps (scaled like
-    ``charge_drifts``; the advection's change of the photon term,
-    boundary flux and the dissipation of a cfl < 1 scheme, is taken out of
-    Q3), and theta becomes ``_next_phase_target(theta, d, b)`` with
-    b = 0.1 CHARGE_DRIFT_LIMIT / outer steps.  A positive count gives every
-    half-step that count.  The state is one (5, n_z) array with rows E,
-    phi_a, phi_b, phi_e, phi_g; row 0 alone is advected.  Snapshots (copies,
-    one ``MeanFieldState`` field per row, with the cumulative flux and
-    substep count) are emitted every ``snapshot_stride`` outer steps; ``s0``
-    is not changed.
+    With every gamma 0 the matter/source system is the sum of three flows,
+    each solved in closed form per cell (rows of the state: E, phi_a, phi_b,
+    phi_e, phi_g):
+
+    - ``coupling`` (A): phi_a and phi_b frozen, (u, phi_e, phi_g) with
+      u = E/sqrt(L) evolve under H = [[0, G*, 0], [G, 0, Omega], [0, Omega, 0]],
+      G = g_tilde L phi_a phi_b.  The dark vector (Omega, 0, -G)/W,
+      W = sqrt(|G|^2 + Omega^2), is left alone; phi_e and the bright vector
+      (G*, 0, Omega)/W rotate into each other by the angle x = W h.  The
+      rotation is written with sin(x/2)/(x/2), never dividing by W.
+    - ``pairs`` (B): E, phi_e and phi_g frozen, phi_a' = i kappa phi_b* and
+      phi_b' = i kappa phi_a* with kappa = g_tilde sqrt(L) E* phi_e, so
+      phi_a <- cosh(x) phi_a + i h sinh(x)/x kappa phi_b* with x = |kappa| h,
+      and the same for phi_b.
+    - ``phases`` (D): the detunings, phi_a <- exp(-i delta t) phi_a and
+      phi_e <- exp(-i Delta t) phi_e.
+
+    A and D conserve Q3 and |phi_a|^2 - |phi_b|^2 per cell; B conserves
+    |phi_a|^2 - |phi_b|^2 and leaves the Q3 terms alone.  So Q3 and Q1 - Q2
+    hold to rounding, and the splitting error shows in Q1 (and Q2) alone.
+    Every buffer and view is made once; the last argument of each ufunc
+    call is its output.
+    """
+
+    def __init__(self, p: MediumParams, n_z: int):
+        self.g_field = p.g_tilde * math.sqrt(p.L)   # kappa = g_field E* phi_e
+        self.g_signal = self.g_field * p.L          # E' = i g_signal (phi_a phi_b)* phi_e
+        self.g_pair = p.g_tilde * p.L               # |G| = g_pair |phi_a phi_b|
+        self.delta, self.Delta = p.delta, p.Delta
+        self.detuned = p.delta != 0.0 or p.Delta != 0.0
+        self.ab, self.s, self.c, self.e_new, self.tmp = np.empty((5, n_z), dtype=complex)
+        self.q, self.sh, self.ch, self.sq, self.mix = np.empty((5, n_z))
+        self.pair = np.empty((2, n_z), dtype=complex)
+        sq2 = np.empty((n_z, 2))
+        # |z|^2 of a complex row z = square of its (re, im) pairs, summed
+        self.sq2, self.sq2_re, self.sq2_im = sq2, sq2[:, 0], sq2[:, 1]
+        self.ab_ri = self.ab.view(float).reshape(n_z, 2)
+        self.s_ri = self.s.view(float).reshape(n_z, 2)
+
+    def coupling(self, y: np.ndarray, om: float, h: float) -> None:
+        """Flow A of y over h at control ``om``, in place.
+
+        With s = W beta = g_field phi_a phi_b E + om phi_g (beta the bright
+        amplitude), P = h sinc(x), Q = -(h^2/2) (sin(x/2)/(x/2))^2 and
+        C = cos(x), the bright change over W is c = Q s + i P phi_e, and
+            phi_e <- i P s + C phi_e,  E <- E + g_signal (phi_a phi_b)* c,
+            phi_g <- phi_g + om c.
+        The code carries -i s and -i c, which folds each factor i into a
+        scalar.  At W = 0 both G and om vanish, so E and phi_g keep their
+        values whatever c is, and phi_e keeps its own."""
+        mul, add = np.multiply, np.add
+        E, a, b, e, g = y
+        ab, s, c, tmp = self.ab, self.s, self.c, self.tmp
+        q, sh, ch, sq, mix = self.q, self.sh, self.ch, self.sq, self.mix
+        mul(a, b, ab)
+        np.square(self.ab_ri, self.sq2)
+        add(self.sq2_re, self.sq2_im, q)
+        mul(q, (0.5 * h * self.g_pair) ** 2, q)
+        add(q, (0.5 * h * om) ** 2, q)
+        np.sqrt(q, q)                         # x/2
+        # at least the smallest normal float: sin(q)/q is then 1, not 0/0, at W = 0
+        np.maximum(q, _TINY, out=q)
+        np.sin(q, sh)
+        np.cos(q, ch)
+        np.divide(sh, q, sq)                  # sin(x/2)/(x/2)
+        mul(sq, h, q)
+        mul(q, ch, q)                         # P = h sinc(x)
+        mul(sq, sq, sq)
+        mul(sq, -0.5 * h * h, sq)             # Q
+        mul(sh, sh, mix)
+        mul(mix, -2.0, mix)
+        add(mix, 1.0, mix)                    # C = 1 - 2 sin^2(x/2)
+        mul(ab, E, s)
+        mul(s, -1j * self.g_field, s)
+        mul(g, -1j * om, tmp)
+        add(s, tmp, s)                        # -i s
+        mul(sq, s, c)
+        mul(q, e, tmp)
+        add(c, tmp, c)                        # -i c = Q (-i s) + P e
+        mul(mix, e, tmp)
+        mul(q, s, self.e_new)
+        np.subtract(tmp, self.e_new, e)       # phi_e <- C e - P (-i s)
+        np.conjugate(ab, ab)
+        mul(ab, c, tmp)
+        mul(tmp, 1j * self.g_signal, tmp)
+        add(E, tmp, E)
+        mul(c, 1j * om, tmp)
+        add(g, tmp, g)
+
+    def pairs(self, y: np.ndarray, h: float) -> None:
+        """Flow B of y over h, in place: with x = |kappa| h,
+        (phi_a, phi_b) <- cosh(x) (phi_a, phi_b) + i h sinh(x)/x kappa (phi_b, phi_a)*.
+        Below (x^2 < _PAIR_SERIES_MAX everywhere) cosh and sinh(x)/x are
+        their series to x^4, exact to rounding; above, sinh(x)/x is taken at
+        x floored to the smallest normal float, so it never divides by 0."""
+        mul, add = np.multiply, np.add
+        E, a, b, e, g = y
+        kappa, r, ch, sc = self.s, self.q, self.ch, self.sq
+        np.conjugate(E, kappa)
+        mul(kappa, e, kappa)                  # kappa / g_field
+        np.square(self.s_ri, self.sq2)
+        add(self.sq2_re, self.sq2_im, r)      # |kappa / g_field|^2
+        hh = (h * self.g_field) ** 2          # x^2 = hh r
+        if r.max() * hh < _PAIR_SERIES_MAX:
+            mul(r, hh * hh / 24.0, ch)
+            add(ch, 0.5 * hh, ch)
+            mul(ch, r, ch)
+            add(ch, 1.0, ch)                  # 1 + x^2/2 + x^4/24
+            mul(r, hh * hh / 120.0, sc)
+            add(sc, hh / 6.0, sc)
+            mul(sc, r, sc)
+            add(sc, 1.0, sc)                  # 1 + x^2/6 + x^4/120
+        else:
+            mul(r, hh, r)
+            np.sqrt(r, r)
+            np.maximum(r, _TINY, out=r)
+            np.cosh(r, ch)
+            np.sinh(r, sc)
+            np.divide(sc, r, sc)
+        mul(kappa, sc, kappa)
+        mul(kappa, 1j * h * self.g_field, kappa)
+        np.conjugate(y[2:0:-1], self.pair)    # rows phi_b*, phi_a*
+        mul(self.pair, kappa, self.pair)
+        mul(y[1:3], ch, y[1:3])
+        add(y[1:3], self.pair, y[1:3])
+
+    def phases(self, y: np.ndarray, tau: float) -> None:
+        """Flow D of y over tau, in place: the detuning phases of phi_a and phi_e."""
+        np.multiply(y[1], complex(math.cos(self.delta * tau), -math.sin(self.delta * tau)), y[1])
+        np.multiply(y[3], complex(math.cos(self.Delta * tau), -math.sin(self.Delta * tau)), y[3])
+
+    def half_step(self, y: np.ndarray, om: np.ndarray, h: float,
+                  opening: float, closing: float) -> None:
+        """len(om) split substeps of length h, in place, om the control at
+        each substep's midpoint: B(h/2) D(h/2) A D(h/2) B(h/2) per substep,
+        the two B halves between neighbouring substeps fused into B(h).
+        The first B runs for ``opening`` and the last for ``closing`` (h/2
+        each, unless the caller fuses a neighbour's B half into them; a
+        closing 0 leaves it to the caller)."""
+        self.pairs(y, opening)
+        for j, om_j in enumerate(om.tolist()):
+            if j:
+                self.pairs(y, h)
+            if self.detuned:
+                self.phases(y, 0.5 * h)
+            self.coupling(y, om_j, h)
+            if self.detuned:
+                self.phases(y, 0.5 * h)
+        if closing:
+            self.pairs(y, closing)
+
+
+def _rk4_matter_step(y: np.ndarray, p: MediumParams, n_z: int) -> Callable:
+    """The classical RK4 matter step of y (in place) for ``integrate_mean_field``:
+    returns ``step(om_stage, h)``, which takes len(om_stage) // 2 substeps of
+    length h, om_stage the control at every substep's start, midpoint and end.
 
     The four RK4 stages, the stage input, the update accumulator and the
-    right-hand side's scratch rows are allocated once per call and written
-    through the ufuncs' output arguments.  Every element keeps the operation order of
-    the plain expressions, e.g. ``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``,
-    so the buffered step reproduces them bit for bit.
+    right-hand side's scratch rows are allocated once and written through the
+    ufuncs' output arguments; the views that rhs reads and writes are taken
+    once too, so a substep allocates nothing.  Every element keeps the
+    operation order of the plain expressions, e.g.
+    ``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``, so the buffered step reproduces
+    them bit for bit.  The last argument of each ufunc call is its output.
     """
-    check_options(advection=advection)
-    lam = grid.cfl(p.c)
-    if lam > 1.0 + 1e-9:
-        raise ConfigError(f"grid.dt_us: CFL violation: c*dt/dz = {lam:.6g} > 1; "
-                          "reduce dt or use Grid1D.for_speed")
-    if not np.allclose(s0.z, grid.z):
-        raise ConfigError("initial state grid does not match the integration grid")
-
-    half_dt = 0.5 * grid.dt
-    controlled = substeps == 0 and p.lossless
-    if controlled:
-        w = _half_step_frequencies(s0.t, sched, p, grid)
-        n_steps = len(w) // 2
-        theta = _SUBSTEP_PHASE_TARGET
-        budget = 0.1 * CHARGE_DRIFT_LIMIT / n_steps
-    else:
-        counts = half_step_substeps(s0.t, sched, p, grid, substeps).tolist()
-        n_steps = len(counts) // 2
-
     g_field = p.g_tilde * math.sqrt(p.L)   # matter-equation coupling
     g_signal = g_field * p.L               # signal source-term coupling
     dec_a = -1j * p.delta - p.gamma_a
     dec_b = -p.gamma_b
     dec_e = -1j * p.Delta - p.gamma_e
     dec_g = -p.gamma_g
-    advect = _advect_upwind if advection == "upwind" else _advect_muscl
-    dz_over_L = grid.dz / p.L
 
-    y = np.array([s0.E, s0.phi_a, s0.phi_b, s0.phi_e, s0.phi_g], dtype=complex)
-    flux = float(s0.boundary_photon_flux)
-    taken = int(s0.rk4_substeps)
-    if controlled:
-        q = np.array(_charges(y, grid.dz, p.L))
-        scale = _drift_scale(q + [0.0, 0.0, flux])
-
-    # every buffer of the matter step, allocated once per call; the views
-    # that rhs reads and writes are taken once too, so a substep allocates
-    # nothing.  The last argument of each ufunc call is its output.
-    n_z = grid.n_z
     k1, k2, k3, k4, y_stage, acc = np.empty((6, 5, n_z), dtype=complex)
     conj = np.empty((3, n_z), dtype=complex)
     pair = np.empty((2, n_z), dtype=complex)
@@ -607,11 +707,9 @@ def integrate_mean_field(
     y_in, stage_in = reads(y), reads(y_stage)
     k1_out, k2_out, k3_out, k4_out = (writes(k) for k in (k1, k2, k3, k4))
 
-    def source_half(t0: float, m: int) -> None:
-        """m RK4 substeps of y in place: y + (h/6)(((k1 + 2 k2) + 2 k3) + k4)."""
-        h = half_dt / m
-        om_stage = np.asarray(sched.omega(t0 + 0.5 * h * np.arange(2 * m + 1)), dtype=float)
-        for j in range(m):
+    def step(om_stage: np.ndarray, h: float) -> None:
+        """Substeps of y in place: y + (h/6)(((k1 + 2 k2) + 2 k3) + k4)."""
+        for j in range(len(om_stage) // 2):
             om0, om1, om2 = om_stage[2 * j:2 * j + 3]
             rhs(om0, y_in, k1_out)
             add(y, mul(0.5 * h, k1, y_stage), y_stage)
@@ -625,44 +723,142 @@ def integrate_mean_field(
             add(acc, k4, acc)
             add(y, mul(h / 6.0, acc, acc), y)
 
-    def snapshot(t: float) -> MeanFieldState:
-        return MeanFieldState(t, grid.z, *y.copy(), boundary_photon_flux=flux,
-                              rk4_substeps=taken)
+    return step
 
-    def photons() -> float:
-        """The photon term sum(|E|^2) dz / L of Q3, whose change under
-        advection the drift controller leaves out."""
-        return float(np.vdot(y[0], y[0]).real) * dz_over_L
+
+def integrate_mean_field(
+    s0: MeanFieldState,
+    sched: ControlSchedule,
+    p: MediumParams,
+    grid: Grid1D,
+    *,
+    snapshot_stride: int = 10,
+    substeps: int = 0,
+    advection: str = "upwind",
+    inflow: Optional[Callable[[float], complex]] = None,
+) -> list[MeanFieldState]:
+    """Advance the coupled signal/matter equations to the grid horizon.
+
+    Strang splitting per outer step: half a matter/source step, one
+    advection step of the signal at speed c, half a matter/source step.
+    Each matter half-step is subcycled so the fastest frequency stays
+    resolved: it takes max(1, ceil(half_dt w / theta)) substeps of length h,
+    w its fastest frequency (``_half_step_frequencies``).
+
+    - A lossless automatic run (every gamma 0, ``substeps=0``) takes the
+      exact dark-state split of ``_DarkStateSplit``: per substep the Strang
+      composition B(h/2) D(h/2) A(h) D(h/2) B(h/2) of closed-form flows,
+      with the control of A at the substep midpoint.  The closing B(h/2)
+      of an outer step is fused into the opening B of the next (a snapshot
+      closes it on its own copy).  Q3 and Q1 - Q2 hold to rounding, so
+      theta is steered by Q1: Q1 is read after each first half-step (a
+      whole state), and after each outer step, once the fields are finite,
+      d is the relative change between the last two readings and theta
+      becomes ``_next_split_phase(theta, d, b, half_dt w_next)`` with
+      b = 0.5 CHARGE_DRIFT_LIMIT / max(outer steps, _DRIFT_STEPS_MIN) and
+      w_next the next step's larger half-step frequency: above that phase
+      each of its half-steps takes one substep already, so theta cannot
+      wind up.  theta starts at 0.1 rad.
+    - Otherwise the matter/source system is integrated pointwise with
+      classical RK4 (``_rk4_matter_step``): with decay and ``substeps=0`` theta
+      is the fixed 0.1 rad of ``half_step_substeps``; a positive count gives
+      every half-step that count.
+
+    The state is one (5, n_z) array with rows E, phi_a, phi_b, phi_e, phi_g;
+    row 0 alone is advected.  Snapshots (copies, one ``MeanFieldState``
+    field per row, with the cumulative flux and substep count) are emitted
+    every ``snapshot_stride`` outer steps; ``s0`` is not changed.
+    """
+    check_options(advection=advection)
+    lam = grid.cfl(p.c)
+    if lam > 1.0 + 1e-9:
+        raise ConfigError(f"grid.dt_us: CFL violation: c*dt/dz = {lam:.6g} > 1; "
+                          "reduce dt or use Grid1D.for_speed")
+    if not np.allclose(s0.z, grid.z):
+        raise ConfigError("initial state grid does not match the integration grid")
+
+    half_dt = 0.5 * grid.dt
+    split = substeps == 0 and p.lossless
+    if split:
+        w = _half_step_frequencies(s0.t, sched, p, grid)
+        n_steps = len(w) // 2
+        theta = _SUBSTEP_PHASE_TARGET
+        budget = 0.5 * CHARGE_DRIFT_LIMIT / max(n_steps, _DRIFT_STEPS_MIN)
+    else:
+        counts = half_step_substeps(s0.t, sched, p, grid, substeps).tolist()
+        n_steps = len(counts) // 2
+
+    advect = _advect_upwind if advection == "upwind" else _advect_muscl
+    dz_over_L = grid.dz / p.L
+
+    y = np.array([s0.E, s0.phi_a, s0.phi_b, s0.phi_e, s0.phi_g], dtype=complex)
+    flux = float(s0.boundary_photon_flux)
+    taken = int(s0.rk4_substeps)
+
+    if split:
+        flows = _DarkStateSplit(p, grid.n_z)
+
+        def q1() -> float:
+            return float((np.vdot(y[1], y[1]) + np.vdot(y[3:], y[3:])).real) * grid.dz
+
+        q = q1()
+        scale = abs(q) or 1.0   # as in charge_drifts: absolute where Q1 is 0
+        # the phase at which every half-step of step n takes one substep
+        ceilings = (half_dt * np.maximum(w[0::2], w[1::2])).tolist()
+
+        def matter_half(t0: float, m: int, defer: bool) -> None:
+            # a deferred closing B(h/2) is fused into the next step's opening B
+            nonlocal deferred
+            h = half_dt / m
+            flows.half_step(y, np.asarray(sched.omega(t0 + h * (np.arange(m) + 0.5)),
+                                          dtype=float), h,
+                            deferred + 0.5 * h, 0.0 if defer else 0.5 * h)
+            deferred = 0.5 * h if defer else 0.0
+    else:
+        rk4 = _rk4_matter_step(y, p, grid.n_z)
+
+        def matter_half(t0: float, m: int, defer: bool) -> None:
+            h = half_dt / m
+            rk4(np.asarray(sched.omega(t0 + 0.5 * h * np.arange(2 * m + 1)), dtype=float), h)
+
+    # the B time the split still owes the state y, always 0 under RK4
+    deferred = 0.0
+
+    def snapshot(t: float) -> MeanFieldState:
+        fields = y.copy()
+        if deferred:
+            flows.pairs(fields, deferred)   # the state at t itself
+        return MeanFieldState(t, grid.z, *fields, boundary_photon_flux=flux,
+                              rk4_substeps=taken)
 
     snaps = [snapshot(s0.t)]
     # divergence is caught by the finiteness check; silence the overflow
-    # chatter a diverging RK4 emits on the way there
+    # chatter a diverging step emits on the way there
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             t0 = s0.t + n * grid.dt
             m0, m1 = (_substep_counts(half_dt, w[2 * n:2 * n + 2], theta).tolist()
-                      if controlled else counts[2 * n:2 * n + 2])
-            source_half(t0, m0)
+                      if split else counts[2 * n:2 * n + 2])
+            matter_half(t0, m0, False)
+            if split:
+                # Q1 at a whole state: after this half-step's closing B, where an
+                # outer step of matter evolution separates two readings
+                q_mid = q1()
             e_in = complex(inflow(t0 + grid.dt)) if inflow is not None else 0.0 + 0.0j
             out_val = y[0, -1]
-            advected = -photons()
             y[0] = advect(y[0], lam, e_in)
             flux += lam * dz_over_L * (abs(out_val) ** 2 - abs(e_in) ** 2)
-            advected += photons()
-            source_half(t0 + half_dt, m1)
+            matter_half(t0 + half_dt, m1, n < n_steps - 1)
             taken += m0 + m1
             finite = np.isfinite(y)
             if not finite.all():
                 # row-major: the first bad column of the first row that has one
                 raise NumericsError("non-finite field value", t=t0 + grid.dt,
                                     index=int(np.nonzero(~finite)[1][0]))
-            if controlled:
-                q_end = np.array(_charges(y, grid.dz, p.L))
-                change = q_end - q
-                change[2] -= advected
-                theta = _next_phase_target(theta, float(np.max(np.abs(change) / scale)),
-                                           budget)
-                q = q_end
+            if split:
+                theta = _next_split_phase(theta, abs(q_mid - q) / scale, budget,
+                                          ceilings[n + 1] if n + 1 < n_steps else 0.0)
+                q = q_mid
             if (n + 1) % snapshot_stride == 0 or n == n_steps - 1:
                 snaps.append(snapshot(t0 + grid.dt))
     return snaps

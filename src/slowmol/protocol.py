@@ -160,7 +160,7 @@ def run_storage_retrieval(
     the stored molecular profile (the snapshot nearest the middle of the
     storage span) against -E_in/sqrt(L) (shift-aligned residual), the
     retrieved-vs-input fidelity and efficiency, the analytic velocity
-    curve, the feasibility margins, and the run's outer steps, the RK4
+    curve, the feasibility margins, and the run's outer steps, the matter
     substeps it took, its CFL number and worst charge drifts.  Refuses to
     run when the feasibility gate fails, unless forced.  A lossless run
     (every gamma 0) conserves the charges, so a worst drift above

@@ -1,9 +1,22 @@
+import atexit
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from slowmol import ControlSchedule, Grid1D, MediumParams, SignalEnvelope
+
+# Hypothesis keeps its example database, its constants cache (written while a
+# @given test is collected) and the patches of failing examples under its home
+# directory, .hypothesis/ in the working directory by default.  Point it at a
+# scratch directory now, before any test module is collected, so that a test
+# run writes nothing into the tree.
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="slowmol-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
 
 
 @pytest.fixture

@@ -19,9 +19,7 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from slowmol import cli
 from slowmol.config import EXPERIMENTS, RunConfig
@@ -87,16 +85,6 @@ def cases(draw):
     experiment = draw(st.sampled_from(EXPERIMENTS))
     keys = draw(st.lists(st.sampled_from(sorted(DRAWN)), min_size=1, max_size=3, unique=True))
     return experiment, [f"{key}={draw(DRAWN[key])}" for key in keys]
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _scratch_hypothesis_home(tmp_path_factory):
-    """``database=None`` turns the example database off; Hypothesis's other
-    files (caches, and the patch it writes for a failing example) go to a
-    scratch directory, so the property writes nothing under .hypothesis/."""
-    set_hypothesis_home_dir(tmp_path_factory.mktemp("hypothesis"))
-    yield
-    set_hypothesis_home_dir(None)
 
 
 @settings(derandomize=True, max_examples=120, database=None, deadline=None)
