@@ -65,11 +65,24 @@ def _gnuplot(config: RunConfig, curve_files: list[str]) -> dict:
         "set xlabel 't (us)'", "set ylabel 'v_g / c'", f"plot {plots}"])}
 
 
+def _shared_cells(column) -> list[str]:
+    """The cells of a column that many tables share, formatted once:
+    ``write_csv`` passes a list of strings through, so no table formats
+    them again."""
+    return list(format_column(column))
+
+
 def _curve_files(reports: list[ExperimentReport], curve_ids: list[str],
                  tags: list, summary: list[str], config: RunConfig) -> dict:
-    """One curve CSV per sweep report, their manifest, summary and plot."""
+    """One curve CSV per sweep report, their manifest, summary and plot.
+    A column that is the same array in every report (the sweep's t and
+    Omega) is formatted once for all curves; each curve's own column is
+    formatted only when its file is written."""
     names = [f"curve_{cid}.csv" for cid in curve_ids]
-    files = {name: (_CURVE_COLUMNS, [rep.series[k] for k in _CURVE_COLUMNS])
+    first = reports[0].series
+    shared = {k: _shared_cells(first[k]) for k in _CURVE_COLUMNS
+              if all(rep.series[k] is first[k] for rep in reports)}
+    files = {name: (_CURVE_COLUMNS, [shared.get(k, rep.series[k]) for k in _CURVE_COLUMNS])
              for name, rep in zip(names, reports)}
     files["manifest.csv"] = (["curve_id", "eta_or_kind", "file"],
                              [curve_ids, tags, names])
@@ -83,7 +96,7 @@ def _frame_files(prefix: str, stem: str, z: np.ndarray, frames, header: list[str
     Every frame table opens with the same ``z_um`` column, formatted once
     here; ``columns(frame)`` builds the rest of a frame's table only when
     its file is written."""
-    z_cells = list(format_column(z))
+    z_cells = _shared_cells(z)
 
     def table(frame):
         return [z_cells, *columns(frame)]
@@ -275,17 +288,14 @@ def run_gpe_soliton(config: RunConfig) -> ExperimentReport:
     main_track = min(
         (tr for tr in trajectories if len(tr) >= 2),
         key=lambda tr: abs(tr.positions[0] - spec.z0), default=None)
-    n0, n1 = frames[0].norm(), frames[-1].norm()
-    # healing_alpha demands u_gg > 0 and a background, so e0 > 0
-    e0, e1 = (gpe_mod.energy_functional(wf, p) for wf in (frames[0], frames[-1]))
     lines = [
         f"q = {fmt_float(spec.q)}",
         f"sound_speed_um_per_us = {fmt_float(v_s)}",
         f"expected_speed_um_per_us = {fmt_float(v_expected)}",
-        f"norm_initial = {fmt_float(n0)}",
-        f"norm_final = {fmt_float(n1)}",
-        f"norm_drift = {fmt_float(abs(n1 - n0) / n0)}",
-        f"energy_drift = {fmt_float(abs(e1 - e0) / e0)}",
+        f"norm_initial = {fmt_float(frames[0].norm())}",
+        f"norm_final = {fmt_float(frames[-1].norm())}",
+        *(f"{key} = {fmt_float(val)}"
+          for key, val in gpe_mod.conservation_drifts(frames, p).items()),
         f"min_density_final = {fmt_float(float(frames[-1].density().min()))}",
         f"expected_min_density = {fmt_float((1.0 - spec.q**2) * p.background_amp**2)}",
     ]

@@ -356,27 +356,35 @@ def _format_value(value) -> str:
 
 
 def _apply_pairs(config: RunConfig, pairs: list[tuple[str, str]]) -> RunConfig:
+    """``config`` with ``pairs`` applied in order, so a repeated key's last
+    value wins and the first bad key is the one reported.  The values are
+    collected per section, and each touched section is replaced once."""
+    top: dict = {}
+    sections: dict[str, dict] = {}
+
+    def put(key: str, value) -> None:
+        section_name, field_name, _ = _KEYS[key]
+        sections.setdefault(section_name, {})[field_name] = value
+
     # the preset rewires defaults, so resolve it before any other key
     for key, raw in pairs:
         if key == "preset":
-            preset = raw.strip()  # validate rejects a name outside PRESETS
-            config = replace(config, preset=preset)
-            if preset == "desk-storage":
-                config = _apply_pairs(
-                    config, [(k, _format_value(v)) for k, v in _DESK_STORAGE_PRESET.items()])
+            top["preset"] = raw.strip()  # validate rejects a name outside PRESETS
+            if top["preset"] == "desk-storage":
+                for preset_key, value in _DESK_STORAGE_PRESET.items():
+                    put(preset_key, value)
     for key, raw in pairs:
         if key == "preset":
             continue
         if key == "experiment":
-            config = replace(config, experiment=raw.strip())
+            top["experiment"] = raw.strip()
             continue
         if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}")
-        section_name, field_name, pytype = _KEYS[key]
-        value = _parse_value(key, raw, pytype)
-        section = replace(getattr(config, section_name), **{field_name: value})
-        config = replace(config, **{section_name: section})
-    return config
+        put(key, _parse_value(key, raw, _KEYS[key][2]))
+    for section_name, values in sections.items():
+        top[section_name] = replace(getattr(config, section_name), **values)
+    return replace(config, **top)
 
 
 def parse_pairs(pairs: list[tuple[str, str]], base: RunConfig | None = None) -> RunConfig:

@@ -266,6 +266,16 @@ def energy_functional(wf: WaveFunction, p: GpeParams) -> float:
     return float(np.sum(integrand) * wf.dz)
 
 
+def conservation_drifts(frames: Sequence[WaveFunction], p: GpeParams) -> dict[str, float]:
+    """``norm_drift`` and ``energy_drift``: the relative change of the norm
+    and of ``energy_functional`` from the first frame to the last.  The
+    energy is positive wherever ``healing_alpha(p)`` holds (u_gg > 0 and a
+    background), as every GPE experiment checks."""
+    n0, n1 = frames[0].norm(), frames[-1].norm()
+    e0, e1 = (energy_functional(wf, p) for wf in (frames[0], frames[-1]))
+    return {"norm_drift": abs(n1 - n0) / n0, "energy_drift": abs(e1 - e0) / e0}
+
+
 def split_step_evolve(
     psi0: WaveFunction,
     p: GpeParams,
@@ -551,5 +561,6 @@ def soliton_split_experiment(
         "v_right": right.fit_speed(),
         "v_expected": v_expected,
         "separation_monotone": float(monotone),
+        **conservation_drifts(frames, p),
     }
     return report

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from slowmol import cli
+from slowmol import cli, protocol
+from slowmol import reports as reports_mod
 from slowmol.cli import main, run
 from slowmol.config import load_config
 from slowmol.dynamics import half_step_substeps
 from slowmol.errors import ConfigError
+from slowmol.reports import format_column, write_csv
 from conftest import read_csv
 
 KRB_ARGS = ["--set", "medium.g_tilde_rad_per_us=5e-5",
@@ -143,6 +145,8 @@ def test_gpe_split_outputs(tmp_path):
     assert code == 0
     summary = read_summary(out)
     assert summary["succeeded"] == "1.0"
+    assert float(summary["norm_drift"]) <= 1e-10 * 6.0  # criterion 7, 6 us
+    assert float(summary["energy_drift"]) <= 1e-6
     traj = (out / "trajectory.csv").read_text().splitlines()
     assert traj[0] == "t_us,dip_index,z_um,speed_um_per_us"
     assert (out / "separation.csv").exists()
@@ -366,6 +370,60 @@ def test_rerun_is_byte_identical(tmp_path):
     for fname in ("manifest.csv", "summary.txt", "curve_eta00.csv",
                   "curve_eta01.csv", "curve_eta02.csv", "config.txt"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def _capture_sweep(monkeypatch, name):
+    """Wrap ``protocol.<name>`` so the sweep reports it returns are kept."""
+    captured = []
+    inner = getattr(protocol, name)
+    monkeypatch.setattr(protocol, name,
+                        lambda *a, **k: captured.extend(inner(*a, **k)) or captured)
+    return captured
+
+
+SWEEPS = {"imbalance": ("imbalance_sweep", ["sweep.etas=0.5,1,2,4,8,15"]),
+          "mediums": ("medium_comparison", [])}
+
+
+@pytest.mark.parametrize("experiment", sorted(SWEEPS))
+def test_every_curve_is_its_own_series_written_alone(tmp_path, monkeypatch, experiment):
+    sweep, settings = SWEEPS[experiment]
+    reports = _capture_sweep(monkeypatch, sweep)
+    out = tmp_path / experiment
+    assert main([experiment, "--out", str(out),
+                 *[arg for setting in settings for arg in ("--set", setting)]]) == 0
+    files = [line.split(",")[2] for line in
+             (out / "manifest.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(files) == len(reports) == {"imbalance": 6, "mediums": 4}[experiment]
+    for name, rep in zip(files, reports):
+        write_csv(tmp_path / "alone.csv", cli._CURVE_COLUMNS,
+                  [rep.series[k] for k in cli._CURVE_COLUMNS])
+        assert (out / name).read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_etas", [1, 2, 6])
+def test_a_sweep_formats_its_shared_columns_once(tmp_path, monkeypatch, n_etas):
+    reports = _capture_sweep(monkeypatch, "imbalance_sweep")
+    formatted = []
+
+    def counting(column):
+        formatted.append(column)
+        return format_column(column)
+
+    for module in (cli, reports_mod):
+        monkeypatch.setattr(module, "format_column", counting)
+    etas = ",".join(str(2.0**i) for i in range(n_etas))
+    assert main(["imbalance", "--out", str(tmp_path / "imb"), "--set", f"sweep.etas={etas}",
+                 "--set", "curve.points=11"]) == 0
+
+    def times(column):
+        return sum(col is column for col in formatted)
+
+    assert len(reports) == n_etas
+    for key in ("t_us", "omega_rad_per_us"):
+        assert times(reports[0].series[key]) == 1
+    assert [times(rep.series["vg_over_c"]) for rep in reports] == [1] * n_etas
+    assert len(formatted) == 2 + n_etas + 1  # the manifest's eta column is the one other
 
 
 def test_run_api_rejects_unknown_experiment(tmp_path):

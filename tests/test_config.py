@@ -156,6 +156,24 @@ def test_load_config_with_overrides(tmp_path):
         load_config(None, ["oops"])
 
 
+def test_repeated_override_resolves_last_wins():
+    cfg = load_config(None, ["medium.n_a=2e6", "grid.n_z=256", "medium.n_a=3e6",
+                             "experiment=store", "experiment=propagate"])
+    assert cfg.medium.n_a == 3e6
+    assert cfg.grid.n_z == 256
+    assert cfg.experiment == "propagate"
+    # the preset goes first wherever it stands; explicit keys then resolve in order
+    cfg = load_config(None, ["medium.n_a=5", "preset=desk-storage", "medium.n_a=7"])
+    assert (cfg.preset, cfg.medium.n_a, cfg.medium.n_b) == ("desk-storage", 7.0, 1000.0)
+
+
+def test_first_bad_key_in_order_is_reported():
+    with pytest.raises(ConfigError, match="unknown key 'medium.bogus'"):
+        load_config(None, ["medium.bogus=1", "medium.n_a=abc"])
+    with pytest.raises(ConfigError, match="medium.n_a: cannot parse 'abc'"):
+        load_config(None, ["medium.n_a=abc", "medium.bogus=1"])
+
+
 _GRID = {"z_min": 0.0, "z_max": 1.0, "n_z": 32, "dt": 0.1, "t_end": 1.0}
 _RAMP = {"omega0": 1.0, "t_down": 1.0, "t_up": 2.0, "rate": 1.0}
 _GPE = {"m_a": 0.5, "m_b": 0.5}
