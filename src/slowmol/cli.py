@@ -354,11 +354,16 @@ def run(config: RunConfig, out_dir: str | Path) -> None:
     at the end; the move fails if ``out_dir`` gained files meanwhile.
     """
     out_dir = Path(out_dir)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"--out {out_dir} is a file, not a directory")
     if out_dir.exists() and any(out_dir.iterdir()):
         raise ConfigError(f"output directory {out_dir} already exists and is not empty")
     runner = _RUNNERS[config.experiment]
     work = out_dir.parent / f"{out_dir.name}.{os.urandom(6).hex()}.partial"
-    work.mkdir(parents=True)
+    try:
+        work.mkdir(parents=True)
+    except NotADirectoryError as exc:
+        raise ConfigError(f"--out {out_dir} lies under a file: {exc}") from exc
     try:
         write_report(runner(config), work)
         try:

@@ -9,6 +9,9 @@ report always serializes to byte-identical files.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
@@ -135,15 +138,118 @@ class ExperimentReport:
         return lines
 
 
-def write_report(report: ExperimentReport, outdir: Path) -> None:
-    """Write every entry of ``report.files`` under ``outdir``."""
-    outdir = Path(outdir)
-    for name, content in report.files.items():
+# A report with at least this many tables is written by several processes.
+# Forking and reaping one writer costs 2.0-2.6 ms on a 2-vCPU host, and the
+# cheapest table measured, a 200-point sweep curve, takes 0.24 ms to write:
+# the 16 tables a second process takes from 32 save 3.8 ms.  Frame and
+# snapshot tables take 0.4-4 ms each.  Every analytic request (at most 7
+# tables) stays in one process; the desk store (76) and a default
+# gpe-soliton run (103) fork.
+_FORK_MIN_TABLES = 32
+_MAX_WRITERS = 4
+
+
+def _write_share(outdir: Path, entries) -> None:
+    for name, content in entries:
         path = outdir / name
-        if "/" in name:
-            path.parent.mkdir(parents=True, exist_ok=True)
         if isinstance(content, str):
             path.write_text(content, encoding="utf-8")
         else:
             header, columns = content
             write_csv(path, header, columns() if callable(columns) else columns)
+
+
+def _writer_count(files: dict) -> int:
+    """How many processes write ``files``: one per CPU this process may run
+    on, at most ``_MAX_WRITERS``, for a report of at least
+    ``_FORK_MIN_TABLES`` tables; otherwise, or where forking is unsafe (a
+    second thread is alive) or unsupported, one."""
+    tables = sum(not isinstance(content, str) for content in files.values())
+    if (tables < _FORK_MIN_TABLES or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() != 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), _MAX_WRITERS)
+
+
+def _fork_writer(outdir: Path, share) -> tuple[int, int]:
+    """Fork a process that writes ``share`` and exits; return its pid and the
+    read end of a pipe that carries its exception, pickled, if it fails."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # never return into the caller's stack: its handlers and cleanup
+        # belong to the parent
+        status = 1
+        try:
+            os.close(read_fd)
+            _write_share(outdir, share)
+            status = 0
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps(exc)
+                pickle.loads(payload)  # the parent must be able to rebuild it
+            except Exception:  # e.g. a class defined inside a function
+                payload = pickle.dumps(OSError(f"{type(exc).__qualname__}: {exc}"))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(payload)
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _reap(pid: int, read_fd: int) -> Optional[BaseException]:
+    """Wait for one writer; return its failure, or None if it succeeded."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        payload = pipe.read()  # to EOF before waiting, so a long payload cannot block
+    _, status = os.waitpid(pid, 0)
+    if payload:
+        return pickle.loads(payload)
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        import signal  # only a killed writer needs the signal names
+
+        return OSError(f"report writer {pid} killed by signal {-code} "
+                       f"({signal.strsignal(-code)})")
+    if code:
+        return OSError(f"report writer {pid} exited with status {code}")
+    return None
+
+
+def write_report(report: ExperimentReport, outdir: Path) -> None:
+    """Write every entry of ``report.files`` under ``outdir``.
+
+    A report of at least ``_FORK_MIN_TABLES`` tables is written by one
+    process per CPU that this process may run on (``os.sched_getaffinity``),
+    at most ``_MAX_WRITERS``, and only while no second thread is alive.
+    This process makes every directory, forks writer *i* for the entries
+    ``[i::k]``, writes share 0 itself and then waits for every writer, also
+    when its own share failed, so no writer outlives the call.  No table
+    text crosses processes, and every file holds the same bytes as a
+    one-process write.  A writer's exception is raised here with its type
+    and message; one that pickle cannot carry, or a writer killed by a
+    signal, raises ``OSError`` naming it.
+    """
+    outdir = Path(outdir)
+    entries = list(report.files.items())
+    for parent in {(outdir / name).parent for name, _ in entries if "/" in name}:
+        parent.mkdir(parents=True, exist_ok=True)
+    k = _writer_count(report.files)
+    writers = []
+    failures = []
+    try:
+        for i in range(1, k):
+            writers.append(_fork_writer(outdir, entries[i::k]))
+        _write_share(outdir, entries[::k])
+    finally:
+        for pid, read_fd in writers:
+            failure = _reap(pid, read_fd)
+            if failure is not None:
+                failures.append(failure)
+    if failures:
+        raise failures[0]

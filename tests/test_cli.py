@@ -250,10 +250,11 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
+    # nor a process pool: the report writer forks with os alone
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import sys, slowmol.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, slowmol.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('scipy', 'multiprocessing', 'concurrent')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
@@ -347,6 +348,16 @@ def test_refuses_nonempty_output_dir(tmp_path):
     (out / "stale.txt").write_text("old results")
     assert main(["groupvel", "--out", str(out)]) == 2
     assert (out / "stale.txt").exists()  # untouched
+
+
+def test_an_out_that_is_a_file_exits_2(tmp_path, capsys):
+    existing = tmp_path / "results.txt"
+    existing.write_text("old results")
+    for out in (existing, existing / "sub"):
+        assert main(["groupvel", "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [existing]
+    assert existing.read_text() == "old results"  # untouched
 
 
 def test_no_partial_outputs_on_failure(tmp_path):

@@ -28,6 +28,7 @@ from slowmol import (
     u_gg_from_scattering_length,
     v_ext_for_zero_effective,
 )
+from slowmol.gpe import _spectral_tail
 
 P = GpeParams.soliton_units()
 
@@ -494,3 +495,14 @@ def test_split_failure_reports_diagnostics():
                                    snapshot_stride=1)
     assert rep.scalars["succeeded"] == 0.0
     assert "n_trajectories" in rep.scalars
+
+
+@pytest.mark.parametrize("n_z", [255, 256, 2048])
+def test_the_spectral_tail_is_one_slice_of_the_fft_order(n_z):
+    k = 2.0 * math.pi * np.fft.fftfreq(n_z, d=0.37)
+    mask = np.abs(k) >= 0.9 * float(np.max(np.abs(k)))
+    tail = _spectral_tail(k)
+    assert np.array_equal(np.arange(n_z)[tail], np.flatnonzero(mask))
+    spec = np.exp(1j * np.arange(n_z)) * np.linspace(1.0, 2.0, n_z)
+    assert np.vdot(spec[tail], spec[tail]).real == pytest.approx(
+        float(np.sum(np.abs(spec[mask]) ** 2)), rel=1e-14)
