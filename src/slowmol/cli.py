@@ -35,7 +35,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, FeasibilityRefused, NumericsError, StoppedLightError
 from .medium import group_velocity_with_decay, mixing_angle, velocity_floor
-from .reports import ExperimentReport, fmt_float, format_column, write_report
+from .reports import ExperimentReport, fmt_float, format_column, scalar_lines, write_report
 
 _CURVE_COLUMNS = ["t_us", "omega_rad_per_us", "vg_over_c"]
 
@@ -65,13 +65,6 @@ def _gnuplot(config: RunConfig, curve_files: list[str]) -> dict:
         "set xlabel 't (us)'", "set ylabel 'v_g / c'", f"plot {plots}"])}
 
 
-def _shared_cells(column) -> list[str]:
-    """The cells of a column that many tables share, formatted once:
-    ``write_csv`` passes a list of strings through, so no table formats
-    them again."""
-    return list(format_column(column))
-
-
 def _curve_files(reports: list[ExperimentReport], curve_ids: list[str],
                  tags: list, summary: list[str], config: RunConfig) -> dict:
     """One curve CSV per sweep report, their manifest, summary and plot.
@@ -80,7 +73,7 @@ def _curve_files(reports: list[ExperimentReport], curve_ids: list[str],
     formatted only when its file is written."""
     names = [f"curve_{cid}.csv" for cid in curve_ids]
     first = reports[0].series
-    shared = {k: _shared_cells(first[k]) for k in _CURVE_COLUMNS
+    shared = {k: format_column(first[k]) for k in _CURVE_COLUMNS
               if all(rep.series[k] is first[k] for rep in reports)}
     files = {name: (_CURVE_COLUMNS, [shared.get(k, rep.series[k]) for k in _CURVE_COLUMNS])
              for name, rep in zip(names, reports)}
@@ -96,7 +89,7 @@ def _frame_files(prefix: str, stem: str, z: np.ndarray, frames, header: list[str
     Every frame table opens with the same ``z_um`` column, formatted once
     here; ``columns(frame)`` builds the rest of a frame's table only when
     its file is written."""
-    z_cells = _shared_cells(z)
+    z_cells = format_column(z)
 
     def table(frame):
         return [z_cells, *columns(frame)]
@@ -105,7 +98,7 @@ def _frame_files(prefix: str, stem: str, z: np.ndarray, frames, header: list[str
     files = {prefix + name: (["z_um", *header], functools.partial(table, frame))
              for name, frame in zip(names, frames)}
     files[prefix + stem + "s.csv"] = (["index", "t_us", "file"], [
-        [str(i) for i in range(len(frames))], [frame.t for frame in frames], names])
+        list(map(fmt_float, range(len(frames)))), [frame.t for frame in frames], names])
     return files
 
 
@@ -124,7 +117,7 @@ def _trajectory_table(tracks) -> tuple[list[str], list]:
     for idx, (t, x) in enumerate(tracks):
         t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
         speed = np.gradient(x, t) if len(t) > 1 else np.zeros_like(x)
-        for col, values in zip(cols, (t, [str(idx)] * len(t), x, speed)):
+        for col, values in zip(cols, (t, [fmt_float(idx)] * len(t), x, speed)):
             col.extend(values)
     return ["t_us", "dip_index", "z_um", "speed_um_per_us"], cols
 
@@ -135,22 +128,21 @@ def run_groupvel(config: RunConfig) -> ExperimentReport:
     t = _curve_grid(config)
     omega = np.asarray(sched.omega(t), dtype=float)
     vg = protocol.velocity_curve(p, sched, t)
-    lines = [
-        f"plateau_omega_rad_per_us = {fmt_float(sched.plateau)}",
-        f"mixing_angle_at_plateau_rad = {fmt_float(mixing_angle(p, sched.plateau))}",
-        f"vg_at_plateau_m_per_s = {fmt_float(group_velocity_with_decay(p, sched.plateau))}",
-        f"gamma1_rad_per_us = {fmt_float(p.gamma1)}",
-        f"gamma2_rad_per_us = {fmt_float(p.gamma2)}",
-    ]
+    summary = {
+        "plateau_omega_rad_per_us": sched.plateau,
+        "mixing_angle_at_plateau_rad": mixing_angle(p, sched.plateau),
+        "vg_at_plateau_m_per_s": group_velocity_with_decay(p, sched.plateau),
+        "gamma1_rad_per_us": p.gamma1,
+        "gamma2_rad_per_us": p.gamma2,
+    }
     if p.gamma1 * p.gamma2 > 0:
         floor = velocity_floor(p)
-        lines.append(f"velocity_floor_m_per_s = {fmt_float(floor)}")
-        lines.append(f"velocity_floor_km_per_s = {fmt_float(floor * 1e-3)}")
+        summary.update(velocity_floor_m_per_s=floor, velocity_floor_km_per_s=floor * 1e-3)
     else:
-        lines.append("velocity_floor_m_per_s = none (no decay floor)")
+        summary["velocity_floor_m_per_s"] = "none (no decay floor)"
     return _report(config, {
         "velocity_curve.csv": (_CURVE_COLUMNS, [t, omega, vg / p.c]),
-        "summary.txt": _text(lines),
+        "summary.txt": _text(scalar_lines(summary)),
         **_gnuplot(config, ["velocity_curve.csv"]),
     })
 
@@ -175,19 +167,17 @@ def run_propagate(config: RunConfig) -> ExperimentReport:
                    - config.pulse.center_um)
     peak_meas = float(np.max(np.abs(last.E)) / np.max(np.abs(snaps[0].E)))
     peak_pred = amplitude_ratio(p, sched, last.t)
-    # reported, never gated: a cfl < 1 scheme dissipates Q3 by design
-    diagnostics = [f"{key} = {fmt_float(val) if isinstance(val, float) else val}"
-                   for key, val in integration_diagnostics(snaps, p, grid).items()]
     return _report(config, {
         **_snapshot_files("", grid.z, snaps, ("E", "phi_a", "phi_b", "phi_e", "phi_g")),
-        "summary.txt": _text([
-            f"t_end_us = {fmt_float(last.t)}",
-            f"travel_measured_um = {fmt_float(travel_meas)}",
-            f"travel_predicted_um = {fmt_float(travel_pred)}",
-            f"peak_ratio_measured = {fmt_float(peak_meas)}",
-            f"peak_ratio_predicted = {fmt_float(peak_pred)}",
-            *diagnostics,
-        ]),
+        "summary.txt": _text(scalar_lines({
+            "t_end_us": last.t,
+            "travel_measured_um": travel_meas,
+            "travel_predicted_um": travel_pred,
+            "peak_ratio_measured": peak_meas,
+            "peak_ratio_predicted": peak_pred,
+            # reported, never gated: a cfl < 1 scheme dissipates Q3 by design
+            **integration_diagnostics(snaps, p, grid),
+        })),
     })
 
 
@@ -241,9 +231,8 @@ def run_mediums(config: RunConfig) -> ExperimentReport:
     reports = protocol.medium_comparison(
         config.sweep.n_total, kinds, sched, p, t_grid=_curve_grid(config), n_scan=n_scan)
     names = [rep.params["medium_kind"] for rep in reports]
-    summary = [f"scaling_exponent_{name.replace('-', '_')} = "
-               f"{fmt_float(rep.scalars['scaling_exponent'])}"
-               for name, rep in zip(names, reports)]
+    summary = scalar_lines({f"scaling_exponent_{name.replace('-', '_')}":
+                            rep.scalars["scaling_exponent"] for name, rep in zip(names, reports)})
     return _report(config, _curve_files(reports, names, names, summary, config))
 
 
@@ -256,7 +245,7 @@ def run_feasibility(config: RunConfig) -> ExperimentReport:
     if p.gamma1 > 0:
         lines.append(f"gamma1_inverse_ms = {fmt_float(1e-3 / p.gamma1)}")
     lines.extend(rep.summary_lines())
-    lines.append(f"all_ok = {'true' if rep.all_ok else 'false'}")
+    lines.append(f"all_ok = {fmt_float(rep.all_ok)}")
     names = sorted(rep.margins)
     return _report(config, {
         "summary.txt": _text(lines),
@@ -288,24 +277,23 @@ def run_gpe_soliton(config: RunConfig) -> ExperimentReport:
     main_track = min(
         (tr for tr in trajectories if len(tr) >= 2),
         key=lambda tr: abs(tr.positions[0] - spec.z0), default=None)
-    lines = [
-        f"q = {fmt_float(spec.q)}",
-        f"sound_speed_um_per_us = {fmt_float(v_s)}",
-        f"expected_speed_um_per_us = {fmt_float(v_expected)}",
-        f"norm_initial = {fmt_float(frames[0].norm())}",
-        f"norm_final = {fmt_float(frames[-1].norm())}",
-        *(f"{key} = {fmt_float(val)}"
-          for key, val in gpe_mod.conservation_drifts(frames, p).items()),
-        f"min_density_final = {fmt_float(float(frames[-1].density().min()))}",
-        f"expected_min_density = {fmt_float((1.0 - spec.q**2) * p.background_amp**2)}",
-    ]
+    summary = {
+        "q": spec.q,
+        "sound_speed_um_per_us": v_s,
+        "expected_speed_um_per_us": v_expected,
+        "norm_initial": frames[0].norm(),
+        "norm_final": frames[-1].norm(),
+        **gpe_mod.conservation_drifts(frames, p),
+        "min_density_final": frames[-1].density().min(),
+        "expected_min_density": (1.0 - spec.q**2) * p.background_amp**2,
+    }
     if main_track is not None and len(main_track) > 2:
-        lines.append(f"measured_speed_um_per_us = {fmt_float(main_track.fit_speed())}")
+        summary["measured_speed_um_per_us"] = main_track.fit_speed()
     return _report(config, {
         **_frame_files("frames/", "frame", grid.z, frames, ["density", "phase"],
                        lambda wf: [wf.density(), np.angle(wf.psi)]),
         "trajectory.csv": _trajectory_table((tr.times, tr.positions) for tr in trajectories),
-        "summary.txt": _text(lines),
+        "summary.txt": _text(scalar_lines(summary)),
     })
 
 
@@ -318,8 +306,7 @@ def run_gpe_split(config: RunConfig) -> ExperimentReport:
         background_decay_rate=config.gpe.background_decay_per_us,
     )
     if not report.scalars.get("succeeded"):
-        diagnostics = ", ".join(f"{key} = {fmt_float(val)}"
-                                for key, val in sorted(report.scalars.items()))
+        diagnostics = ", ".join(scalar_lines(dict(sorted(report.scalars.items()))))
         raise NumericsError("soliton splitting did not produce two persistent dips "
                             f"({diagnostics})")
     series = report.series

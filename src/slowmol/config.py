@@ -21,6 +21,7 @@ from .gpe import (GpeParams, SolitonSpec, check_evolution, check_free_background
                   healing_alpha)
 from .medium import MediumKind, MediumParams, effective_pair_density, population_split
 from .protocol import check_durations
+from .reports import fmt_float
 from .schedule import ControlSchedule
 from .units import rad_per_us_from_hz
 
@@ -343,22 +344,11 @@ def _parse_value(key: str, text: str, pytype: type):
     raise ConfigError(f"{key}: unsupported value type {pytype!r}")
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
-    return str(value)
-
-
-def _apply_pairs(config: RunConfig, pairs: list[tuple[str, str]]) -> RunConfig:
-    """``config`` with ``pairs`` applied in order, so a repeated key's last
-    value wins and the first bad key is the one reported.  The values are
-    collected per section, and each touched section is replaced once."""
+def parse_pairs(pairs: list[tuple[str, str]]) -> RunConfig:
+    """The defaults with ``pairs`` applied in order and validated once, so a
+    repeated key's last value wins and the first bad key is the one
+    reported.  The values are collected per section, and each touched
+    section is replaced once."""
     top: dict = {}
     sections: dict[str, dict] = {}
 
@@ -382,18 +372,14 @@ def _apply_pairs(config: RunConfig, pairs: list[tuple[str, str]]) -> RunConfig:
         if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}")
         put(key, _parse_value(key, raw, _KEYS[key][2]))
+    config = RunConfig()
     for section_name, values in sections.items():
         top[section_name] = replace(getattr(config, section_name), **values)
-    return replace(config, **top)
+    return replace(config, **top).validate()
 
 
-def parse_pairs(pairs: list[tuple[str, str]], base: RunConfig | None = None) -> RunConfig:
-    config = RunConfig() if base is None else base
-    return _apply_pairs(config, pairs).validate()
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse a key-value document into a fully validated RunConfig."""
+def _document_pairs(text: str) -> list[tuple[str, str]]:
+    """The ``(key, raw value)`` pairs of a key-value document, in order."""
     pairs: list[tuple[str, str]] = []
     seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -408,7 +394,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
         pairs.append((key, raw))
-    return parse_pairs(pairs)
+    return pairs
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse a key-value document into a fully validated RunConfig."""
+    return parse_pairs(_document_pairs(text))
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -416,21 +407,29 @@ def serialize_config(config: RunConfig) -> str:
     lines = [f"experiment = {config.experiment}", f"preset = {config.preset}"]
     for key, (section_name, field_name, _) in _KEYS.items():
         value = getattr(getattr(config, section_name), field_name)
-        lines.append(f"{key} = {_format_value(value)}")
+        text = ",".join(map(fmt_float, value)) if isinstance(value, tuple) else fmt_float(value)
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 
 def load_config(path: str | Path | None,
                 overrides: list[str] | None = None) -> RunConfig:
-    """Config from an optional file plus repeatable key=value overrides,
-    validated once after the last override (a file alone, by its parse)."""
+    """Config from an optional file plus repeatable key=value overrides: the
+    file's pairs and then the overrides go to one ``parse_pairs``, so an
+    override may complete the file and an explicit key beats a preset."""
     pairs: list[tuple[str, str]] = []
+    if path is not None:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"--config {path}: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"--config {path} is not UTF-8 text ({exc.reason} at byte "
+                              f"{exc.start})") from exc
+        pairs = _document_pairs(text)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, _, raw = item.partition("=")
         pairs.append((key.strip(), raw))
-    if path is None:
-        return parse_pairs(pairs)
-    config = parse_config(Path(path).read_text(encoding="utf-8"))
-    return parse_pairs(pairs, base=config) if pairs else config
+    return parse_pairs(pairs)

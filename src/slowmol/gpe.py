@@ -280,13 +280,13 @@ def split_step_evolve(
     psi0: WaveFunction,
     p: GpeParams,
     grid: Grid1D,
-    t_end: Optional[float] = None,
     *,
     snapshot_stride: int = 10,
     nonlinearity: str = "self-consistent",
     background_decay_rate: float = 0.0,
 ) -> list[WaveFunction]:
-    """Symmetric (Strang) split-step spectral evolution of the molecular field.
+    """Symmetric (Strang) split-step spectral evolution of the molecular field,
+    ``grid.outer_steps`` steps of ``grid.dt`` to the grid's horizon.
 
     ``nonlinearity="self-consistent"`` uses U_gg |psi|^2 (the equation the
     analytic soliton solves); ``"frozen"`` uses the background density
@@ -314,9 +314,8 @@ def split_step_evolve(
     contiguous memory; the check reads the state and never changes it.
     """
     check_evolution(nonlinearity=nonlinearity, background_decay_rate=background_decay_rate)
-    horizon = grid.t_end if t_end is None else float(t_end)
     dt = grid.dt
-    n_steps = max(1, int(round(horizon / dt)))
+    n_steps = grid.outer_steps
     if n_steps > _MAX_OUTER_STEPS:
         raise ConfigError(f"gpegrid.t_end_us: {n_steps} steps requested; shorten the "
                           "horizon or take a longer dt")
@@ -490,7 +489,6 @@ def soliton_split_experiment(
     p: GpeParams,
     grid: Grid1D,
     *,
-    t_end: Optional[float] = None,
     z0: float = 0.0,
     seed_separation_widths: float = 3.0,
     snapshot_stride: int = 10,
@@ -516,7 +514,7 @@ def soliton_split_experiment(
         p, grid,
     )
     frames = split_step_evolve(
-        seed, p, grid, t_end,
+        seed, p, grid,
         snapshot_stride=snapshot_stride,
         background_decay_rate=background_decay_rate,
     )
@@ -548,20 +546,17 @@ def soliton_split_experiment(
 
     left, right = persistent[0], persistent[-1]
     common = sorted(set(left.times) & set(right.times))
-    sep = []
-    for t in common:
-        zl = left.positions[left.times.index(t)]
-        zr = right.positions[right.times.index(t)]
-        sep.append(zr - zl)
-    sep = np.asarray(sep)
+    z_left = np.asarray([left.positions[left.times.index(t)] for t in common])
+    z_right = np.asarray([right.positions[right.times.index(t)] for t in common])
+    sep = z_right - z_left
     skip = max(1, len(sep) // 5)  # ignore the seeding transient
     tol = float(grid.dz) * 0.5
     monotone = bool(np.all(np.diff(sep[skip:]) > -tol))
 
     report.series = {
         "t_us": np.asarray(common),
-        "z_left_um": np.asarray([left.positions[left.times.index(t)] for t in common]),
-        "z_right_um": np.asarray([right.positions[right.times.index(t)] for t in common]),
+        "z_left_um": z_left,
+        "z_right_um": z_right,
         "separation_um": sep,
     }
     report.scalars = {

@@ -1,9 +1,9 @@
 """Structured experiment results and their one writer.
 
 Every experiment returns an ``ExperimentReport`` whose ``files`` map holds
-each output file; ``write_report`` is the only code that writes them.  All
-numbers are written with shortest round-trip float formatting, so a given
-report always serializes to byte-identical files.
+each output file; ``write_report`` is the only code that writes them.  This
+module also makes the text of every number written, so a given report
+always serializes to byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,22 +14,34 @@ import pickle
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 
-def fmt_float(x: float) -> str:
-    """Canonical shortest round-trip representation of a float."""
-    return repr(float(x))
+def fmt_float(x) -> str:
+    """The text of any scalar written: a bool as ``true``/``false``, an
+    integer as its digits, a string as it is, and any other number as the
+    shortest round-trip ``repr`` of its Python float (a numpy float too)."""
+    if isinstance(x, float):  # the common case first, numpy's float64 included
+        return repr(float(x))
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(x)
+    return x if isinstance(x, str) else repr(float(x))
 
 
-def format_column(column) -> Iterator[str]:
-    """The cells of a float column, made lazily as a table's rows are joined:
-    ``repr`` of each value read as a Python float, the shortest round-trip
-    digits, as ``fmt_float`` gives one.  A column shared by many tables is
-    formatted once with ``list(format_column(column))``."""
-    return map(repr, np.asarray(column, dtype=float).tolist())
+def scalar_lines(values: dict) -> list[str]:
+    """The ``key = value`` lines of a summary, in the order of ``values``."""
+    return [f"{key} = {fmt_float(value)}" for key, value in values.items()]
+
+
+def format_column(column) -> list[str]:
+    """The cells of a float column: ``repr`` of each value read as a Python
+    float, the shortest round-trip digits, as ``fmt_float`` gives one.  A
+    column shared by many tables is formatted once and passed as its cells."""
+    return list(map(repr, np.asarray(column, dtype=float).tolist()))
 
 
 def _cells(column):
@@ -43,8 +55,8 @@ def _cells(column):
 
 def write_csv(path: Path, header: list[str], columns: list) -> None:
     """One CSV table.  A column is a float array or list, or a list of
-    strings (integer cells such as indices, or a column formatted once by
-    ``format_column`` and shared by many tables, are passed as strings)."""
+    strings: integer cells such as indices, made by ``fmt_float``, or the
+    cells of a column that many tables share, made once by ``format_column``."""
     if len(header) != len(columns):
         raise ValueError("header and column counts differ")
     n = len(columns[0])
@@ -126,13 +138,9 @@ class ExperimentReport:
         write_csv(path, names, [np.asarray(self.series[k], dtype=float) for k in names])
 
     def summary_lines(self) -> list[str]:
-        lines = [f"experiment = {self.kind}"]
-        for key in sorted(self.params):
-            lines.append(f"param_{key} = {self.params[key]}")
-        for key in sorted(self.scalars):
-            val = self.scalars[key]
-            text = fmt_float(val) if isinstance(val, float) and math.isfinite(val) else str(val)
-            lines.append(f"{key} = {text}")
+        lines = [f"experiment = {self.kind}",
+                 *scalar_lines({f"param_{key}": self.params[key] for key in sorted(self.params)}),
+                 *scalar_lines({key: self.scalars[key] for key in sorted(self.scalars)})]
         if self.feasibility is not None:
             lines.extend(self.feasibility.summary_lines())
         return lines

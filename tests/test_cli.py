@@ -236,7 +236,13 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
             *[(experiment, [*tiny_store, "preset=desk-storage",
                             f"medium.{which}_photon_detuning_rad_per_us=1e300"], named)
               for experiment in ("store", "propagate")
-              for which, named in (("one", "|Delta|"), ("two", "|delta|"))]]:
+              for which, named in (("one", "|Delta|"), ("two", "|delta|"))],
+            # beyond a work cap, stopped before the first step
+            ("store", [*tiny_store, "preset=desk-storage", "grid.t_end_us=1e8"],
+             "grid.t_end_us"),
+            ("gpe-soliton", ["gpegrid.t_end_us=1e7"], "gpegrid.t_end_us"),
+            ("propagate", [*tiny_store, "preset=desk-storage", "schedule.omega0_rad_per_us=1e9"],
+             "RK4 substeps")]:
         args = [arg for setting in settings for arg in ("--set", setting)]
         assert main([experiment, "--out", str(tmp_path / "x"), *args]) == 2
         assert named in capsys.readouterr().err
@@ -459,6 +465,33 @@ def test_config_file_plus_override(tmp_path):
         523.5, abs=0.1)
     _, cols = read_csv(out / "velocity_curve.csv")
     assert len(cols["t_us"]) == 31
+
+
+def test_config_file_completed_by_overrides(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("schedule.form = table\nmedium.n_a = 5.0\n", encoding="utf-8")
+    out = tmp_path / "gv"
+    assert main(["groupvel", "--config", str(cfg_file), "--out", str(out),
+                 "--set", "schedule.table_times_us=0,140",
+                 "--set", "schedule.table_values_rad_per_us=30,30",
+                 "--set", "preset=desk-storage"]) == 0
+    written = (out / "config.txt").read_text(encoding="utf-8").splitlines()
+    for line in ("preset = desk-storage", "medium.n_a = 5.0", "medium.n_b = 1000.0",
+                 "schedule.form = table", "schedule.table_times_us = 0.0,140.0"):
+        assert line in written
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "latin-1"])
+def test_an_unreadable_config_file_exits_2(tmp_path, capsys, kind):
+    cfg_file = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg_file.mkdir()
+    elif kind == "latin-1":
+        cfg_file.write_bytes("medium.n_a = 5.0 # \xb5m\n".encode("latin-1"))
+    out = tmp_path / "out"
+    assert main(["groupvel", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert f"configuration error: --config {cfg_file}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_interleaved_runs_to_one_out_dir(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -80,6 +82,21 @@ def test_roundtrip_identity_on_defaults():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+def test_numpy_values_serialize_as_plain_digits():
+    defaults = RunConfig()
+    cfg = dataclasses.replace(
+        defaults,
+        medium=dataclasses.replace(defaults.medium, n_a=np.float64(0.5e6)),
+        grid=dataclasses.replace(defaults.grid, n_z=np.int64(512)),
+        sweep=dataclasses.replace(defaults.sweep, etas=(np.float64(0.25), 4.0)),
+    )
+    text = serialize_config(cfg)
+    for line in ("medium.n_a = 500000.0", "grid.n_z = 512", "sweep.etas = 0.25,4.0"):
+        assert line in text.splitlines()
+    assert "np." not in text
+    assert parse_config(text) == cfg
+
+
 def test_roundtrip_identity_with_overrides():
     cfg = parse_config("\n".join([
         "experiment = store",
@@ -154,6 +171,40 @@ def test_load_config_with_overrides(tmp_path):
     assert cfg.experiment == "feasibility"
     with pytest.raises(ConfigError, match="key=value"):
         load_config(None, ["oops"])
+
+
+def test_overrides_complete_the_file_and_explicit_keys_beat_the_preset(tmp_path):
+    path = tmp_path / "run.cfg"
+    # a table form whose knots only the overrides give: one validation, after both
+    path.write_text("schedule.form = table\n", encoding="utf-8")
+    cfg = load_config(path, ["schedule.table_times_us=0,140",
+                             "schedule.table_values_rad_per_us=30,30"])
+    assert cfg.schedule.table_values_rad_per_us == (30.0, 30.0)
+    # an explicit key of the file beats a preset that an override names
+    path.write_text("medium.n_a = 5.0\n", encoding="utf-8")
+    cfg = load_config(path, ["preset=desk-storage"])
+    assert (cfg.preset, cfg.medium.n_a, cfg.medium.n_b) == ("desk-storage", 5.0, 1000.0)
+    assert cfg == load_config(None, ["medium.n_a=5.0", "preset=desk-storage"])
+    # the file alone still checks its duplicate keys
+    path.write_text("medium.n_a = 5.0\nmedium.n_a = 6.0\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="duplicate key"):
+        load_config(path, ["medium.n_b=2.0"])
+
+
+@pytest.mark.parametrize("name, content, match", [
+    ("missing.cfg", None, "No such file"),
+    ("folder", "directory", "directory"),
+    ("latin1.cfg", "medium.n_a = 5.0 # \xb5m\n".encode("latin-1"), "not UTF-8"),
+], ids=["missing", "directory", "latin-1"])
+def test_an_unreadable_config_file_is_a_config_error(tmp_path, name, content, match):
+    path = tmp_path / name
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError, match=match) as info:
+        load_config(path, [])
+    assert str(info.value).startswith(f"--config {path}")
 
 
 def test_repeated_override_resolves_last_wins():

@@ -7,7 +7,9 @@ experiments.  Keys that size the work (grid points, horizons, time steps,
 strides and sample counts) are drawn from small ranges, so the solver
 experiments run on tiny grids; every other numeric key is drawn from
 extreme values (0, +-1e-300, +-1e300, nan, inf) and from values near its
-default.
+default.  The horizons and the control plateau are also drawn from ranges
+wholly beyond a work cap (2e6 time steps, 1e8 substeps), where a run must
+stop with exit 2 before its first step.
 """
 
 import contextlib
@@ -45,6 +47,15 @@ SIZES = {
     "curve.points": st.integers(0, 300),
     "sweep.n_scan_points": st.integers(0, 30),
 }
+# ranges wholly beyond a work cap: at the largest drawn dt, 5 us on the grid and
+# 0.2 us on the GPE grid, these horizons take 2e7 and 5e7 steps (cap 2e6), and
+# this plateau takes more than 1e8 substeps.  A tiny time step or a larger grid
+# or curve would allocate before any cap, so none is drawn.
+BEYOND_CAPS = {
+    "grid.t_end_us": st.floats(1e8, 1e300),
+    "gpegrid.t_end_us": st.floats(1e7, 1e300),
+    "schedule.omega0_rad_per_us": st.floats(1e9, 1e150),
+}
 EXTREMES = [0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300, "nan", "inf", "-inf"]
 
 _DEFAULTS = RunConfig()
@@ -67,6 +78,7 @@ NUMERIC = {key: _values(default) for key, default in DEFAULTS.items()
            if key not in SIZES and not isinstance(default, (bool, str))
            and not (isinstance(default, tuple) and any(isinstance(v, str) for v in default))}
 DRAWN = {**NUMERIC, **SIZES}
+DRAWN.update({key: st.one_of(DRAWN[key], beyond) for key, beyond in BEYOND_CAPS.items()})
 SECTIONS = {key.partition(".")[0] for key in DEFAULTS}
 # a nan or inf token: repr of a non-finite float, alone between separators
 NON_FINITE = re.compile(r"(?<![A-Za-z_])-?(?:nan|inf)(?![A-Za-z_])", re.IGNORECASE)
@@ -105,6 +117,10 @@ def cases(draw):
 @example(("gpe-soliton", ["gpe.potential_rad_per_us=0.5"]))
 @example(("gpe-soliton", ["gpegrid.dt_us=0.2"]))
 @example(("gpe-split", ["soliton.q=1.0"]))
+# one run beyond each work cap
+@example(("store", ["grid.t_end_us=1e8"]))
+@example(("gpe-soliton", ["gpegrid.t_end_us=1e7"]))
+@example(("propagate", ["schedule.omega0_rad_per_us=1e9"]))
 def test_every_run_exits_by_the_contract(case):
     experiment, sets = case
     with tempfile.TemporaryDirectory() as tmp, \

@@ -12,7 +12,7 @@ from slowmol import reports as reports_mod
 from slowmol.cli import main, run
 from slowmol.config import load_config
 from slowmol.errors import NumericsError
-from slowmol.reports import ExperimentReport, format_column, write_report
+from slowmol.reports import ExperimentReport, fmt_float, format_column, write_report
 
 
 def test_write_report_bytes(tmp_path):
@@ -44,11 +44,24 @@ def test_write_report_bytes(tmp_path):
 def test_format_column_is_repr_of_each_float():
     values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 0.1, 1e300]
     for column in (values, np.array(values)):
-        assert list(format_column(column)) == list(map(repr, values))
-    assert list(format_column(values)) == ["nan", "inf", "-inf", "-0.0", "0.0", "5e-324",
-                                           "-5e-324", "0.1", "1e+300"]
-    assert list(format_column([])) == []
-    assert list(format_column(np.array([]))) == []
+        assert format_column(column) == list(map(repr, values))
+    assert format_column(values) == ["nan", "inf", "-inf", "-0.0", "0.0", "5e-324",
+                                     "-5e-324", "0.1", "1e+300"]
+    assert format_column([]) == []
+    assert format_column(np.array([])) == []
+    # a list, so a shared column is made once and read by every table
+    assert type(format_column(np.arange(3.0))) is list
+
+
+def test_fmt_float_writes_every_scalar_kind():
+    cases = [(True, "true"), (np.bool_(False), "false"), (3, "3"), (np.int64(-7), "-7"),
+             ("none (no decay floor)", "none (no decay floor)"), (0.5, "0.5"),
+             (np.float64(0.5), "0.5"), (np.float32(0.25), "0.25"), (1e300, "1e+300"),
+             (math.inf, "inf"), (math.nan, "nan")]
+    assert [fmt_float(value) for value, _ in cases] == [text for _, text in cases]
+    # a float's text is that of its column cell
+    values = [0.1, -0.0, 5e-324, np.float64(2.5)]
+    assert list(map(fmt_float, values)) == format_column(values)
 
 
 def test_every_frame_shares_the_z_column_of_the_grid(tmp_path):
