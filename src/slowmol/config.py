@@ -356,13 +356,13 @@ def parse_pairs(pairs: list[tuple[str, str]]) -> RunConfig:
         section_name, field_name, _ = _KEYS[key]
         sections.setdefault(section_name, {})[field_name] = value
 
-    # the preset rewires defaults, so resolve it before any other key
+    # the last preset rewires the defaults, so resolve it before any other key
     for key, raw in pairs:
         if key == "preset":
             top["preset"] = raw.strip()  # validate rejects a name outside PRESETS
-            if top["preset"] == "desk-storage":
-                for preset_key, value in _DESK_STORAGE_PRESET.items():
-                    put(preset_key, value)
+    if top.get("preset") == "desk-storage":
+        for preset_key, value in _DESK_STORAGE_PRESET.items():
+            put(preset_key, value)
     for key, raw in pairs:
         if key == "preset":
             continue

@@ -408,6 +408,10 @@ def half_step_substeps(t0: float, sched: ControlSchedule, p: MediumParams, grid:
     n_half = _half_steps(grid)
     check_options(substeps=substeps)
     if substeps:
+        if substeps * n_half > _MAX_RK4_SUBSTEPS:
+            raise ConfigError(f"run.substeps: {substeps} on each of {n_half} half-steps is "
+                              f"{substeps * n_half:.3g} RK4 substeps (more than "
+                              f"{_MAX_RK4_SUBSTEPS:g})")
         return np.full(n_half, substeps)
     return _substep_counts(0.5 * grid.dt, _half_step_frequencies(t0, sched, p, grid),
                            _SUBSTEP_PHASE_TARGET)
@@ -422,15 +426,20 @@ def check_options(*, substeps: int = 0, advection: str = "upwind") -> None:
         raise ConfigError(f"unknown advection scheme {advection!r}")
 
 
+def capped_outer_steps(grid: Grid1D, key: str, remedy: str) -> int:
+    """``grid.outer_steps``, or a ``ConfigError`` naming ``key`` and ``remedy``
+    if that is more than ``_MAX_OUTER_STEPS``."""
+    steps = grid.t_end / grid.dt
+    if steps > _MAX_OUTER_STEPS + 0.5:  # where round(steps) passes the cap
+        raise ConfigError(f"{key}: {steps:.3g} steps requested (more than "
+                          f"{_MAX_OUTER_STEPS:g}); {remedy}")
+    return grid.outer_steps
+
+
 def _half_steps(grid: Grid1D) -> int:
     """Two matter half-steps per outer step; ``ConfigError`` for absurdly many."""
-    n_steps = grid.outer_steps
-    if n_steps > _MAX_OUTER_STEPS:
-        raise ConfigError(
-            f"grid.t_end_us: {n_steps} advection steps requested; rescale to desk "
-            "parameters (smaller c or shorter horizon) or coarsen the grid"
-        )
-    return 2 * n_steps
+    return 2 * capped_outer_steps(grid, "grid.t_end_us", "rescale to desk parameters "
+                                  "(smaller c or shorter horizon) or coarsen the grid")
 
 
 def _substep_counts(half_dt: float, w: np.ndarray, theta: float) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import AliasingWarning, ConfigError, NumericsError, SupersonicError
-from .dynamics import _MAX_OUTER_STEPS, Grid1D, integrate
+from .dynamics import Grid1D, capped_outer_steps, integrate
 from .reports import ExperimentReport
 
 # spectral-tail power fraction above which split_step_evolve warns of aliasing
@@ -315,10 +315,8 @@ def split_step_evolve(
     """
     check_evolution(nonlinearity=nonlinearity, background_decay_rate=background_decay_rate)
     dt = grid.dt
-    n_steps = grid.outer_steps
-    if n_steps > _MAX_OUTER_STEPS:
-        raise ConfigError(f"gpegrid.t_end_us: {n_steps} steps requested; shorten the "
-                          "horizon or take a longer dt")
+    n_steps = capped_outer_steps(grid, "gpegrid.t_end_us",
+                                 "shorten the horizon or take a longer dt")
     n = grid.n_z
     dz = grid.dz
     veff = effective_potential(p, n)

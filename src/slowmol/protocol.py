@@ -197,9 +197,11 @@ def run_storage_retrieval(
     # np.max, not max: a nan drift must fail the gate wherever it sits
     worst = float(np.max([scalars[f"charge_drift_{name}"] for name in ("q1", "q2", "q3")]))
     if p.lossless and not worst <= CHARGE_DRIFT_LIMIT:
+        step = (f"at run.substeps = {substeps}; use more RK4 substeps" if substeps else
+                "with the automatic split step; set a positive run.substeps to "
+                "take RK4 substeps")
         raise NumericsError(f"worst charge drift {worst:.3g} of a lossless run exceeds "
-                            f"{CHARGE_DRIFT_LIMIT:g} at run.substeps = {substeps}; "
-                            "use more RK4 substeps")
+                            f"{CHARGE_DRIFT_LIMIT:g} {step}")
     input_norm = pulse.norm_sq()
     trivial = input_norm == 0.0
     scalars["trivial_input"] = float(trivial)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -179,56 +178,6 @@ def _writer_count(files: dict) -> int:
     return min(len(os.sched_getaffinity(0)), _MAX_WRITERS)
 
 
-def _fork_writer(outdir: Path, share) -> tuple[int, int]:
-    """Fork a process that writes ``share`` and exits; return its pid and the
-    read end of a pipe that carries its exception, pickled, if it fails."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        # never return into the caller's stack: its handlers and cleanup
-        # belong to the parent
-        status = 1
-        try:
-            os.close(read_fd)
-            _write_share(outdir, share)
-            status = 0
-        except BaseException as exc:
-            try:
-                payload = pickle.dumps(exc)
-                pickle.loads(payload)  # the parent must be able to rebuild it
-            except Exception:  # e.g. a class defined inside a function
-                payload = pickle.dumps(OSError(f"{type(exc).__qualname__}: {exc}"))
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(payload)
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _reap(pid: int, read_fd: int) -> Optional[BaseException]:
-    """Wait for one writer; return its failure, or None if it succeeded."""
-    with os.fdopen(read_fd, "rb") as pipe:
-        payload = pipe.read()  # to EOF before waiting, so a long payload cannot block
-    _, status = os.waitpid(pid, 0)
-    if payload:
-        return pickle.loads(payload)
-    code = os.waitstatus_to_exitcode(status)
-    if code < 0:
-        import signal  # only a killed writer needs the signal names
-
-        return OSError(f"report writer {pid} killed by signal {-code} "
-                       f"({signal.strsignal(-code)})")
-    if code:
-        return OSError(f"report writer {pid} exited with status {code}")
-    return None
-
-
 def write_report(report: ExperimentReport, outdir: Path) -> None:
     """Write every entry of ``report.files`` under ``outdir``.
 
@@ -239,9 +188,10 @@ def write_report(report: ExperimentReport, outdir: Path) -> None:
     ``[i::k]``, writes share 0 itself and then waits for every writer, also
     when its own share failed, so no writer outlives the call.  No table
     text crosses processes, and every file holds the same bytes as a
-    one-process write.  A writer's exception is raised here with its type
-    and message; one that pickle cannot carry, or a writer killed by a
-    signal, raises ``OSError`` naming it.
+    one-process write.  A writer reports only its exit status: once share 0
+    is written, this process writes each failed writer's share again, so a
+    failure that repeats is raised here as itself.  A writer killed by a
+    signal raises ``OSError`` naming it.
     """
     outdir = Path(outdir)
     entries = list(report.files.items())
@@ -249,15 +199,28 @@ def write_report(report: ExperimentReport, outdir: Path) -> None:
         parent.mkdir(parents=True, exist_ok=True)
     k = _writer_count(report.files)
     writers = []
-    failures = []
     try:
         for i in range(1, k):
-            writers.append(_fork_writer(outdir, entries[i::k]))
+            pid = os.fork()
+            if pid == 0:
+                # never return into the caller's stack: its handlers and cleanup
+                # belong to the parent
+                status = 1
+                try:
+                    _write_share(outdir, entries[i::k])
+                    status = 0
+                finally:
+                    os._exit(status)
+            writers.append((i, pid))
         _write_share(outdir, entries[::k])
     finally:
-        for pid, read_fd in writers:
-            failure = _reap(pid, read_fd)
-            if failure is not None:
-                failures.append(failure)
-    if failures:
-        raise failures[0]
+        codes = [(i, pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+                 for i, pid in writers]
+    for i, pid, code in codes:
+        if code < 0:
+            import signal  # only a killed writer needs the signal names
+
+            raise OSError(f"report writer {pid} killed by signal {-code} "
+                          f"({signal.strsignal(-code)})")
+        if code:
+            _write_share(outdir, entries[i::k])

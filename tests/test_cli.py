@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from slowmol import cli, protocol
+from slowmol import cli, dynamics, protocol
 from slowmol import reports as reports_mod
 from slowmol.cli import main, run
 from slowmol.config import load_config
@@ -311,6 +311,41 @@ def test_lossless_store_exits_3_on_charge_drift(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_explicit_substeps_beyond_the_cap_exit_2_before_a_step(tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("RK4 stepping reached")
+
+    monkeypatch.setattr(dynamics, "_rk4_matter_step", unreachable)
+    tiny_store = ["preset=desk-storage", "grid.n_z=64", "grid.t_end_us=40",
+                  "schedule.t_down_us=8", "schedule.t_up_us=25", "schedule.rate_per_us=0.5"]
+    # 50 half-steps: 2e6 substeps each stay within the 1e8 cap, 1e9 each would not
+    for experiment, substeps in (("store", 10**9), ("propagate", 10**9), ("store", 2 * 10**6 + 1)):
+        args = [arg for s in [*tiny_store, f"run.substeps={substeps}"] for arg in ("--set", s)]
+        assert main([experiment, "--out", str(tmp_path / "x"), *args]) == 2
+        err = capsys.readouterr().err
+        assert "run.substeps" in err and "RK4 substeps (more than 1e+08)" in err
+        assert list(tmp_path.iterdir()) == []
+    with pytest.raises(AssertionError, match="RK4 stepping reached"):
+        main(["store", "--out", str(tmp_path / "x"),
+              *[arg for s in [*tiny_store, "run.substeps=2000000"] for arg in ("--set", s)]])
+
+
+@pytest.mark.parametrize("experiment, settings, key", [
+    ("store", ["preset=desk-storage", "grid.n_z=64", "grid.t_end_us=1e300"], "grid.t_end_us"),
+    ("gpe-soliton", ["gpegrid.t_end_us=1e300"], "gpegrid.t_end_us"),
+    # t_end/dt overflows to inf, which has no step count to round to
+    ("store", ["preset=desk-storage", "grid.n_z=64", "grid.dt_us=1e-300",
+               "grid.t_end_us=1e300"], "grid.t_end_us"),
+    ("gpe-soliton", ["gpegrid.dt_us=1e-300", "gpegrid.t_end_us=1e300"], "gpegrid.t_end_us"),
+])
+def test_a_step_cap_error_is_one_short_line(tmp_path, capsys, experiment, settings, key):
+    args = [arg for setting in settings for arg in ("--set", setting)]
+    assert main([experiment, "--out", str(tmp_path / "x"), *args]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and len(err) < 160, err
+    assert f"configuration error: {key}: " in err and "steps requested (more than 2e+06)" in err
+
+
 def test_exit_code_4_on_feasibility_refusal(tmp_path, capsys):
     # full-scale store: the spectral window fails for the default medium
     assert main(["store", "--out", str(tmp_path / "x")]) == 4
@@ -479,6 +514,20 @@ def test_config_file_completed_by_overrides(tmp_path):
     for line in ("preset = desk-storage", "medium.n_a = 5.0", "medium.n_b = 1000.0",
                  "schedule.form = table", "schedule.table_times_us = 0.0,140.0"):
         assert line in written
+
+
+def test_the_last_preset_is_the_one_that_runs(tmp_path):
+    assert main(["groupvel", "--out", str(tmp_path / "plain")]) == 0
+    plain = {path.name: path.read_bytes() for path in (tmp_path / "plain").iterdir()}
+    cfg_file = tmp_path / "desk.cfg"
+    cfg_file.write_text("preset = desk-storage\n", encoding="utf-8")
+    for name, args in (("sets", ["--set", "preset=desk-storage", "--set", "preset=none"]),
+                       ("file", ["--config", str(cfg_file), "--set", "preset=none"])):
+        out = tmp_path / name
+        assert main(["groupvel", "--out", str(out), *args]) == 0
+        assert "preset = none" in (out / "config.txt").read_text(encoding="utf-8")
+        # the default medium ran: every file matches a run without a preset
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == plain
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "latin-1"])

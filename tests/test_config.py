@@ -216,6 +216,12 @@ def test_repeated_override_resolves_last_wins():
     # the preset goes first wherever it stands; explicit keys then resolve in order
     cfg = load_config(None, ["medium.n_a=5", "preset=desk-storage", "medium.n_a=7"])
     assert (cfg.preset, cfg.medium.n_a, cfg.medium.n_b) == ("desk-storage", 7.0, 1000.0)
+    # only the last preset's values apply
+    assert load_config(None, ["preset=desk-storage", "preset=none"]) == RunConfig()
+    cfg = load_config(None, ["medium.n_a=5", "preset=desk-storage", "preset=none"])
+    assert (cfg.medium.n_a, cfg.medium.n_b) == (5.0, RunConfig().medium.n_b)
+    assert (load_config(None, ["preset=none", "preset=desk-storage"])
+            == load_config(None, ["preset=desk-storage"]))
 
 
 def test_first_bad_key_in_order_is_reported():

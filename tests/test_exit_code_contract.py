@@ -7,9 +7,9 @@ experiments.  Keys that size the work (grid points, horizons, time steps,
 strides and sample counts) are drawn from small ranges, so the solver
 experiments run on tiny grids; every other numeric key is drawn from
 extreme values (0, +-1e-300, +-1e300, nan, inf) and from values near its
-default.  The horizons and the control plateau are also drawn from ranges
-wholly beyond a work cap (2e6 time steps, 1e8 substeps), where a run must
-stop with exit 2 before its first step.
+default.  The horizons, the control plateau and the explicit substep count
+are also drawn from ranges wholly beyond a work cap (2e6 time steps, 1e8
+substeps), where a run must stop with exit 2 before its first step.
 """
 
 import contextlib
@@ -49,12 +49,14 @@ SIZES = {
 }
 # ranges wholly beyond a work cap: at the largest drawn dt, 5 us on the grid and
 # 0.2 us on the GPE grid, these horizons take 2e7 and 5e7 steps (cap 2e6), and
-# this plateau takes more than 1e8 substeps.  A tiny time step or a larger grid
-# or curve would allocate before any cap, so none is drawn.
+# this plateau takes more than 1e8 substeps; so does an explicit substep count of
+# 1e8 or more, over the two half-steps or more of any run.  A tiny time step or a
+# larger grid or curve would allocate before any cap, so none is drawn.
 BEYOND_CAPS = {
     "grid.t_end_us": st.floats(1e8, 1e300),
     "gpegrid.t_end_us": st.floats(1e7, 1e300),
     "schedule.omega0_rad_per_us": st.floats(1e9, 1e150),
+    "run.substeps": st.integers(10**8, 10**12),
 }
 EXTREMES = [0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300, "nan", "inf", "-inf"]
 
@@ -121,6 +123,7 @@ def cases(draw):
 @example(("store", ["grid.t_end_us=1e8"]))
 @example(("gpe-soliton", ["gpegrid.t_end_us=1e7"]))
 @example(("propagate", ["schedule.omega0_rad_per_us=1e9"]))
+@example(("store", ["run.substeps=100000000"]))
 def test_every_run_exits_by_the_contract(case):
     experiment, sets = case
     with tempfile.TemporaryDirectory() as tmp, \

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from slowmol import protocol
 from slowmol import (
     ConfigError,
     ControlSchedule,
@@ -291,6 +292,23 @@ def test_lossy_storage_reports_a_drift_that_a_lossless_run_refuses():
                                       rate=0.5)
     rep = run_storage_retrieval(p, sched, desk_pulse(grid), grid, substeps=4, force=True)
     assert rep.scalars["charge_drift_q3"] > 1e-6
+
+
+def test_the_drift_gate_names_the_step_that_ran(monkeypatch):
+    real = protocol.integration_diagnostics
+    monkeypatch.setattr(protocol, "integration_diagnostics",
+                        lambda *args: {**real(*args), "charge_drift_q1": 1e-3})
+    p = desk_params()
+    grid = Grid1D.for_speed(0.0, 200.0, 64, c=p.c, t_end=5.0)
+    sched = ControlSchedule.tanh_ramp(omega0=10 * math.pi, t_down=8.0, t_up=25.0,
+                                      rate=0.5)
+    pulse = desk_pulse(grid)
+    with pytest.raises(NumericsError, match=r"exceeds 1e-06 with the automatic split step; "
+                                            r"set a positive run\.substeps to take RK4"):
+        run_storage_retrieval(p, sched, pulse, grid, force=True)
+    with pytest.raises(NumericsError, match=r"exceeds 1e-06 at run\.substeps = 16; "
+                                            r"use more RK4 substeps$"):
+        run_storage_retrieval(p, sched, pulse, grid, force=True, substeps=16)
 
 
 def test_storage_gate_refuses_then_force_runs():

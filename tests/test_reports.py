@@ -109,15 +109,47 @@ def _files(root):
 
 
 class TableError(ValueError):
-    """A failure of the test's own type; pickle finds it by its module path."""
+    """A failure of the test's own type, defined at module level."""
 
 
-def _tables(n, failing=None, error=None):
-    """A report of ``n`` small tables and one text file; table ``failing``
-    raises ``error`` when it is built."""
-    def columns(i):
-        if i == failing:
+def _record_shares(monkeypatch, log_dir):
+    """Make every ``_write_share`` call, in any process, append its pid and
+    the names of its share to ``log_dir/<pid>``; return the reader of the
+    calls as ``(pid, names)`` pairs."""
+    real_write_share = reports_mod._write_share
+    log_dir.mkdir()
+
+    def write_share(outdir, share):
+        with open(log_dir / str(os.getpid()), "a", encoding="utf-8") as log:
+            log.write(" ".join(name for name, _ in share) + "\n")
+        real_write_share(outdir, share)
+
+    monkeypatch.setattr(reports_mod, "_write_share", write_share)
+    return lambda: [(int(path.name), tuple(line.split()))
+                    for path in sorted(log_dir.iterdir())
+                    for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _failing_in(pid_file, error, where=lambda pid: True):
+    """A table callable that appends its process id to ``pid_file`` and then
+    raises ``error`` in each process where ``where(pid)`` holds."""
+    def columns():
+        with open(pid_file, "a", encoding="utf-8") as pids:
+            pids.write(f"{os.getpid()}\n")
+        if where(os.getpid()):
             raise error
+        return [np.arange(3) * 0.5]
+
+    return columns
+
+
+def _pids(pid_file):
+    return [int(line) for line in pid_file.read_text(encoding="utf-8").split()]
+
+
+def _tables(n):
+    """A report of ``n`` small tables and one text file."""
+    def columns(i):
         return [np.arange(3) * 0.1 + i, [str(i)] * 3]
 
     files = {f"sub/t{i:02d}.csv": (["x", "i"], functools.partial(columns, i))
@@ -146,40 +178,70 @@ def test_a_writers_failure_reaches_the_caller_and_no_run_is_left(tmp_path, monke
     monkeypatch.setattr(reports_mod, "_FORK_MIN_TABLES", 0)
     parent = os.getpid()
 
-    def failing_table():
-        raise TableError(f"table built in process {os.getpid()}")
-
-    # entries [1::2] are the forked writer's share
-    report = _tables(4, failing=1, error=NumericsError("overflow", t=2.5, index=7))
-    with pytest.raises(NumericsError, match=r"^overflow at t=2\.5, grid index 7$") as info:
-        write_report(report, tmp_path / "direct")
-    assert (info.value.t, info.value.index) == (2.5, 7)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-    class Local(ValueError):  # pickle cannot name a class defined here
+    class Local(ValueError):  # a class defined inside a function
         pass
 
-    with pytest.raises(OSError, match=r"Local: table 1$"):
-        write_report(_tables(4, failing=1, error=Local("table 1")), tmp_path / "local")
+    # entries [1::2] are the forked writer's share: the writer fails, then
+    # this process writes that share again, and the error it raises is the
+    # caller's, with its type, attributes and the traceback of the table
+    for name, error in (("numerics", NumericsError("overflow", t=2.5, index=7)),
+                        ("module", TableError("table 1")), ("local", Local("table 1"))):
+        pid_file = tmp_path / f"{name}.pids"
+        report = _tables(4)
+        report.files["sub/t01.csv"] = (["x"], _failing_in(pid_file, error))
+        with pytest.raises(type(error)) as info:
+            write_report(report, tmp_path / name)
+        assert info.value is error  # NumericsError keeps its t and index
+        assert info.traceback[-1].name == "columns"
+        child, retry = _pids(pid_file)
+        assert child != parent and retry == parent  # failed in the writer, then here
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     report = _tables(4)
     report.files["sub/t01.csv"] = (["x"], lambda: os.kill(os.getpid(), signal.SIGKILL))
     with pytest.raises(OSError, match="killed by signal 9"):
         write_report(report, tmp_path / "killed")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
+    pid_file = tmp_path / "cli.pids"
     report = _tables(4)
-    report.files["sub/t03.csv"] = (["x"], failing_table)
+    report.files["sub/t03.csv"] = (["x"], _failing_in(pid_file, TableError("table 3")))
     monkeypatch.setitem(cli._RUNNERS, "groupvel", lambda cfg: report)
     out = tmp_path / "cli" / "out"
     (tmp_path / "cli").mkdir()
-    with pytest.raises(TableError, match="table built in process") as info:
+    with pytest.raises(TableError, match="^table 3$"):
         run(load_config(None, ["experiment=groupvel"]), out)
-    assert int(str(info.value).split()[-1]) != parent  # raised in the child, not here
+    child, retry = _pids(pid_file)
+    assert child != parent and retry == parent
     assert list((tmp_path / "cli").iterdir()) == []  # no output and no work directory
-    assert len(forks) == 4
+    assert len(forks) == 5  # one per write_report call
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failure_in_a_writer_alone_is_written_again_here(tmp_path, monkeypatch):
+    forks = _count_forks(monkeypatch)
+    parent = os.getpid()
+    pid_file = tmp_path / "t01.pids"
+    report = _tables(6)
+    report.files["sub/t01.csv"] = (
+        ["x"], _failing_in(pid_file, TableError("writer only"), lambda pid: pid != parent))
+    calls = _record_shares(monkeypatch, tmp_path / "calls")
+    monkeypatch.setattr(reports_mod, "_FORK_MIN_TABLES", 0)
+    write_report(report, tmp_path / "forked")
+    child, retry = _pids(pid_file)
+    assert child != parent and retry == parent
+    names = tuple(report.files)
+    assert sorted(calls()) == sorted([(parent, names[::2]), (child, names[1::2]),
+                                      (parent, names[1::2])])
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(reports_mod, "_FORK_MIN_TABLES", 10**9)
+    write_report(report, tmp_path / "serial")
+    assert _files(tmp_path / "forked") == _files(tmp_path / "serial")
 
 
 def test_no_writer_outlives_a_successful_write(tmp_path, monkeypatch):
@@ -220,30 +282,15 @@ def test_the_shares_partition_the_entries_within_the_cap(tmp_path, monkeypatch):
     cap = reports_mod._MAX_WRITERS
     report = _tables(3 * cap + 1)
     assert reports_mod._writer_count(report.files) == cap
-    # only the first extra writer is forked; the others write in this process
-    real_fork_writer, real_reap = reports_mod._fork_writer, reports_mod._reap
-    real_write_share = reports_mod._write_share
-    shares = []
-
-    def fork_writer(outdir, share):
-        shares.append(share)
-        if len(shares) == 1:
-            return real_fork_writer(outdir, share)
-        real_write_share(outdir, share)
-        return None, None
-
-    def write_share(outdir, share):
-        shares.insert(0, share)
-        real_write_share(outdir, share)
-
-    monkeypatch.setattr(reports_mod, "_fork_writer", fork_writer)
-    monkeypatch.setattr(reports_mod, "_reap",
-                        lambda pid, fd: None if pid is None else real_reap(pid, fd))
-    monkeypatch.setattr(reports_mod, "_write_share", write_share)
+    calls = _record_shares(monkeypatch, tmp_path / "calls")
     write_report(report, tmp_path / "shared")
-    assert len(forks) == 1
+    assert len(forks) == cap - 1
+    # one call per share, each in its own process, and no share written again
+    shares = calls()
     assert len(shares) == cap
-    written = [name for share in shares for name, _ in share]
+    assert len({pid for pid, _ in shares}) == cap
+    assert (os.getpid(), tuple(report.files)[::cap]) in shares
+    written = [name for _, share in shares for name in share]
     assert sorted(written) == sorted(report.files)
     monkeypatch.setattr(reports_mod, "_FORK_MIN_TABLES", 10**9)
     write_report(report, tmp_path / "serial")
