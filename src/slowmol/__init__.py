@@ -1,6 +1,10 @@
 """Slow light, optical storage and gray solitons in an atom-molecule
 photoassociation medium."""
 
+from time import perf_counter as _perf_counter
+
+_IMPORT_START = _perf_counter()  # read by ``slowmol <experiment> --timings``
+
 from .errors import (
     AliasingWarning,
     ConfigError,

@@ -1,9 +1,11 @@
 """Command-line front end: one runner per experiment, one writer.
 
-Each ``run_<name>(config)`` computes an experiment and returns an
-``ExperimentReport`` whose ``files`` hold every output file, without
-touching the disk; ``run`` hands the report to ``reports.write_report``
-and moves the finished directory into place.
+Each ``run_<name>(config, writer=None)`` computes an experiment and
+returns an ``ExperimentReport`` whose ``files`` hold every output file.  A
+solver experiment hands each frame or snapshot table to ``writer`` (a
+``reports.ReportWriter``) as soon as it exists; without one it touches no
+disk.  ``run`` gives the runner a writer, finishes it with
+``reports.write_report`` and moves the finished directory into place.
 
 Exit codes: 0 success, 2 configuration error (stopped light included),
 3 numerical failure, 4 feasibility gate refused.
@@ -17,13 +19,14 @@ import math
 import os
 import shutil
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from . import _IMPORT_START, protocol
 from . import gpe as gpe_mod
-from . import protocol
 from .config import EXPERIMENTS, RunConfig, keyed, load_config, serialize_config
 from .dynamics import (
     MeanFieldState,
@@ -35,7 +38,10 @@ from .dynamics import (
 )
 from .errors import ConfigError, FeasibilityRefused, NumericsError, StoppedLightError
 from .medium import group_velocity_with_decay, mixing_angle, velocity_floor
-from .reports import ExperimentReport, fmt_float, format_column, scalar_lines, write_report
+from .reports import (ExperimentReport, ReportWriter, fmt_float, format_column, scalar_lines,
+                      write_report)
+
+_IMPORTED = time.perf_counter()
 
 _CURVE_COLUMNS = ["t_us", "omega_rad_per_us", "vg_over_c"]
 
@@ -83,32 +89,50 @@ def _curve_files(reports: list[ExperimentReport], curve_ids: list[str],
     return {**files, **_gnuplot(config, names)}
 
 
-def _frame_files(prefix: str, stem: str, z: np.ndarray, frames, header: list[str],
-                 columns) -> dict:
-    """One CSV per frame plus the manifest ``<stem>s.csv`` of frame times.
+def _frame_table(z_cells: list[str], columns, frame) -> list:
+    return [z_cells, *columns(frame)]
+
+
+class _FrameFiles:
+    """A solver's per-frame callback, collecting one CSV per frame; ``close``
+    adds the manifest ``<stem>s.csv`` of frame times and returns them all.
     Every frame table opens with the same ``z_um`` column, formatted once
     here; ``columns(frame)`` builds the rest of a frame's table only when
-    its file is written."""
-    z_cells = format_column(z)
+    its file is written.  Each frame's entry is handed to ``writer``, if
+    there is one, as soon as the frame exists: the same object that
+    ``close`` returns."""
 
-    def table(frame):
-        return [z_cells, *columns(frame)]
+    def __init__(self, prefix: str, stem: str, z: np.ndarray, header: list[str],
+                 columns, writer: ReportWriter | None):
+        self.prefix, self.stem, self.header = prefix, stem, ["z_um", *header]
+        self.z_cells = format_column(z)
+        self.columns, self.writer = columns, writer
+        self.files, self.times = {}, []
 
-    names = [f"{stem}_{i:05d}.csv" for i in range(len(frames))]
-    files = {prefix + name: (["z_um", *header], functools.partial(table, frame))
-             for name, frame in zip(names, frames)}
-    files[prefix + stem + "s.csv"] = (["index", "t_us", "file"], [
-        list(map(fmt_float, range(len(frames)))), [frame.t for frame in frames], names])
-    return files
+    def __call__(self, frame) -> None:
+        name = f"{self.prefix}{self.stem}_{len(self.times):05d}.csv"
+        # a partial of a module function: an entry that referred back to this
+        # object would make a cycle, keeping the frames until a full collection
+        table = functools.partial(_frame_table, self.z_cells, self.columns, frame)
+        self.files[name] = entry = (self.header, table)
+        self.times.append(frame.t)
+        if self.writer is not None:
+            self.writer.hand(name, entry)
+
+    def close(self) -> dict:
+        names = [f"{self.stem}_{i:05d}.csv" for i in range(len(self.times))]
+        self.files[f"{self.prefix}{self.stem}s.csv"] = (["index", "t_us", "file"], [
+            list(map(fmt_float, range(len(names)))), self.times, names])
+        return self.files
 
 
-def _snapshot_files(prefix: str, z: np.ndarray, snapshots,
-                    fields: tuple[str, ...]) -> dict:
+def _snapshot_files(prefix: str, z: np.ndarray, fields: tuple[str, ...],
+                    writer: ReportWriter | None) -> _FrameFiles:
     """Mean-field snapshots: z_um, then re_/im_ pairs of ``fields``."""
     header = [f"{part}_{name}" for name in fields for part in ("re", "im")]
-    return _frame_files(prefix, "snapshot", z, snapshots, header, lambda snap: [
+    return _FrameFiles(prefix, "snapshot", z, header, lambda snap: [
         part for name in fields for part in (getattr(snap, name).real,
-                                             getattr(snap, name).imag)])
+                                             getattr(snap, name).imag)], writer)
 
 
 def _trajectory_table(tracks) -> tuple[list[str], list]:
@@ -122,7 +146,7 @@ def _trajectory_table(tracks) -> tuple[list[str], list]:
     return ["t_us", "dip_index", "z_um", "speed_um_per_us"], cols
 
 
-def run_groupvel(config: RunConfig) -> ExperimentReport:
+def run_groupvel(config: RunConfig, writer: ReportWriter | None = None) -> ExperimentReport:
     p = config.to_medium_params()
     sched = config.to_schedule()
     t = _curve_grid(config)
@@ -147,7 +171,7 @@ def run_groupvel(config: RunConfig) -> ExperimentReport:
     })
 
 
-def run_propagate(config: RunConfig) -> ExperimentReport:
+def run_propagate(config: RunConfig, writer: ReportWriter | None = None) -> ExperimentReport:
     p = config.to_medium_params()
     sched = config.to_schedule()
     grid = config.to_grid()
@@ -155,10 +179,13 @@ def run_propagate(config: RunConfig) -> ExperimentReport:
     # a pulse is located by its centroid: it must be on the grid at the start and the end
     start = keyed("pulse.center_um, pulse.peak_amplitude", pulse_center, grid.z, pulse.samples)
     s0 = MeanFieldState.polariton_state(grid, p, pulse, float(sched.omega(0.0)))
+    snapshot_files = _snapshot_files("", grid.z, ("E", "phi_a", "phi_b", "phi_e", "phi_g"),
+                                     writer)
     snaps = integrate_mean_field(
         s0, sched, p, grid,
         snapshot_stride=config.grid.snapshot_stride,
         substeps=config.run.substeps, advection=config.run.advection,
+        on_snapshot=snapshot_files,
     )
     last = snaps[-1]
     oracle = wea_propagate(pulse, sched, p, last.t)
@@ -168,7 +195,7 @@ def run_propagate(config: RunConfig) -> ExperimentReport:
     peak_meas = float(np.max(np.abs(last.E)) / np.max(np.abs(snaps[0].E)))
     peak_pred = amplitude_ratio(p, sched, last.t)
     return _report(config, {
-        **_snapshot_files("", grid.z, snaps, ("E", "phi_a", "phi_b", "phi_e", "phi_g")),
+        **snapshot_files.close(),
         "summary.txt": _text(scalar_lines({
             "t_end_us": last.t,
             "travel_measured_um": travel_meas,
@@ -176,22 +203,24 @@ def run_propagate(config: RunConfig) -> ExperimentReport:
             "peak_ratio_measured": peak_meas,
             "peak_ratio_predicted": peak_pred,
             # reported, never gated: a cfl < 1 scheme dissipates Q3 by design
-            **integration_diagnostics(snaps, p, grid),
+            **integration_diagnostics(snaps, p, grid, config.run.substeps),
         })),
     })
 
 
-def run_store(config: RunConfig) -> ExperimentReport:
+def run_store(config: RunConfig, writer: ReportWriter | None = None) -> ExperimentReport:
     p = config.to_medium_params()
     sched = config.to_schedule()
     grid = config.to_grid()
     pulse = config.to_pulse(grid)
+    snapshot_files = _snapshot_files("snapshots/", grid.z, ("E", "phi_g"), writer)
     report = protocol.run_storage_retrieval(
         p, sched, pulse, grid,
         force=config.run.force,
         substeps=config.run.substeps,
         snapshot_stride=config.grid.snapshot_stride,
         advection=config.run.advection,
+        on_snapshot=snapshot_files,
     )
     prof = report.profiles
     return _report(config, {
@@ -202,12 +231,12 @@ def run_store(config: RunConfig) -> ExperimentReport:
              prof["phig_stored"].real, prof["phig_stored"].imag,
              prof["e_out"].real, prof["e_out"].imag]),
         "velocity_curve.csv": (_CURVE_COLUMNS, [report.series[k] for k in _CURVE_COLUMNS]),
-        **_snapshot_files("snapshots/", grid.z, report.snapshots, ("E", "phi_g")),
+        **snapshot_files.close(),
         "summary.txt": _text(report.summary_lines()),
     }, report)
 
 
-def run_imbalance(config: RunConfig) -> ExperimentReport:
+def run_imbalance(config: RunConfig, writer: ReportWriter | None = None) -> ExperimentReport:
     p = config.to_medium_params()
     sched = config.to_schedule()
     # validate has checked the ratios, so only N_a N_b g_tilde^2 can overflow here
@@ -221,7 +250,7 @@ def run_imbalance(config: RunConfig) -> ExperimentReport:
         reports, ids, [rep.params["eta"] for rep in reports], summary, config))
 
 
-def run_mediums(config: RunConfig) -> ExperimentReport:
+def run_mediums(config: RunConfig, writer: ReportWriter | None = None) -> ExperimentReport:
     p = config.to_medium_params()
     sched = config.to_schedule()
     kinds = config.sweep_kinds()
@@ -236,7 +265,8 @@ def run_mediums(config: RunConfig) -> ExperimentReport:
     return _report(config, _curve_files(reports, names, names, summary, config))
 
 
-def run_feasibility(config: RunConfig) -> ExperimentReport:
+def run_feasibility(config: RunConfig,
+                    writer: ReportWriter | None = None) -> ExperimentReport:
     p = config.to_medium_params()
     rep = protocol.feasibility_check(
         p, config.feasibility.t_s_us, config.to_schedule(),
@@ -254,7 +284,8 @@ def run_feasibility(config: RunConfig) -> ExperimentReport:
     })
 
 
-def run_gpe_soliton(config: RunConfig) -> ExperimentReport:
+def run_gpe_soliton(config: RunConfig,
+                    writer: ReportWriter | None = None) -> ExperimentReport:
     p = config.to_gpe_params()
     grid = config.to_gpe_grid()
     spec = config.to_soliton_spec(gpe_mod.healing_alpha(p))
@@ -264,11 +295,14 @@ def run_gpe_soliton(config: RunConfig) -> ExperimentReport:
     partner = replace(spec, z0=spec.z0 - spec.direction * quarter_span,
                       direction=-spec.direction)
     wf0 = gpe_mod.soliton_product([spec, partner], p, grid)
+    frame_files = _FrameFiles("frames/", "frame", grid.z, ["density", "phase"],
+                              lambda wf: [wf.density(), np.angle(wf.psi)], writer)
     frames = gpe_mod.split_step_evolve(
         wf0, p, grid,
         snapshot_stride=config.gpegrid.snapshot_stride,
         nonlinearity=config.gpe.nonlinearity,
         background_decay_rate=config.gpe.background_decay_per_us,
+        on_frame=frame_files,
     )
     trajectories = gpe_mod.track_minima(
         frames, background_density=p.background_amp**2)
@@ -289,15 +323,16 @@ def run_gpe_soliton(config: RunConfig) -> ExperimentReport:
     }
     if main_track is not None and len(main_track) > 2:
         summary["measured_speed_um_per_us"] = main_track.fit_speed()
+    summary["n_flagged"] = sum(tr.flagged for tr in trajectories)
+    summary["max_spectral_tail_fraction"] = frames[-1].max_spectral_tail_fraction
     return _report(config, {
-        **_frame_files("frames/", "frame", grid.z, frames, ["density", "phase"],
-                       lambda wf: [wf.density(), np.angle(wf.psi)]),
+        **frame_files.close(),
         "trajectory.csv": _trajectory_table((tr.times, tr.positions) for tr in trajectories),
         "summary.txt": _text(scalar_lines(summary)),
     })
 
 
-def run_gpe_split(config: RunConfig) -> ExperimentReport:
+def run_gpe_split(config: RunConfig, writer: ReportWriter | None = None) -> ExperimentReport:
     report = gpe_mod.soliton_split_experiment(
         config.soliton.q, config.to_gpe_params(), config.to_gpe_grid(),
         z0=config.soliton.z0_um,
@@ -332,13 +367,17 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig, out_dir: str | Path) -> None:
+def run(config: RunConfig, out_dir: str | Path, timings: dict | None = None) -> None:
     """Execute the configured experiment, writing outputs atomically.
 
     Results appear at ``out_dir`` only if the whole experiment succeeds.
     They are written into a work directory of their own beside ``out_dir``,
     so concurrent runs never touch each other's files, and moved into place
-    at the end; the move fails if ``out_dir`` gained files meanwhile.
+    at the end; the move fails if ``out_dir`` gained files meanwhile.  The
+    runner hands its frame tables to the report writer while it runs; every
+    writer is reaped before the work directory is moved or removed, so none
+    outlives the call.  ``timings``, if given, gets the seconds of the
+    ``solve`` (the runner) and of the final ``write``.
     """
     out_dir = Path(out_dir)
     if out_dir.exists() and not out_dir.is_dir():
@@ -352,7 +391,13 @@ def run(config: RunConfig, out_dir: str | Path) -> None:
     except NotADirectoryError as exc:
         raise ConfigError(f"--out {out_dir} lies under a file: {exc}") from exc
     try:
-        write_report(runner(config), work)
+        with ReportWriter(work) as writer:
+            start = time.perf_counter()
+            report = runner(config, writer)
+            solved = time.perf_counter()
+            write_report(report, work, writer)
+            if timings is not None:
+                timings.update(solve=solved - start, write=time.perf_counter() - solved)
         try:
             work.rename(out_dir)  # replaces an empty out_dir, never a full one
         except OSError as exc:
@@ -380,6 +425,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override a single configuration key (repeatable)")
         sp.add_argument("--force", action="store_true",
                         help="bypass the feasibility gate")
+        sp.add_argument("--timings", action="store_true",
+                        help="print the seconds of each phase on stderr")
     return parser
 
 
@@ -389,8 +436,10 @@ def main(argv: list[str] | None = None) -> int:
         overrides = list(args.set) + [f"experiment={args.experiment}"]
         if args.force:
             overrides.append("run.force=true")
+        start = time.perf_counter()
         config = load_config(args.config, overrides)
-        run(config, args.out)
+        timings = {"import": _IMPORTED - _IMPORT_START, "config": time.perf_counter() - start}
+        run(config, args.out, timings)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -407,6 +456,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    if args.timings:
+        print("timings: " + ", ".join(f"{phase} {seconds:.3f} s"
+                                      for phase, seconds in timings.items()), file=sys.stderr)
     print(f"wrote {args.out}")
     return 0
 

@@ -15,7 +15,7 @@ import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .dynamics import Grid1D, SignalEnvelope, check_options
+from .dynamics import MAX_HELD_CELLS, Grid1D, SignalEnvelope, check_options, held_frame_cells
 from .errors import ConfigError
 from .gpe import (GpeParams, SolitonSpec, check_evolution, check_free_background, check_split,
                   healing_alpha)
@@ -297,7 +297,25 @@ class RunConfig:
                             ("gpegrid.snapshot_stride", self.gpegrid.snapshot_stride)):
             if stride < 1:
                 raise ConfigError(f"{key}: must be at least 1")
+        if self.experiment in ("store", "propagate"):
+            _check_held_frames("grid", self.to_grid(), self.grid.snapshot_stride, rows=5)
+        elif self.experiment in ("gpe-soliton", "gpe-split"):
+            _check_held_frames("gpegrid", self.to_gpe_grid(), self.gpegrid.snapshot_stride,
+                               rows=1)
         return self
+
+
+def _check_held_frames(section: str, grid: Grid1D, stride: int, rows: int) -> None:
+    """``ConfigError`` if a run would hold more than ``MAX_HELD_CELLS`` frame
+    or snapshot cells (``held_frame_cells``): it names the stride where two
+    frames would fit, the grid size where they would not."""
+    cells = held_frame_cells(grid, stride, rows)
+    if cells > MAX_HELD_CELLS:
+        key, remedy = ((f"{section}.snapshot_stride", "take a larger stride")
+                       if 2 * grid.n_z * rows <= MAX_HELD_CELLS else
+                       (f"{section}.n_z", "take fewer points"))
+        raise ConfigError(f"{key}: the run would hold {cells:.3g} frame cells (more than "
+                          f"{MAX_HELD_CELLS:g}); {remedy}")
 
 
 # every "section.field" key -> (section, field, value type), in RunConfig's order

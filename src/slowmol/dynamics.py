@@ -53,6 +53,11 @@ _WEA_QUAD_REL_TOL = 1e-8
 # caps on one run: its outer steps, and the RK4 substeps the fixed 0.1 rad rule gives it
 _MAX_OUTER_STEPS = 2_000_000
 _MAX_RK4_SUBSTEPS = 100_000_000
+# cap on the frame or snapshot cells (complex, 16 bytes each) one run holds: 27x
+# the desk store's 373,760 (73 snapshots of 1024 x 5) and 48x a default
+# gpe-soliton's 206,848 (101 frames of 2048); the desk store at stride 1 holds
+# 7.3e6 and peaks at 159 MB resident
+MAX_HELD_CELLS = 10_000_000
 # 12-node Gauss-Legendre rule on [-1, 1]; panel doubling stops after this many halvings
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _MAX_HALVINGS = 16
@@ -190,7 +195,7 @@ class MeanFieldState:
 
     ``boundary_photon_flux`` is the cumulative net photon number that has
     left the domain through the edges up to time t (outflow minus inflow),
-    used for flux-corrected conservation checks.  ``rk4_substeps`` is the
+    used for flux-corrected conservation checks.  ``matter_substeps`` is the
     cumulative number of matter substeps (RK4 or split) taken up to time t.
     """
 
@@ -202,7 +207,7 @@ class MeanFieldState:
     phi_e: np.ndarray
     phi_g: np.ndarray
     boundary_photon_flux: float = 0.0
-    rk4_substeps: int = 0
+    matter_substeps: int = 0
 
     def __post_init__(self):
         n = len(self.z)
@@ -284,12 +289,13 @@ def charge_drifts(snapshots: list[MeanFieldState],
 
 
 def integration_diagnostics(snapshots: list[MeanFieldState], p: MediumParams,
-                            grid: Grid1D) -> dict:
-    """What an ``integrate_mean_field`` run did: its outer steps, the matter
-    substeps it took (RK4 or split), its CFL number and ``charge_drifts`` per
-    charge."""
+                            grid: Grid1D, substeps: int) -> dict:
+    """What an ``integrate_mean_field`` run with ``substeps`` did: its outer
+    steps, its ``matter_step``, the matter substeps it took, its CFL number
+    and ``charge_drifts`` per charge."""
     out = {"outer_steps": grid.outer_steps,
-           "rk4_substeps": snapshots[-1].rk4_substeps - snapshots[0].rk4_substeps,
+           "matter_step": matter_step(p, substeps),
+           "matter_substeps": snapshots[-1].matter_substeps - snapshots[0].matter_substeps,
            "cfl": grid.cfl(p.c)}
     for name, drift in zip(("q1", "q2", "q3"), charge_drifts(snapshots, p)):
         out[f"charge_drift_{name}"] = drift
@@ -424,6 +430,22 @@ def check_options(*, substeps: int = 0, advection: str = "upwind") -> None:
         raise ConfigError("substeps must be nonnegative (0 = automatic)")
     if advection not in ("upwind", "muscl"):
         raise ConfigError(f"unknown advection scheme {advection!r}")
+
+
+def matter_step(p: MediumParams, substeps: int) -> str:
+    """The matter step of an ``integrate_mean_field`` run: ``"split"`` for a
+    lossless automatic one (``substeps=0``), otherwise ``"rk4"``."""
+    return "split" if substeps == 0 and p.lossless else "rk4"
+
+
+def held_frame_cells(grid: Grid1D, stride: int, rows: int) -> int:
+    """The cells of the frames or snapshots a run holds: the first state and
+    one every ``stride`` steps or at the last, ceil(steps/stride) + 1 of
+    n_z x ``rows`` cells each.  A run beyond the outer-step cap, which its
+    solver refuses before the first step, is counted as two."""
+    steps = grid.t_end / grid.dt
+    frames = 2 if steps > _MAX_OUTER_STEPS + 0.5 else 1 + -(-grid.outer_steps // stride)
+    return frames * grid.n_z * rows
 
 
 def capped_outer_steps(grid: Grid1D, key: str, remedy: str) -> int:
@@ -745,6 +767,7 @@ def integrate_mean_field(
     substeps: int = 0,
     advection: str = "upwind",
     inflow: Optional[Callable[[float], complex]] = None,
+    on_snapshot: Optional[Callable[[MeanFieldState], None]] = None,
 ) -> list[MeanFieldState]:
     """Advance the coupled signal/matter equations to the grid horizon.
 
@@ -776,7 +799,9 @@ def integrate_mean_field(
     The state is one (5, n_z) array with rows E, phi_a, phi_b, phi_e, phi_g;
     row 0 alone is advected.  Snapshots (copies, one ``MeanFieldState``
     field per row, with the cumulative flux and substep count) are emitted
-    every ``snapshot_stride`` outer steps; ``s0`` is not changed.
+    every ``snapshot_stride`` outer steps and at the last; ``s0`` is not
+    changed.  ``on_snapshot``, if given, is called with each snapshot as
+    soon as it exists, the first one included.
     """
     check_options(advection=advection)
     lam = grid.cfl(p.c)
@@ -787,7 +812,7 @@ def integrate_mean_field(
         raise ConfigError("initial state grid does not match the integration grid")
 
     half_dt = 0.5 * grid.dt
-    split = substeps == 0 and p.lossless
+    split = matter_step(p, substeps) == "split"
     if split:
         w = _half_step_frequencies(s0.t, sched, p, grid)
         n_steps = len(w) // 2
@@ -802,7 +827,7 @@ def integrate_mean_field(
 
     y = np.array([s0.E, s0.phi_a, s0.phi_b, s0.phi_e, s0.phi_g], dtype=complex)
     flux = float(s0.boundary_photon_flux)
-    taken = int(s0.rk4_substeps)
+    taken = int(s0.matter_substeps)
 
     if split:
         flows = _DarkStateSplit(p, grid.n_z)
@@ -833,14 +858,18 @@ def integrate_mean_field(
     # the B time the split still owes the state y, always 0 under RK4
     deferred = 0.0
 
-    def snapshot(t: float) -> MeanFieldState:
+    snaps = []
+
+    def snapshot(t: float) -> None:
         fields = y.copy()
         if deferred:
             flows.pairs(fields, deferred)   # the state at t itself
-        return MeanFieldState(t, grid.z, *fields, boundary_photon_flux=flux,
-                              rk4_substeps=taken)
+        snaps.append(MeanFieldState(t, grid.z, *fields, boundary_photon_flux=flux,
+                                    matter_substeps=taken))
+        if on_snapshot is not None:
+            on_snapshot(snaps[-1])
 
-    snaps = [snapshot(s0.t)]
+    snapshot(s0.t)
     # divergence is caught by the finiteness check; silence the overflow
     # chatter a diverging step emits on the way there
     with np.errstate(over="ignore", invalid="ignore"):
@@ -869,7 +898,7 @@ def integrate_mean_field(
                                           ceilings[n + 1] if n + 1 < n_steps else 0.0)
                 q = q_mid
             if (n + 1) % snapshot_stride == 0 or n == n_steps - 1:
-                snaps.append(snapshot(t0 + grid.dt))
+                snapshot(t0 + grid.dt)
     return snaps
 
 

@@ -169,11 +169,14 @@ class SolitonSpec:
 
 @dataclass
 class WaveFunction:
-    """Complex field on a grid at one instant."""
+    """Complex field on a grid at one instant.  A frame of
+    ``split_step_evolve`` also carries the largest spectral-tail fraction of
+    any step up to t (0 before the first step)."""
 
     z: np.ndarray
     psi: np.ndarray
     t: float = 0.0
+    max_spectral_tail_fraction: float = 0.0
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=float)
@@ -284,6 +287,7 @@ def split_step_evolve(
     snapshot_stride: int = 10,
     nonlinearity: str = "self-consistent",
     background_decay_rate: float = 0.0,
+    on_frame: Optional[Callable[[WaveFunction], None]] = None,
 ) -> list[WaveFunction]:
     """Symmetric (Strang) split-step spectral evolution of the molecular field,
     ``grid.outer_steps`` steps of ``grid.dt`` to the grid's horizon.
@@ -307,11 +311,16 @@ def split_step_evolve(
     most about 2e-12 in density and phase.
 
     Every step checks the field for non-finite values (``NumericsError``
-    naming the step's time) and, once per run, warns with
-    ``AliasingWarning`` when the spectral tail holds more than
-    ``_ALIASING_TOL`` of the power.  The tail is one contiguous block of
-    the spectrum (``_spectral_tail``), so each power is one reduction over
-    contiguous memory; the check reads the state and never changes it.
+    naming the step's time) and measures the fraction of the power that
+    the spectral tail holds (0 when there is no power); once per run it
+    warns with ``AliasingWarning`` when that passes ``_ALIASING_TOL``, and
+    each frame carries the largest fraction so far.  The tail is one
+    contiguous block of the spectrum (``_spectral_tail``), so each power is
+    one reduction over contiguous memory; the check reads the state and
+    never changes it.
+
+    ``on_frame``, if given, is called with each frame as soon as it exists,
+    the first one included.
     """
     check_evolution(nonlinearity=nonlinearity, background_decay_rate=background_decay_rate)
     dt = grid.dt
@@ -335,10 +344,18 @@ def split_step_evolve(
     kin_full = kin_half**2
     tail = _spectral_tail(k)
     aliasing_reported = False
+    worst_tail = 0.0
     decay = background_decay_rate
     z = grid.z
+    frames = []
 
-    frames = [WaveFunction(z=z, psi=psi, t=psi0.t)]
+    def emit(frame_psi: np.ndarray, t: float) -> None:
+        frames.append(WaveFunction(z=z, psi=frame_psi, t=t,
+                                   max_spectral_tail_fraction=worst_tail))
+        if on_frame is not None:
+            on_frame(frames[-1])
+
+    emit(psi, psi0.t)
     psi = np.fft.ifft(kin_half * np.fft.fft(psi))  # the opening kinetic half-step
     for step in range(n_steps):
         t_mid = psi0.t + (step + 0.5) * dt
@@ -352,8 +369,10 @@ def split_step_evolve(
         if decay > 0.0:
             spec *= math.exp(-decay * dt)
         high = spec[tail]
-        if not aliasing_reported and np.vdot(high, high).real > \
-                _ALIASING_TOL * np.vdot(spec, spec).real:
+        power = np.vdot(spec, spec).real
+        fraction = float(np.vdot(high, high).real / power) if power > 0 else 0.0
+        worst_tail = max(worst_tail, fraction)
+        if not aliasing_reported and fraction > _ALIASING_TOL:
             warnings.warn(
                 f"spectral tail above {_ALIASING_TOL:g} of total power at "
                 f"t={t_next:.6g}; grid under-resolves the state",
@@ -367,7 +386,7 @@ def split_step_evolve(
             raise NumericsError("non-finite wavefunction", t=t_next, index=int(bad[0] // 2))
         if (step + 1) % snapshot_stride == 0 or step == n_steps - 1:
             # close the fused half-step: the state at t_next itself
-            frames.append(WaveFunction(z=z, psi=np.fft.ifft(kin_half * spec), t=t_next))
+            emit(np.fft.ifft(kin_half * spec), t_next)
     return frames
 
 
@@ -521,6 +540,7 @@ def soliton_split_experiment(
     trajectories = track_minima(frames, background_density=p.background_amp**2)
 
     n_frames = len(frames)
+    tail = frames[-1].max_spectral_tail_fraction
     # The seeding instant itself is a legitimate association ambiguity (one
     # dip becomes two), so persistence is judged by track length alone and
     # the ambiguity flags are reported instead of filtering.
@@ -539,6 +559,7 @@ def soliton_split_experiment(
             "n_trajectories": float(len(trajectories)),
             "n_persistent": float(len(persistent)),
             "n_frames": float(n_frames),
+            "max_spectral_tail_fraction": tail,
         }
         return report
 
@@ -565,6 +586,7 @@ def soliton_split_experiment(
         "v_right": right.fit_speed(),
         "v_expected": v_expected,
         "separation_monotone": float(monotone),
+        "max_spectral_tail_fraction": tail,
         **conservation_drifts(frames, p),
     }
     return report

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -153,6 +153,7 @@ def run_storage_retrieval(
     substeps: int = 0,
     snapshot_stride: int = 10,
     advection: str = "upwind",
+    on_snapshot: Optional[Callable[[MeanFieldState], None]] = None,
 ) -> ExperimentReport:
     """Store a signal pulse in the molecular field and retrieve it.
 
@@ -165,7 +166,7 @@ def run_storage_retrieval(
     run when the feasibility gate fails, unless forced.  A lossless run
     (every gamma 0) conserves the charges, so a worst drift above
     ``CHARGE_DRIFT_LIMIT`` raises ``NumericsError``; with decay the drift is
-    only reported.
+    only reported.  ``on_snapshot`` is ``integrate_mean_field``'s.
     """
     v_plateau = group_velocity_with_decay(p, sched.plateau)
     width = pulse.descriptor.rms_width if pulse.descriptor is not None else _rms_width(pulse)
@@ -188,12 +189,13 @@ def run_storage_retrieval(
     snaps = integrate_mean_field(
         s0, sched, p, grid,
         snapshot_stride=snapshot_stride, substeps=substeps, advection=advection,
+        on_snapshot=on_snapshot,
     )
 
     t_store = 0.5 * (span[0] + span[1]) if span[1] > span[0] else 0.5 * grid.t_end
     stored = min(snaps, key=lambda s: abs(s.t - t_store))
 
-    scalars: dict[str, float] = integration_diagnostics(snaps, p, grid)
+    scalars: dict = integration_diagnostics(snaps, p, grid, substeps)
     # np.max, not max: a nan drift must fail the gate wherever it sits
     worst = float(np.max([scalars[f"charge_drift_{name}"] for name in ("q1", "q2", "q3")]))
     if p.lossless and not worst <= CHARGE_DRIFT_LIMIT:

@@ -1,9 +1,10 @@
 """Structured experiment results and their one writer.
 
 Every experiment returns an ``ExperimentReport`` whose ``files`` map holds
-each output file; ``write_report`` is the only code that writes them.  This
-module also makes the text of every number written, so a given report
-always serializes to byte-identical files.
+each output file; a ``ReportWriter`` is the only code that writes them: the
+frame tables a solver hands over while it runs, then the rest in
+``write_report``.  This module also makes the text of every number written,
+so a given report always serializes to byte-identical files.
 """
 
 from __future__ import annotations
@@ -145,14 +146,16 @@ class ExperimentReport:
         return lines
 
 
-# A report with at least this many tables is written by several processes.
-# Forking and reaping one writer costs 2.0-2.6 ms on a 2-vCPU host, and the
-# cheapest table measured, a 200-point sweep curve, takes 0.24 ms to write:
-# the 16 tables a second process takes from 32 save 3.8 ms.  Frame and
-# snapshot tables take 0.4-4 ms each.  Every analytic request (at most 7
-# tables) stays in one process; the desk store (76) and a default
-# gpe-soliton run (103) fork.
-_FORK_MIN_TABLES = 32
+# While a solver runs, a writer is forked once this many handed-over tables
+# are ready and a CPU is free.  At the finish, a report of at least this many
+# tables in all has its unwritten rest shared by one process per CPU, however
+# few tables that rest holds.  Forking and reaping a writer costs 2.0-2.6 ms
+# on a 2-vCPU host; a frame or snapshot table takes 0.4-4 ms to write, the
+# cheapest table, a 200-point sweep curve, 0.24 ms.  A default gpe-soliton
+# run (103 tables) and the desk store (76) fork; no analytic request (at most
+# 7 tables) does.  Batches of 4 to 24 tables gave the same in-process
+# gpe-soliton time within the noise (medians 0.50-0.55 s).
+_FORK_MIN_TABLES = 16
 _MAX_WRITERS = 4
 
 
@@ -166,61 +169,128 @@ def _write_share(outdir: Path, entries) -> None:
             write_csv(path, header, columns() if callable(columns) else columns)
 
 
-def _writer_count(files: dict) -> int:
-    """How many processes write ``files``: one per CPU this process may run
-    on, at most ``_MAX_WRITERS``, for a report of at least
-    ``_FORK_MIN_TABLES`` tables; otherwise, or where forking is unsafe (a
-    second thread is alive) or unsupported, one."""
-    tables = sum(not isinstance(content, str) for content in files.values())
-    if (tables < _FORK_MIN_TABLES or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() != 1):
+def _cpu_slots() -> int:
+    """How many processes may write at once: one per CPU this process may
+    run on, at most ``_MAX_WRITERS``; one where forking is unsafe (a second
+    thread is alive) or unsupported."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
         return 1
     return min(len(os.sched_getaffinity(0)), _MAX_WRITERS)
 
 
-def write_report(report: ExperimentReport, outdir: Path) -> None:
-    """Write every entry of ``report.files`` under ``outdir``.
+def _tables(entries) -> int:
+    return sum(not isinstance(content, str) for _, content in entries)
 
-    A report of at least ``_FORK_MIN_TABLES`` tables is written by one
-    process per CPU that this process may run on (``os.sched_getaffinity``),
-    at most ``_MAX_WRITERS``, and only while no second thread is alive.
-    This process makes every directory, forks writer *i* for the entries
-    ``[i::k]``, writes share 0 itself and then waits for every writer, also
-    when its own share failed, so no writer outlives the call.  No table
-    text crosses processes, and every file holds the same bytes as a
-    one-process write.  A writer reports only its exit status: once share 0
-    is written, this process writes each failed writer's share again, so a
-    failure that repeats is raised here as itself.  A writer killed by a
-    signal raises ``OSError`` naming it.
+
+def _writer_count(files: dict) -> int:
+    """How many processes finish writing ``files``: ``_cpu_slots()`` for a
+    report of at least ``_FORK_MIN_TABLES`` tables, otherwise one."""
+    return _cpu_slots() if _tables(files.items()) >= _FORK_MIN_TABLES else 1
+
+
+class ReportWriter:
+    """The one writer of a report's files under ``outdir``.
+
+    A solver's per-frame callback may ``hand`` over each frame's table as
+    soon as it exists, and ``finish`` writes the rest of the report.  Used as
+    a context manager, the writer reaps every process it forked on leaving,
+    also when the solve raised, so no writer outlives the block.
     """
-    outdir = Path(outdir)
-    entries = list(report.files.items())
-    for parent in {(outdir / name).parent for name, _ in entries if "/" in name}:
-        parent.mkdir(parents=True, exist_ok=True)
-    k = _writer_count(report.files)
-    writers = []
-    try:
-        for i in range(1, k):
-            pid = os.fork()
-            if pid == 0:
-                # never return into the caller's stack: its handlers and cleanup
-                # belong to the parent
-                status = 1
-                try:
-                    _write_share(outdir, entries[i::k])
-                    status = 0
-                finally:
-                    os._exit(status)
-            writers.append((i, pid))
-        _write_share(outdir, entries[::k])
-    finally:
-        codes = [(i, pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-                 for i, pid in writers]
-    for i, pid, code in codes:
-        if code < 0:
-            import signal  # only a killed writer needs the signal names
 
-            raise OSError(f"report writer {pid} killed by signal {-code} "
-                          f"({signal.strsignal(-code)})")
-        if code:
-            _write_share(outdir, entries[i::k])
+    def __init__(self, outdir: Path):
+        self.outdir = Path(outdir)
+        self._handed: set = set()
+        self._ready: list = []   # handed-over entries that no writer has taken
+        self._live: list = []    # (pid, entries) of forked writers not reaped
+        self._ended: list = []   # (pid, exit code, entries) of reaped writers
+
+    def __enter__(self) -> "ReportWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._reap(block=True)
+
+    def hand(self, name: str, content) -> None:
+        """Take the entry ``name`` of ``report.files`` before the report
+        exists.  Once ``_FORK_MIN_TABLES`` entries are ready and a CPU is
+        free (fewer writers alive than ``_cpu_slots() - 1``), one forked
+        writer takes all of them."""
+        self._handed.add(name)
+        self._ready.append((name, content))
+        if len(self._ready) >= _FORK_MIN_TABLES:
+            self._reap(block=False)
+            if len(self._live) < _cpu_slots() - 1:
+                self._fork(self._ready)
+                self._ready = []
+
+    def finish(self, report: ExperimentReport) -> None:
+        """Write the entries of ``report.files`` not written yet (the ready
+        hand-overs and every entry never handed over), shared by
+        ``_writer_count`` processes: fork writer *i* for the entries
+        ``[i::k]`` of that rest, write share 0 here, then wait for every
+        writer, the ones forked during the solve included, also when share
+        0 failed.  Once share 0 is written, write each failed writer's share
+        again, so a failure that repeats is raised here as itself; a writer
+        killed by a signal raises ``OSError`` naming it."""
+        rest = self._ready + [(name, content) for name, content in report.files.items()
+                              if name not in self._handed]
+        self._ready = []
+        k = max(1, min(_writer_count(report.files), _tables(rest)))
+        try:
+            for i in range(1, k):
+                self._fork(rest[i::k])
+            self._make_dirs(rest[::k])
+            _write_share(self.outdir, rest[::k])
+        finally:
+            self._reap(block=True)
+        for pid, code, entries in self._ended:
+            if code < 0:
+                import signal  # only a killed writer needs the signal names
+
+                raise OSError(f"report writer {pid} killed by signal {-code} "
+                              f"({signal.strsignal(-code)})")
+            if code:
+                _write_share(self.outdir, entries)
+
+    def _make_dirs(self, entries) -> None:
+        for parent in {(self.outdir / name).parent for name, _ in entries if "/" in name}:
+            parent.mkdir(parents=True, exist_ok=True)
+
+    def _fork(self, entries: list) -> None:
+        self._make_dirs(entries)
+        pid = os.fork()
+        if pid == 0:
+            # never return into the caller's stack: its handlers and cleanup
+            # belong to the parent
+            status = 1
+            try:
+                _write_share(self.outdir, entries)
+                status = 0
+            finally:
+                os._exit(status)
+        self._live.append((pid, entries))
+
+    def _reap(self, block: bool) -> None:
+        live = []
+        for pid, entries in self._live:
+            done, status = os.waitpid(pid, 0 if block else os.WNOHANG)
+            if done:
+                self._ended.append((pid, os.waitstatus_to_exitcode(status), entries))
+            else:
+                live.append((pid, entries))
+        self._live = live
+
+
+def write_report(report: ExperimentReport, outdir: Path,
+                 writer: Optional[ReportWriter] = None) -> None:
+    """Write every entry of ``report.files`` under ``outdir``: the finishing
+    call (``ReportWriter.finish``) of ``writer``, made for ``outdir`` and
+    holding what a solver handed over, or of a fresh writer.
+
+    No table text crosses processes, and every file holds the same bytes as
+    a one-process write, whichever process writes it and whenever.  A report
+    of fewer than ``_FORK_MIN_TABLES`` tables, or one written while a second
+    thread is alive, is written by this process alone.  The call returns or
+    raises only after every writer has exited.
+    """
+    (writer if writer is not None else ReportWriter(outdir)).finish(report)

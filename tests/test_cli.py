@@ -83,7 +83,8 @@ def test_store_with_desk_preset(tmp_path):
     assert float(summary["fidelity"]) > 0.95
     assert float(summary["mapping_residual"]) < 0.03
     assert int(summary["outer_steps"]) == 307
-    assert int(summary["rk4_substeps"]) >= 2 * 307
+    assert summary["matter_step"] == "split"
+    assert int(summary["matter_substeps"]) >= 2 * 307
     assert float(summary["cfl"]) == 1.0
     for q in ("q1", "q2", "q3"):
         assert float(summary[f"charge_drift_{q}"]) <= 1e-6
@@ -117,11 +118,12 @@ def test_propagate_snapshot_dump(tmp_path):
     assert outer == round(10.0 / grid.dt) == 26
     assert float(summary["cfl"]) == p.c * grid.dt / grid.dz
     fixed_rule = half_step_substeps(0.0, config.to_schedule(), p, grid)
-    assert 2 * outer <= int(summary["rk4_substeps"]) <= fixed_rule.sum()
+    assert 2 * outer <= int(summary["matter_substeps"]) <= fixed_rule.sum()
     for q in ("q1", "q2", "q3"):
         assert 0.0 <= float(summary[f"charge_drift_{q}"]) <= 1e-6
-    assert list(summary)[-6:] == ["outer_steps", "rk4_substeps", "cfl", "charge_drift_q1",
-                                  "charge_drift_q2", "charge_drift_q3"]
+    assert list(summary)[-7:] == ["outer_steps", "matter_step", "matter_substeps", "cfl",
+                                  "charge_drift_q1", "charge_drift_q2", "charge_drift_q3"]
+    assert summary["matter_step"] == "split"
 
 
 def test_propagate_reports_but_never_gates_the_drift_of_a_dissipative_scheme(tmp_path):
@@ -147,6 +149,7 @@ def test_gpe_split_outputs(tmp_path):
     assert summary["succeeded"] == "1.0"
     assert float(summary["norm_drift"]) <= 1e-10 * 6.0  # criterion 7, 6 us
     assert float(summary["energy_drift"]) <= 1e-6
+    assert 0.0 < float(summary["max_spectral_tail_fraction"]) <= 1e-8  # no aliasing warned
     traj = (out / "trajectory.csv").read_text().splitlines()
     assert traj[0] == "t_us,dip_index,z_um,speed_um_per_us"
     assert (out / "separation.csv").exists()
@@ -162,6 +165,8 @@ def test_gpe_soliton_outputs(tmp_path):
     assert float(summary["measured_speed_um_per_us"]) == pytest.approx(0.6, rel=0.05)
     assert float(summary["norm_drift"]) <= 1e-10 * 5.0  # criterion 7, 5 us
     assert float(summary["energy_drift"]) <= 1e-6
+    assert 0.0 < float(summary["max_spectral_tail_fraction"]) <= 1e-8  # no aliasing warned
+    assert summary["n_flagged"] == "0"
     frames = (out / "frames" / "frames.csv").read_text().splitlines()
     assert frames[0] == "index,t_us,file"
     header, _ = read_csv(out / "frames" / "frame_00000.csv")
@@ -344,6 +349,53 @@ def test_a_step_cap_error_is_one_short_line(tmp_path, capsys, experiment, settin
     err = capsys.readouterr().err.strip()
     assert "\n" not in err and len(err) < 160, err
     assert f"configuration error: {key}: " in err and "steps requested (more than 2e+06)" in err
+
+
+@pytest.mark.parametrize("experiment, settings, key", [
+    ("store", ["preset=desk-storage", "grid.n_z=100000000"], "grid.n_z"),
+    ("propagate", ["preset=desk-storage", "grid.n_z=20000", "grid.snapshot_stride=1"],
+     "grid.snapshot_stride"),
+    ("gpe-soliton", ["gpegrid.n_z=10000000"], "gpegrid.n_z"),
+    ("gpe-split", ["gpegrid.n_z=8000", "gpegrid.snapshot_stride=1"], "gpegrid.snapshot_stride"),
+])
+def test_a_run_beyond_the_held_frames_budget_is_refused_before_it_allocates(
+        tmp_path, capsys, experiment, settings, key):
+    # validate refuses it: load_config builds no array
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: the run would hold "
+                                          r"\S+ frame cells \(more than 1e\+07\)"):
+        load_config(None, [f"experiment={experiment}", *settings])
+    assert main([experiment, "--out", str(tmp_path / "x"),
+                 *[arg for s in settings for arg in ("--set", s)]]) == 2
+    assert f"configuration error: {key}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # an analytic run holds no frames
+    load_config(None, ["experiment=groupvel", *settings])
+
+
+def test_the_reference_runs_fit_the_held_frames_budget():
+    desk = load_config(None, ["experiment=store", "preset=desk-storage"])
+    gpe = load_config(None, ["experiment=gpe-soliton"])
+    assert dynamics.held_frame_cells(desk.to_grid(), desk.grid.snapshot_stride, 5) == 73 * 1024 * 5
+    assert dynamics.held_frame_cells(gpe.to_gpe_grid(), gpe.gpegrid.snapshot_stride, 1) == \
+        101 * 2048
+    # a snapshot after each of its 1432 steps: the desk store still fits
+    load_config(None, ["experiment=store", "preset=desk-storage", "grid.snapshot_stride=1"])
+    assert dynamics.held_frame_cells(desk.to_grid(), 1, 5) == 1433 * 1024 * 5 \
+        <= dynamics.MAX_HELD_CELLS
+
+
+def test_timings_go_to_stderr_and_leave_the_outputs_alone(tmp_path, capsys):
+    settings = ["--set", "gpegrid.n_z=256", "--set", "gpegrid.t_end_us=0.5"]
+    assert main(["gpe-soliton", "--out", str(tmp_path / "plain"), *settings]) == 0
+    assert "timings" not in capsys.readouterr().err
+    assert main(["gpe-soliton", "--out", str(tmp_path / "timed"), "--timings", *settings]) == 0
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"timings: import \d+\.\d{3} s, config \d+\.\d{3} s, "
+                        r"solve \d+\.\d{3} s, write \d+\.\d{3} s\n", err), err
+    files = [{p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+             for root in (tmp_path / "plain", tmp_path / "timed")]
+    assert len(files[0]) == 10 and files[0] == files[1]  # 6 frames and 4 more files
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "timed"]
 
 
 def test_exit_code_4_on_feasibility_refusal(tmp_path, capsys):
@@ -552,11 +604,11 @@ def test_interleaved_runs_to_one_out_dir(tmp_path, monkeypatch):
     inner = cli._RUNNERS["groupvel"]
     calls = []
 
-    def interleaving(cfg):
+    def interleaving(cfg, writer=None):
         calls.append(cfg)
         if len(calls) == 1:
             run(load_config(None, ["experiment=groupvel", "curve.points=5"]), out)
-        return inner(cfg)
+        return inner(cfg, writer)
 
     monkeypatch.setitem(cli._RUNNERS, "groupvel", interleaving)
     with pytest.raises(ConfigError, match="gained files"):
@@ -588,7 +640,7 @@ def test_runner_report_lists_every_file_written(tmp_path, monkeypatch, experimen
     inner = cli._RUNNERS[experiment]
     reports = []
     monkeypatch.setitem(cli._RUNNERS, experiment,
-                        lambda cfg: reports.append(inner(cfg)) or reports[-1])
+                        lambda cfg, writer=None: reports.append(inner(cfg, writer)) or reports[-1])
     config = load_config(None, [f"experiment={experiment}"] + RUNNER_CASES[experiment])
     out = tmp_path / "out"
     run(config, out)

@@ -485,7 +485,7 @@ def test_lossless_desk_run_takes_the_substeps_its_drift_allows(desk_medium, monk
     snaps = integrate_mean_field(s0, sched, desk_medium, grid, snapshot_stride=20)
     counts = np.concatenate([c for _, c in asked])
     assert len(counts) == len(fixed) == 2864
-    assert counts.sum() == snaps[-1].rk4_substeps < fixed.sum() == 13780
+    assert counts.sum() == snaps[-1].matter_substeps < fixed.sum() == 13780
     # between the one-substep floor and the 0.1 rad rule
     assert np.all((1 <= counts) & (counts <= fixed))
     assert counts.min() == 1
@@ -498,8 +498,8 @@ def test_lossless_desk_run_takes_the_substeps_its_drift_allows(desk_medium, monk
     assert q3 <= 1e-12
     assert q1 == q2 > 0.0
     # the cumulative count travels with the snapshots
-    assert snaps[0].rk4_substeps == 0
-    assert all(a.rk4_substeps < b.rk4_substeps for a, b in zip(snaps, snaps[1:]))
+    assert snaps[0].matter_substeps == 0
+    assert all(a.matter_substeps < b.matter_substeps for a, b in zip(snaps, snaps[1:]))
 
 
 def test_halving_the_split_substep_cuts_the_desk_q1_drift_fourfold(desk_medium, monkeypatch):
@@ -515,7 +515,7 @@ def test_halving_the_split_substep_cuts_the_desk_q1_drift_fourfold(desk_medium, 
         monkeypatch.setattr(dynamics, "_substep_counts",
                             lambda half_dt, w, theta, m=m: np.full(len(w), m))
         snaps = integrate_mean_field(s0, sched, desk_medium, grid, snapshot_stride=100)
-        assert snaps[-1].rk4_substeps == 2864 * m
+        assert snaps[-1].matter_substeps == 2864 * m
         drifts.append(dynamics.charge_drifts(snaps, desk_medium))
     (q1_coarse, _, q3_coarse), (q1_fine, _, q3_fine) = drifts
     assert max(q3_coarse, q3_fine) <= 1e-12
@@ -532,7 +532,7 @@ def test_advection_dissipation_does_not_pin_the_phase_target(desk_medium):
     snaps = integrate_mean_field(s0, sched, desk_medium, grid, snapshot_stride=50,
                                  advection="muscl")
     assert dynamics.charge_drifts(snaps, desk_medium)[2] > 1e-3
-    assert snaps[-1].rk4_substeps < half_step_substeps(0.0, sched, desk_medium, grid).sum()
+    assert snaps[-1].matter_substeps < half_step_substeps(0.0, sched, desk_medium, grid).sum()
 
 
 def test_split_snapshots_do_not_disturb_the_run(desk_medium):
@@ -681,7 +681,8 @@ def test_detuned_lossless_store_agrees_with_an_explicit_rk4_run():
     pulse = desk_pulse(grid)
     split = run_storage_retrieval(p, sched, pulse, grid, snapshot_stride=10)
     ref = run_storage_retrieval(p, sched, pulse, grid, snapshot_stride=10, substeps=96)
-    assert split.scalars["rk4_substeps"] < ref.scalars["rk4_substeps"] == 96 * 2 * 102
+    assert split.scalars["matter_substeps"] < ref.scalars["matter_substeps"] == 96 * 2 * 102
+    assert (split.scalars["matter_step"], ref.scalars["matter_step"]) == ("split", "rk4")
     assert split.scalars["charge_drift_q3"] <= 1e-12
     assert max(split.scalars["charge_drift_q1"], split.scalars["charge_drift_q2"]) <= 0.5e-6
     # the detuning phases sit outside the exact rotation, so the split's error

@@ -51,7 +51,8 @@ SIZES = {
 # 0.2 us on the GPE grid, these horizons take 2e7 and 5e7 steps (cap 2e6), and
 # this plateau takes more than 1e8 substeps; so does an explicit substep count of
 # 1e8 or more, over the two half-steps or more of any run.  A tiny time step or a
-# larger grid or curve would allocate before any cap, so none is drawn.
+# larger grid or curve would allocate before any cap, so none is drawn; a grid
+# beyond the held-frames budget is pinned once per solver below.
 BEYOND_CAPS = {
     "grid.t_end_us": st.floats(1e8, 1e300),
     "gpegrid.t_end_us": st.floats(1e7, 1e300),
@@ -124,6 +125,9 @@ def cases(draw):
 @example(("gpe-soliton", ["gpegrid.t_end_us=1e7"]))
 @example(("propagate", ["schedule.omega0_rad_per_us=1e9"]))
 @example(("store", ["run.substeps=100000000"]))
+# one run beyond the held-frames budget (1e7 cells) per solver, refused by validate
+@example(("propagate", ["grid.n_z=100000000"]))
+@example(("gpe-soliton", ["gpegrid.n_z=1000000", "gpegrid.snapshot_stride=1"]))
 def test_every_run_exits_by_the_contract(case):
     experiment, sets = case
     with tempfile.TemporaryDirectory() as tmp, \

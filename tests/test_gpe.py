@@ -299,9 +299,10 @@ def test_underresolved_state_warns_about_aliasing():
         split_step_evolve(wf0, P, grid, snapshot_stride=10**6)
 
 
-def _unfused_split_step(psi0, p, grid, snapshot_stride, nonlinearity, decay):
+def _unfused_split_step(psi0, p, grid, snapshot_stride, nonlinearity, decay, fractions=None):
     """Reference: the Strang step with both kinetic half-steps in every step
-    (four FFTs), the frames as (t, psi) pairs."""
+    (four FFTs), the frames as (t, psi) pairs; each step's spectral-tail
+    fraction is appended to ``fractions``, if given."""
     dt, n_steps = grid.dt, max(1, int(round(grid.t_end / grid.dt)))
     veff = effective_potential(p, grid.n_z)
     k = 2.0 * math.pi * np.fft.fftfreq(grid.n_z, d=grid.dz)
@@ -319,6 +320,9 @@ def _unfused_split_step(psi0, p, grid, snapshot_stride, nonlinearity, decay):
             nl = p.u_gg * (p.background_amp**2 * math.exp(-2.0 * decay * t_mid))
         psi *= np.exp(-1j * (veff + nl) * dt)
         spec = np.fft.fft(psi)
+        if fractions is not None:
+            fractions.append(float(np.sum(np.abs(spec[tail]) ** 2))
+                             / float(np.sum(np.abs(spec) ** 2)))
         if not reported and float(np.sum(np.abs(spec[tail]) ** 2)) > \
                 1e-8 * float(np.sum(np.abs(spec) ** 2)):
             warnings.warn(f"spectral tail above 1e-08 of total power at "
@@ -348,6 +352,30 @@ def test_fused_kinetic_steps_match_the_unfused_strang_step(nonlinearity, decay):
     assert np.array_equal(frames[0].psi, wf0.psi)
     if decay:
         assert frames[-1].norm() < 0.7 * frames[0].norm()
+
+
+def test_each_frame_carries_the_largest_spectral_tail_fraction_so_far():
+    # the under-resolved pair of the aliasing tests, a frame every 10 steps
+    grid = soliton_grid(n_z=256, t_end=0.05, dt=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        wf0 = soliton_product([SolitonSpec(q=1.0, z0=0.0, alpha=1e-4),
+                               SolitonSpec(q=1.0, z0=10.0, direction=-1, alpha=1e-4)],
+                              P, grid)
+        handed, per_step = [], []
+        frames = split_step_evolve(wf0, P, grid, snapshot_stride=10, on_frame=handed.append)
+        _unfused_split_step(wf0, P, grid, 10, "self-consistent", 0.0, per_step)
+    assert len(handed) == len(frames) == 6
+    assert all(a is b for a, b in zip(handed, frames))  # each frame, as it is made
+    carried = [f.max_spectral_tail_fraction for f in frames]
+    assert carried[0] == 0.0 and carried[-1] > 1e-8  # the warning's threshold
+    for i, value in enumerate(carried[1:], start=1):
+        assert value == pytest.approx(max(per_step[:10 * i]), rel=1e-6)
+    # no power at all: the fraction is 0, not nan
+    zero = WaveFunction(z=grid.z, psi=np.zeros(grid.n_z))
+    frames = split_step_evolve(zero, P, soliton_grid(n_z=256, t_end=0.01, dt=1e-3),
+                               snapshot_stride=5)
+    assert [f.max_spectral_tail_fraction for f in frames] == [0.0, 0.0, 0.0]
 
 
 def test_fused_step_warns_of_aliasing_at_the_unfused_step_time():

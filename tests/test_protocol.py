@@ -265,8 +265,8 @@ def test_storage_reports_its_step_counts_and_charge_drifts():
     assert rep.scalars["outer_steps"] == round(40.0 / grid.dt) == len(counts) // 2
     # the split substeps the lossless run took under its drift control: at least
     # one per half-step, at most the fixed rule's
-    taken = rep.snapshots[-1].rk4_substeps
-    assert len(counts) <= rep.scalars["rk4_substeps"] == taken <= counts.sum()
+    taken = rep.snapshots[-1].matter_substeps
+    assert len(counts) <= rep.scalars["matter_substeps"] == taken <= counts.sum()
     assert rep.scalars["cfl"] == grid.cfl(p.c)
     # worst relative drift over the snapshots, one charge at a time
     q0 = conserved_charges(rep.snapshots[0], p)
@@ -279,7 +279,8 @@ def test_storage_reports_its_step_counts_and_charge_drifts():
     assert rep.scalars["charge_drift_q3"] <= 1e-12
     assert 0.0 < rep.scalars["charge_drift_q1"] <= 0.5e-6
     lines = rep.summary_lines()
-    assert f"rk4_substeps = {taken}" in lines
+    assert f"matter_substeps = {taken}" in lines
+    assert "matter_step = split" in lines
     assert f"outer_steps = {len(counts) // 2}" in lines
 
 

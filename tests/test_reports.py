@@ -158,19 +158,42 @@ def _tables(n):
     return ExperimentReport(kind="demo", files=files)
 
 
+def _serial_files(root, report):
+    """The files of ``report`` written by one ``_write_share`` call."""
+    for name in report.files:
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+    reports_mod._write_share(root, list(report.files.items()))
+    return _files(root)
+
+
 @pytest.mark.parametrize("experiment", sorted(FORKED_RUNS))
 def test_forked_and_serial_writes_are_byte_identical(tmp_path, monkeypatch, experiment):
+    # the runner hands each frame table to the writer as the solver makes it:
+    # the forked run forks writers while it solves, and its early and final
+    # writes together give the bytes of one serial _write_share of its report
     settings = FORKED_RUNS[experiment]
     config = load_config(None, [f"experiment={experiment}", *settings])
     forks = _count_forks(monkeypatch)
+    inner = cli._RUNNERS[experiment]
+    reports, forks_when_solved = [], []
+
+    def runner(cfg, writer=None):
+        reports.append(inner(cfg, writer))
+        forks_when_solved.append(len(forks))
+        return reports[-1]
+
+    monkeypatch.setitem(cli._RUNNERS, experiment, runner)
     outputs = {}
-    for name, threshold in (("serial", 10**9), ("forked", 0)):
+    for name, threshold in (("serial", 10**9), ("forked", 2)):
         monkeypatch.setattr(reports_mod, "_FORK_MIN_TABLES", threshold)
         run(config, tmp_path / name)
         outputs[name] = _files(tmp_path / name)
-    assert len(forks) == 1  # the forked run forked one writer, the serial run none
+    assert forks_when_solved[0] == 0 and forks_when_solved[1] >= 1
     assert len(outputs["serial"]) >= 5
-    assert outputs["forked"] == outputs["serial"]
+    assert outputs["forked"] == outputs["serial"] == _serial_files(tmp_path / "share",
+                                                                    reports[1])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_writers_failure_reaches_the_caller_and_no_run_is_left(tmp_path, monkeypatch):
@@ -208,7 +231,7 @@ def test_a_writers_failure_reaches_the_caller_and_no_run_is_left(tmp_path, monke
     pid_file = tmp_path / "cli.pids"
     report = _tables(4)
     report.files["sub/t03.csv"] = (["x"], _failing_in(pid_file, TableError("table 3")))
-    monkeypatch.setitem(cli._RUNNERS, "groupvel", lambda cfg: report)
+    monkeypatch.setitem(cli._RUNNERS, "groupvel", lambda cfg, writer=None: report)
     out = tmp_path / "cli" / "out"
     (tmp_path / "cli").mkdir()
     with pytest.raises(TableError, match="^table 3$"):
@@ -274,6 +297,102 @@ def test_a_small_report_or_a_second_thread_never_forks(tmp_path, monkeypatch):
         waiter.join(10.0)
     assert not waiter.is_alive()
     assert len(_files(tmp_path / "threaded")) == 7
+
+
+def _hand_over(writer, report, n):
+    """Hand the first ``n`` entries of ``report.files`` to ``writer``."""
+    for name, content in list(report.files.items())[:n]:
+        writer.hand(name, content)
+
+
+def test_an_early_writers_failure_is_written_again_or_raised_as_itself(tmp_path,
+                                                                        monkeypatch):
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(reports_mod, "_FORK_MIN_TABLES", 2)
+    parent = os.getpid()
+    for name, where in (("once", lambda pid: pid != parent), ("always", lambda pid: True)):
+        pid_file = tmp_path / f"{name}.pids"
+        error = TableError(name)
+        report = _tables(4)
+        report.files["sub/t01.csv"] = (["x"], _failing_in(pid_file, error, where))
+        writer = reports_mod.ReportWriter(tmp_path / name)
+        _hand_over(writer, report, 2)  # t00 and t01: one writer forks for both
+        assert len(forks) == 1
+        if name == "once":
+            write_report(report, tmp_path / name, writer)
+            once = report
+        else:
+            with pytest.raises(TableError) as info:
+                write_report(report, tmp_path / name, writer)
+            assert info.value is error
+            assert info.traceback[-1].name == "columns"
+        child, retry = _pids(pid_file)
+        assert child != parent and retry == parent  # failed in the early writer, then here
+        assert len(forks) == 2  # and one more writer for the rest
+        forks.clear()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert _files(tmp_path / "once") == _serial_files(tmp_path / "serial", once)
+
+    monkeypatch.setattr(reports_mod, "_FORK_MIN_TABLES", 2)
+    report = _tables(4)
+    report.files["sub/t01.csv"] = (["x"], lambda: os.kill(os.getpid(), signal.SIGKILL))
+    writer = reports_mod.ReportWriter(tmp_path / "killed")
+    _hand_over(writer, report, 2)
+    with pytest.raises(OSError, match="killed by signal 9"):
+        write_report(report, tmp_path / "killed", writer)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# a solve that raises after frames were handed over: a non-finite field at the
+# second outer step, and a lossless store whose drift gate refuses it
+FAILING_RUNS = {
+    "propagate": ["preset=desk-storage", "grid.n_z=256", "grid.t_end_us=5",
+                  "grid.snapshot_stride=1", "schedule.omega0_rad_per_us=8000",
+                  "run.substeps=1"],
+    "store": ["preset=desk-storage", "grid.n_z=256", "grid.t_end_us=40",
+              "grid.snapshot_stride=10", "schedule.t_down_us=8", "schedule.t_up_us=25",
+              "schedule.rate_per_us=0.5", "run.substeps=1"],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(FAILING_RUNS))
+def test_a_failed_solve_leaves_no_writer_and_no_work_directory(tmp_path, monkeypatch,
+                                                               experiment):
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(reports_mod, "_FORK_MIN_TABLES", 1)
+    config = load_config(None, [f"experiment={experiment}", *FAILING_RUNS[experiment]])
+    with pytest.raises(NumericsError):
+        run(config, tmp_path / "out")
+    assert len(forks) >= 1
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_second_thread_or_an_analytic_request_never_forks(tmp_path, monkeypatch):
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    for experiment in ("groupvel", "imbalance", "mediums", "feasibility"):
+        run(load_config(None, [f"experiment={experiment}", "run.gnuplot=true"]),
+            tmp_path / experiment)
+
+    monkeypatch.setattr(reports_mod, "_FORK_MIN_TABLES", 1)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(10.0,))
+    waiter.start()
+    try:
+        run(load_config(None, ["experiment=gpe-soliton", *FORKED_RUNS["gpe-soliton"]]),
+            tmp_path / "threaded")
+    finally:
+        release.set()
+        waiter.join(10.0)
+    assert not waiter.is_alive()
+    assert len(_files(tmp_path / "threaded" / "frames")) == 22
 
 
 def test_the_shares_partition_the_entries_within_the_cap(tmp_path, monkeypatch):
