@@ -4,8 +4,8 @@ Each ``run_<name>(config, writer=None)`` computes an experiment and
 returns an ``ExperimentReport`` whose ``files`` hold every output file.  A
 solver experiment hands each frame or snapshot table to ``writer`` (a
 ``reports.ReportWriter``) as soon as it exists; without one it touches no
-disk.  ``run`` gives the runner a writer, finishes it with
-``reports.write_report`` and moves the finished directory into place.
+disk.  ``run`` gives the runner a writer, finishes it with the report
+(``ReportWriter.finish``) and moves the finished directory into place.
 
 Exit codes: 0 success, 2 configuration error (stopped light included),
 3 numerical failure, 4 feasibility gate refused.
@@ -38,8 +38,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, FeasibilityRefused, NumericsError, StoppedLightError
 from .medium import group_velocity_with_decay, mixing_angle, velocity_floor
-from .reports import (ExperimentReport, ReportWriter, fmt_float, format_column, scalar_lines,
-                      write_report)
+from .reports import ExperimentReport, ReportWriter, fmt_float, format_column, scalar_lines
 
 _IMPORTED = time.perf_counter()
 
@@ -150,7 +149,7 @@ def run_groupvel(config: RunConfig, writer: ReportWriter | None = None) -> Exper
     p = config.to_medium_params()
     sched = config.to_schedule()
     t = _curve_grid(config)
-    omega = np.asarray(sched.omega(t), dtype=float)
+    omega = sched.omega(t)
     vg = protocol.velocity_curve(p, sched, t)
     summary = {
         "plateau_omega_rad_per_us": sched.plateau,
@@ -178,7 +177,7 @@ def run_propagate(config: RunConfig, writer: ReportWriter | None = None) -> Expe
     pulse = config.to_pulse(grid)
     # a pulse is located by its centroid: it must be on the grid at the start and the end
     start = keyed("pulse.center_um, pulse.peak_amplitude", pulse_center, grid.z, pulse.samples)
-    s0 = MeanFieldState.polariton_state(grid, p, pulse, float(sched.omega(0.0)))
+    s0 = MeanFieldState.polariton_state(grid, p, pulse, sched.omega(0.0))
     snapshot_files = _snapshot_files("", grid.z, ("E", "phi_a", "phi_b", "phi_e", "phi_g"),
                                      writer)
     snaps = integrate_mean_field(
@@ -395,7 +394,7 @@ def run(config: RunConfig, out_dir: str | Path, timings: dict | None = None) -> 
             start = time.perf_counter()
             report = runner(config, writer)
             solved = time.perf_counter()
-            write_report(report, work, writer)
+            writer.finish(report)
             if timings is not None:
                 timings.update(solve=solved - start, write=time.perf_counter() - solved)
         try:

@@ -293,10 +293,9 @@ class RunConfig:
             keyed("soliton.q", check_split, q=self.soliton.q)
         keyed("run.substeps", check_options, substeps=self.run.substeps)
         keyed("run.advection", check_options, advection=self.run.advection)
-        for key, stride in (("grid.snapshot_stride", self.grid.snapshot_stride),
-                            ("gpegrid.snapshot_stride", self.gpegrid.snapshot_stride)):
-            if stride < 1:
-                raise ConfigError(f"{key}: must be at least 1")
+        keyed("grid.snapshot_stride", check_options, snapshot_stride=self.grid.snapshot_stride)
+        keyed("gpegrid.snapshot_stride", check_options,
+              snapshot_stride=self.gpegrid.snapshot_stride)
         if self.experiment in ("store", "propagate"):
             _check_held_frames("grid", self.to_grid(), self.grid.snapshot_stride, rows=5)
         elif self.experiment in ("gpe-soliton", "gpe-split"):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError
 from .medium import MediumParams, mixing_angle, slowdown
-from .schedule import ControlSchedule, Tabulated
+from .schedule import ControlSchedule
 
 # matter substeps aim for (fastest frequency on the half-step) * substep <= this phase;
 # the drift controller of a lossless run starts here and never goes below it
@@ -305,8 +305,8 @@ def integration_diagnostics(snapshots: list[MeanFieldState], p: MediumParams,
 def amplitude_ratio(p: MediumParams, sched: ControlSchedule, t: float) -> float:
     """Weak-excitation amplitude law cos(theta(t))/cos(theta(0)) of a pulse
     riding the dark state; ``ValueError`` if cos(theta(0)) is 0."""
-    theta0 = mixing_angle(p, float(sched.omega(0.0)))
-    theta_t = mixing_angle(p, float(sched.omega(t)))
+    theta0 = mixing_angle(p, sched.omega(0.0))
+    theta_t = mixing_angle(p, sched.omega(t))
     cos0 = math.cos(theta0)
     if cos0 == 0.0:
         raise ValueError("amplitude law undefined: control field off at t=0")
@@ -318,9 +318,9 @@ def wea_propagate(env0: SignalEnvelope, sched: ControlSchedule, p: MediumParams,
     """Closed-form weak-excitation propagation.
 
     The envelope translates by the integral of the group velocity over
-    [0, t] (Gauss-Legendre panels, halved until converged for a closed-form
-    schedule) and rescales by ``amplitude_ratio``; the temporal profile is
-    otherwise unchanged.
+    [0, t] (Gauss-Legendre panels: one pass over the knot panels of a
+    schedule with knots, halved until converged otherwise) and rescales by
+    ``amplitude_ratio``; the temporal profile is otherwise unchanged.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -329,9 +329,8 @@ def wea_propagate(env0: SignalEnvelope, sched: ControlSchedule, p: MediumParams,
     def v_g(s: np.ndarray) -> np.ndarray:
         return p.c / (1.0 + slowdown(gc2, sched.omega(s)))
 
-    if isinstance(sched.form, Tabulated):
-        # one pass over the knot panels, where the integrand is analytic
-        dist = gauss_legendre(v_g, [0.0, *(k for k in sched.form.times if 0.0 < k < t), t])
+    if sched.times:
+        dist = gauss_legendre(v_g, [0.0, *(k for k in sched.times if 0.0 < k < t), t])
     else:
         dist = integrate(v_g, 0.0, t, _WEA_QUAD_REL_TOL)
 
@@ -423,9 +422,12 @@ def half_step_substeps(t0: float, sched: ControlSchedule, p: MediumParams, grid:
                            _SUBSTEP_PHASE_TARGET)
 
 
-def check_options(*, substeps: int = 0, advection: str = "upwind") -> None:
-    """``integrate_mean_field``'s option checks (``ConfigError``), each argument
-    defaulting to a valid value: substeps >= 0 (0 = automatic), a known scheme."""
+def check_options(*, substeps: int = 0, advection: str = "upwind",
+                  snapshot_stride: int = 1) -> None:
+    """The solvers' option checks (``ConfigError``), each argument defaulting
+    to a valid value: substeps >= 0 (0 = automatic), a known scheme, stride >= 1."""
+    if snapshot_stride < 1:
+        raise ConfigError("snapshot stride must be at least 1")
     if substeps < 0:
         raise ConfigError("substeps must be nonnegative (0 = automatic)")
     if advection not in ("upwind", "muscl"):
@@ -474,19 +476,18 @@ def _half_step_frequencies(t0: float, sched: ControlSchedule, p: MediumParams,
     """Fastest frequency of each matter half-step of an integration from ``t0``:
     w = hypot(Omega_max, g_tilde sqrt(N_a N_b)) + |Delta| + |delta| + max gamma,
     with Omega_max the largest control value on the half-step.  Omega_max is
-    exact from the two end values (plus any table knot inside): a table is
-    piecewise linear and a tanh ramp has a single minimum.  ``ConfigError``
-    if the fixed rule would take more than ``_MAX_RK4_SUBSTEPS`` in all."""
+    exact from the two end values plus any schedule knot inside, where it
+    can peak above both: a table is piecewise linear between its knots and a
+    tanh ramp, which has none, has a single minimum.  ``ConfigError`` if the
+    fixed rule would take more than ``_MAX_RK4_SUBSTEPS`` in all."""
     n_half = _half_steps(grid)
     half_dt = 0.5 * grid.dt
     edges = t0 + half_dt * np.arange(n_half + 1)
-    om = np.asarray(sched.omega(edges), dtype=float)
+    om = sched.omega(edges)
     om_max = np.maximum(om[:-1], om[1:])
-    if isinstance(sched.form, Tabulated):
-        # a knot inside a half-step can peak above both of its ends
-        j = np.searchsorted(edges, sched.form.times, side="right") - 1
-        inside = (j >= 0) & (j < n_half)
-        np.maximum.at(om_max, j[inside], np.asarray(sched.form.values)[inside])
+    j = np.searchsorted(edges, sched.times, side="right") - 1
+    inside = (j >= 0) & (j < n_half)
+    np.maximum.at(om_max, j[inside], np.asarray(sched.values)[inside])
     w = (np.hypot(om_max, math.sqrt(p.pair_coupling_sq))
          + abs(p.Delta) + abs(p.delta)
          + max(p.gamma_a, p.gamma_b, p.gamma_e, p.gamma_g))
@@ -803,7 +804,7 @@ def integrate_mean_field(
     changed.  ``on_snapshot``, if given, is called with each snapshot as
     soon as it exists, the first one included.
     """
-    check_options(advection=advection)
+    check_options(advection=advection, snapshot_stride=snapshot_stride)
     lam = grid.cfl(p.c)
     if lam > 1.0 + 1e-9:
         raise ConfigError(f"grid.dt_us: CFL violation: c*dt/dz = {lam:.6g} > 1; "
@@ -844,8 +845,7 @@ def integrate_mean_field(
             # a deferred closing B(h/2) is fused into the next step's opening B
             nonlocal deferred
             h = half_dt / m
-            flows.half_step(y, np.asarray(sched.omega(t0 + h * (np.arange(m) + 0.5)),
-                                          dtype=float), h,
+            flows.half_step(y, sched.omega(t0 + h * (np.arange(m) + 0.5)), h,
                             deferred + 0.5 * h, 0.0 if defer else 0.5 * h)
             deferred = 0.5 * h if defer else 0.0
     else:
@@ -853,7 +853,7 @@ def integrate_mean_field(
 
         def matter_half(t0: float, m: int, defer: bool) -> None:
             h = half_dt / m
-            rk4(np.asarray(sched.omega(t0 + 0.5 * h * np.arange(2 * m + 1)), dtype=float), h)
+            rk4(sched.omega(t0 + 0.5 * h * np.arange(2 * m + 1)), h)
 
     # the B time the split still owes the state y, always 0 under RK4
     deferred = 0.0

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import AliasingWarning, ConfigError, NumericsError, SupersonicError
-from .dynamics import Grid1D, capped_outer_steps, integrate
+from .dynamics import Grid1D, capped_outer_steps, check_options, integrate
 from .reports import ExperimentReport
 
 # spectral-tail power fraction above which split_step_evolve warns of aliasing
@@ -68,15 +68,13 @@ class GpeParams:
         return cls(m_a=0.5, m_b=0.5, u_gg=1.0)
 
 
-def effective_potential(p: GpeParams, n_z: Optional[int] = None) -> np.ndarray:
-    """Pointwise effective potential V_ext + sqrt(n_a n_b) * u_ab."""
+def effective_potential(p: GpeParams, n_z: int) -> np.ndarray:
+    """Pointwise effective potential V_ext + sqrt(n_a n_b) * u_ab on ``n_z`` points."""
     shift = math.sqrt(p.n_a * p.n_b) * p.u_ab
     if np.isscalar(p.v_ext):
-        if n_z is None:
-            raise ValueError("n_z required for a scalar external potential")
         return np.full(n_z, float(p.v_ext) + shift)
     v = np.asarray(p.v_ext, dtype=float)
-    if n_z is not None and len(v) != n_z:
+    if len(v) != n_z:
         raise ValueError("sampled potential length does not match the grid")
     return v + shift
 
@@ -323,6 +321,7 @@ def split_step_evolve(
     the first one included.
     """
     check_evolution(nonlinearity=nonlinearity, background_decay_rate=background_decay_rate)
+    check_options(snapshot_stride=snapshot_stride)
     dt = grid.dt
     n_steps = capped_outer_steps(grid, "gpegrid.t_end_us",
                                  "shorten the horizon or take a longer dt")
@@ -555,10 +554,10 @@ def soliton_split_experiment(
     )
     if len(persistent) < 2:
         report.scalars = {
-            "succeeded": 0.0,
-            "n_trajectories": float(len(trajectories)),
-            "n_persistent": float(len(persistent)),
-            "n_frames": float(n_frames),
+            "succeeded": False,
+            "n_trajectories": len(trajectories),
+            "n_persistent": len(persistent),
+            "n_frames": n_frames,
             "max_spectral_tail_fraction": tail,
         }
         return report
@@ -579,13 +578,13 @@ def soliton_split_experiment(
         "separation_um": sep,
     }
     report.scalars = {
-        "succeeded": 1.0,
-        "n_persistent": float(len(persistent)),
-        "n_flagged": float(sum(tr.flagged for tr in persistent)),
+        "succeeded": True,
+        "n_persistent": len(persistent),
+        "n_flagged": sum(tr.flagged for tr in persistent),
         "v_left": left.fit_speed(),
         "v_right": right.fit_speed(),
         "v_expected": v_expected,
-        "separation_monotone": float(monotone),
+        "separation_monotone": monotone,
         "max_spectral_tail_fraction": tail,
         **conservation_drifts(frames, p),
     }

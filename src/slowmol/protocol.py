@@ -43,7 +43,7 @@ def velocity_curve(p: MediumParams, sched: ControlSchedule, t: np.ndarray,
     N_a*N_b (used by the medium-kind comparison).  Fully stopped samples
     come out as exactly zero velocity.
     """
-    om = np.asarray(sched.omega(t), dtype=float)
+    om = sched.omega(t)
     gc2 = p.pair_coupling_sq if pair_density is None else p.g_tilde**2 * pair_density
     return p.c / (1.0 + slowdown(gc2, om, p.gamma1 * p.gamma2))
 
@@ -95,7 +95,7 @@ def feasibility_check(p: MediumParams, t_s: float, sched: ControlSchedule,
 def storage_span(sched: ControlSchedule, t_end: float) -> tuple[float, float]:
     """Interval where the control stays below ``_STORAGE_FRACTION`` of its plateau."""
     t = np.linspace(0.0, t_end, 4097)
-    low = np.asarray(sched.omega(t)) <= _STORAGE_FRACTION * sched.plateau
+    low = sched.omega(t) <= _STORAGE_FRACTION * sched.plateau
     if not np.any(low):
         return (0.0, 0.0)
     idx = np.nonzero(low)[0]
@@ -185,7 +185,7 @@ def run_storage_retrieval(
             stacklevel=2,
         )
 
-    s0 = MeanFieldState.polariton_state(grid, p, pulse, float(sched.omega(0.0)))
+    s0 = MeanFieldState.polariton_state(grid, p, pulse, sched.omega(0.0))
     snaps = integrate_mean_field(
         s0, sched, p, grid,
         snapshot_stride=snapshot_stride, substeps=substeps, advection=advection,
@@ -206,7 +206,7 @@ def run_storage_retrieval(
                             f"{CHARGE_DRIFT_LIMIT:g} {step}")
     input_norm = pulse.norm_sq()
     trivial = input_norm == 0.0
-    scalars["trivial_input"] = float(trivial)
+    scalars["trivial_input"] = trivial
 
     sqrtL_phig = math.sqrt(p.L) * stored.phi_g
     if not trivial:
@@ -231,7 +231,7 @@ def run_storage_retrieval(
                 "plateau_velocity": v_plateau},
         series={
             "t_us": t_curve,
-            "omega_rad_per_us": np.asarray(sched.omega(t_curve), dtype=float),
+            "omega_rad_per_us": sched.omega(t_curve),
             "vg_over_c": velocity_curve(p, sched, t_curve) / p.c,
         },
         scalars=scalars,
@@ -271,7 +271,7 @@ def imbalance_sweep(
     """
     if t_grid is None:
         t_grid = np.linspace(0.0, 140.0, 281)
-    omega = np.asarray(sched.omega(t_grid), dtype=float)
+    omega = sched.omega(t_grid)
     out = []
     for eta in etas:
         n_a, n_b = population_split(n_total, eta)
@@ -321,7 +321,7 @@ def medium_comparison(
         t_grid = np.linspace(0.0, 140.0, 281)
     if n_scan is None:
         n_scan = np.logspace(5, 7, 25)
-    omega = np.asarray(sched.omega(t_grid), dtype=float)
+    omega = sched.omega(t_grid)
     out = []
     for kind in kinds:
         pd = effective_pair_density(kind, n_total)

@@ -2,8 +2,8 @@
 
 Every experiment returns an ``ExperimentReport`` whose ``files`` map holds
 each output file; a ``ReportWriter`` is the only code that writes them: the
-frame tables a solver hands over while it runs, then the rest in
-``write_report``.  This module also makes the text of every number written,
+frame tables a solver hands over while it runs, then the rest at its
+``finish``.  This module also makes the text of every number written,
 so a given report always serializes to byte-identical files.
 """
 
@@ -281,11 +281,10 @@ class ReportWriter:
         self._live = live
 
 
-def write_report(report: ExperimentReport, outdir: Path,
-                 writer: Optional[ReportWriter] = None) -> None:
-    """Write every entry of ``report.files`` under ``outdir``: the finishing
-    call (``ReportWriter.finish``) of ``writer``, made for ``outdir`` and
-    holding what a solver handed over, or of a fresh writer.
+def write_report(report: ExperimentReport, outdir: Path) -> None:
+    """Write a whole report, every entry of ``report.files``, under
+    ``outdir`` through a fresh ``ReportWriter``.  A run whose solver handed
+    tables to a writer finishes that writer instead (``ReportWriter.finish``).
 
     No table text crosses processes, and every file holds the same bytes as
     a one-process write, whichever process writes it and whenever.  A report
@@ -293,4 +292,4 @@ def write_report(report: ExperimentReport, outdir: Path,
     thread is alive, is written by this process alone.  The call returns or
     raises only after every writer has exited.
     """
-    (writer if writer is not None else ReportWriter(outdir)).finish(report)
+    ReportWriter(outdir).finish(report)

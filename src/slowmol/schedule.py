@@ -8,8 +8,29 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class ControlSchedule:
+    """Classical coupling field Omega(t), a ``TanhRamp`` or a ``Tabulated``.
+    Each form supplies its ``_formula``, its ``plateau`` (the nominal full-on
+    amplitude of feasibility estimates) and its knots, the ``times`` and
+    ``values`` where a piecewise-linear Omega bends and may peak."""
+
+    def omega(self, t):
+        """Omega at ``t``: a float for a scalar, else a float64 array."""
+        val = self._formula(np.asarray(t, dtype=float))
+        return val if val.ndim else float(val)
+
+    @staticmethod
+    def tanh_ramp(omega0: float, t_down: float, t_up: float, rate: float) -> "TanhRamp":
+        return TanhRamp(omega0=omega0, t_down=t_down, t_up=t_up, rate=rate)
+
+    @staticmethod
+    def tabulated(times, values) -> "Tabulated":
+        return Tabulated(times=tuple(float(x) for x in times),
+                         values=tuple(float(x) for x in values))
+
+
 @dataclass(frozen=True)
-class TanhRamp:
+class TanhRamp(ControlSchedule):
     """Smooth plateau -> off -> plateau ramp.
 
     Omega(t) = omega0 * (1 - 0.5*tanh[rate*(t - t_down)]
@@ -20,6 +41,7 @@ class TanhRamp:
     t_down: float    # center of the switch-off ramp, us
     t_up: float      # center of the switch-on ramp, us
     rate: float      # ramp steepness, 1/us
+    times = values = ()  # no knots: a smooth ramp
 
     def __post_init__(self):
         if not self.omega0 >= 0:
@@ -31,19 +53,21 @@ class TanhRamp:
         if not self.t_down < self.t_up:
             raise ValueError("t_down must precede t_up")
 
-    def omega(self, t):
-        t = np.asarray(t, dtype=float)
-        val = self.omega0 * (
+    @property
+    def plateau(self) -> float:
+        return self.omega0
+
+    def _formula(self, t: np.ndarray) -> np.ndarray:
+        return self.omega0 * (
             1.0
             - 0.5 * np.tanh(self.rate * (t - self.t_down))
             + 0.5 * np.tanh(self.rate * (t - self.t_up))
         )
-        return val if val.ndim else float(val)
 
 
 @dataclass(frozen=True)
-class Tabulated:
-    """Piecewise-linear schedule through (times, values) samples."""
+class Tabulated(ControlSchedule):
+    """Piecewise-linear schedule through (times, values) samples, its knots."""
 
     times: tuple[float, ...]
     values: tuple[float, ...]
@@ -60,36 +84,12 @@ class Tabulated:
         if not math.isfinite(top * top):
             raise ValueError("control amplitudes squared overflow a float")
 
-    def omega(self, t):
-        t = np.asarray(t, dtype=float)
-        val = np.interp(t, self.times, self.values)
-        return val if val.ndim else float(val)
-
-
-@dataclass(frozen=True)
-class ControlSchedule:
-    """Classical coupling field Omega(t), closed-form ramp or tabulated."""
-
-    form: TanhRamp | Tabulated
-
-    def omega(self, t):
-        return self.form.omega(t)
-
     @property
     def plateau(self) -> float:
-        """Nominal full-on amplitude used for feasibility estimates."""
-        if isinstance(self.form, TanhRamp):
-            return self.form.omega0
-        return float(max(self.form.values))
+        return float(max(self.values))
 
-    @classmethod
-    def tanh_ramp(cls, omega0: float, t_down: float, t_up: float, rate: float) -> "ControlSchedule":
-        return cls(TanhRamp(omega0=omega0, t_down=t_down, t_up=t_up, rate=rate))
-
-    @classmethod
-    def tabulated(cls, times, values) -> "ControlSchedule":
-        return cls(Tabulated(times=tuple(float(x) for x in times),
-                             values=tuple(float(x) for x in values)))
+    def _formula(self, t: np.ndarray) -> np.ndarray:
+        return np.interp(t, self.times, self.values)
 
 
 def standard_storage_schedule() -> ControlSchedule:

@@ -146,7 +146,8 @@ def test_gpe_split_outputs(tmp_path):
                  "--set", "gpegrid.snapshot_stride=100"])
     assert code == 0
     summary = read_summary(out)
-    assert summary["succeeded"] == "1.0"
+    assert summary["succeeded"] == "true"
+    assert summary["n_persistent"] == "2" and summary["separation_monotone"] == "true"
     assert float(summary["norm_drift"]) <= 1e-10 * 6.0  # criterion 7, 6 us
     assert float(summary["energy_drift"]) <= 1e-6
     assert 0.0 < float(summary["max_spectral_tail_fraction"]) <= 1e-8  # no aliasing warned
@@ -247,7 +248,20 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
              "grid.t_end_us"),
             ("gpe-soliton", ["gpegrid.t_end_us=1e7"], "gpegrid.t_end_us"),
             ("propagate", [*tiny_store, "preset=desk-storage", "schedule.omega0_rad_per_us=1e9"],
-             "RK4 substeps")]:
+             "RK4 substeps"),
+            # documented refusals of the document itself
+            ("groupvel", ["schedule.form=ramp"], "schedule.form"),
+            ("groupvel", ["preset=lab"], "preset"),
+            ("mediums", ["sweep.n_scan_min=1e7", "sweep.n_scan_max=1e5"], "sweep.n_scan_min"),
+            ("imbalance", ["sweep.etas=a,b"], "sweep.etas"),
+            ("mediums", ["sweep.n_scan_points=1"], "sweep.n_scan_points"),
+            ("feasibility", ["feasibility.threshold=0"], "feasibility.threshold"),
+            ("feasibility", ["feasibility.t_storage_us=-1"], "feasibility.t_storage_us"),
+            ("gpe-soliton", ["gpe.background_decay_per_us=-1"], "gpe.background_decay_per_us"),
+            ("gpe-split", ["soliton.seed_separation_widths=-1"],
+             "soliton.seed_separation_widths"),
+            ("store", ["grid.snapshot_stride=-3"], "grid.snapshot_stride"),
+            ("gpe-split", ["gpegrid.snapshot_stride=0"], "gpegrid.snapshot_stride")]:
         args = [arg for setting in settings for arg in ("--set", setting)]
         assert main([experiment, "--out", str(tmp_path / "x"), *args]) == 2
         assert named in capsys.readouterr().err
@@ -269,6 +283,24 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_the_module_entry_point_runs_and_refuses(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def slowmol(*args):
+        return subprocess.run([sys.executable, "-m", "slowmol", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+
+    bad = slowmol("groupvel", "--out", "bad", "--set", "medium.bogus=1")
+    assert bad.returncode == 2 and "medium.bogus" in bad.stderr
+    assert list(tmp_path.iterdir()) == []
+    good = slowmol("groupvel", "--out", "gv", "--set", "curve.points=11")
+    assert good.returncode == 0 and good.stdout == "wrote gv\n"
+    assert sorted(p.name for p in (tmp_path / "gv").iterdir()) == [
+        "config.txt", "summary.txt", "velocity_curve.csv"]
+    assert len((tmp_path / "gv" / "velocity_curve.csv").read_text().splitlines()) == 12
 
 
 @pytest.mark.parametrize("key, value", [

@@ -407,6 +407,16 @@ def test_stage_buffers_leak_into_no_state_or_snapshot():
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+@pytest.mark.parametrize("stride", [0, -3])
+def test_a_snapshot_stride_below_1_is_refused(stride):
+    p = MediumParams(g_tilde=0.05, L=64.0, c=2.0, N_a=100.0, N_b=80.0)
+    grid = Grid1D.for_speed(0.0, 64.0, 64, c=p.c, t_end=10.0)
+    sched = ControlSchedule.tanh_ramp(omega0=3.0, t_down=2.0, t_up=6.0, rate=1.0)
+    s0 = MeanFieldState.polariton_state(grid, p, desk_pulse(grid, 20.0, 4.0, 0.5), 3.0)
+    with pytest.raises(ConfigError, match="snapshot stride must be at least 1"):
+        integrate_mean_field(s0, sched, p, grid, snapshot_stride=stride)
+
+
 # ------------------------------------------------------- substep sizing
 
 def _old_rule_count(p, omega, half_dt):

@@ -471,6 +471,34 @@ def test_track_uniform_background_has_no_dips():
     assert track_minima(frames, background_density=1.0) == []
 
 
+def test_a_contested_association_flags_the_track_and_starts_another():
+    z = np.linspace(-10.0, 10.0, 201)   # dz = 0.1, so a jump may reach 2.0
+
+    def frame(t, *dips):
+        dens = np.ones_like(z)
+        for z0 in dips:
+            dens -= 0.5 * np.exp(-(((z - z0) / 0.15) ** 2))
+        return WaveFunction(z=z, psi=np.sqrt(dens), t=t)
+
+    # one dip splits in two, both within reach of its track
+    trajs = track_minima([frame(0.0, 0.0), frame(1.0, -0.5, 0.8), frame(2.0, -0.9, 1.5)],
+                         background_density=1.0)
+    assert [(tr.flagged, tr.times) for tr in trajs] == [(True, [0.0, 1.0, 2.0]),
+                                                        (False, [1.0, 2.0])]
+    assert trajs[0].positions == pytest.approx([0.0, -0.5, -0.9], abs=1e-9)
+    assert trajs[1].positions == pytest.approx([0.8, 1.5], abs=1e-9)
+
+
+@pytest.mark.parametrize("stride", [0, -3])
+def test_a_snapshot_stride_below_1_is_refused(stride):
+    grid = soliton_grid(n_z=256, t_end=0.02, dt=1e-3)
+    psi0 = WaveFunction(z=grid.z, psi=np.ones(grid.n_z, dtype=complex))
+    with pytest.raises(ConfigError, match="snapshot stride must be at least 1"):
+        split_step_evolve(psi0, P, grid, snapshot_stride=stride)
+    with pytest.raises(ConfigError, match="snapshot stride must be at least 1"):
+        soliton_split_experiment(0.8, P, grid, snapshot_stride=stride)
+
+
 def test_track_requires_two_frames():
     grid = soliton_grid(n_z=256, t_end=0.2, dt=1e-3)
     psi0 = WaveFunction(z=grid.z, psi=np.ones(grid.n_z, dtype=complex))

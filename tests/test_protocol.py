@@ -12,6 +12,7 @@ from slowmol import (
     MediumKind,
     MediumParams,
     NumericsError,
+    SignalEnvelope,
     conserved_charges,
     feasibility_check,
     imbalance_sweep,
@@ -344,6 +345,33 @@ def test_storage_flags_trivial_input():
                                 snapshot_stride=50)
     assert rep.scalars["trivial_input"] == 1.0
     assert "fidelity" not in rep.scalars
+
+
+def test_storage_warns_outside_the_weak_excitation_regime():
+    p = desk_params()
+    grid = Grid1D.for_speed(0.0, 200.0, 256, c=p.c, t_end=20.0)
+    pulse = desk_pulse(grid, amplitude=4.0)  # peak photon density 0.016 of the atoms'
+    with pytest.warns(UserWarning, match="weak-excitation regime .*ratio 0.016"):
+        rep = run_storage_retrieval(p, fast_storage_schedule(), pulse, grid,
+                                    snapshot_stride=50)
+    assert rep.scalars["trivial_input"] is False
+
+
+def test_a_pulse_without_a_closed_form_is_timed_by_its_sampled_width():
+    p = desk_params()
+    grid = Grid1D.for_speed(0.0, 200.0, 256, c=p.c, t_end=20.0)
+    gaussian = desk_pulse(grid, width=8.0)
+    bare = SignalEnvelope(z=grid.z, samples=gaussian.samples)
+    # the |E|^2-weighted width: sigma/sqrt(2) for an amplitude exp(-z^2/(2 sigma^2))
+    width = protocol._rms_width(bare)
+    assert width == pytest.approx(8.0 / math.sqrt(2.0), rel=1e-9)
+    shifted = SignalEnvelope(z=grid.z, samples=desk_pulse(grid, center=90.0).samples)
+    assert protocol._rms_width(shifted) == pytest.approx(width, rel=1e-9)
+    rep = run_storage_retrieval(p, fast_storage_schedule(), bare, grid, snapshot_stride=50)
+    assert rep.params["t_s"] == pytest.approx(width / rep.params["plateau_velocity"],
+                                              rel=1e-15)
+    with pytest.raises(ValueError, match="zero-norm"):
+        protocol._rms_width(SignalEnvelope(z=grid.z, samples=np.zeros(grid.n_z)))
 
 
 def test_storage_csv_roundtrip(tmp_path):

@@ -12,7 +12,16 @@ from slowmol import reports as reports_mod
 from slowmol.cli import main, run
 from slowmol.config import load_config
 from slowmol.errors import NumericsError
-from slowmol.reports import ExperimentReport, fmt_float, format_column, write_report
+from slowmol.reports import ExperimentReport, fmt_float, format_column, write_csv, write_report
+
+
+def test_write_csv_refuses_a_ragged_table(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="header and column counts differ"):
+        write_csv(path, ["a", "b"], [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="columns must have equal length"):
+        write_csv(path, ["a", "b"], [[1.0, 2.0], ["0"]])
+    assert not path.exists()
 
 
 def test_write_report_bytes(tmp_path):
@@ -319,11 +328,11 @@ def test_an_early_writers_failure_is_written_again_or_raised_as_itself(tmp_path,
         _hand_over(writer, report, 2)  # t00 and t01: one writer forks for both
         assert len(forks) == 1
         if name == "once":
-            write_report(report, tmp_path / name, writer)
+            writer.finish(report)
             once = report
         else:
             with pytest.raises(TableError) as info:
-                write_report(report, tmp_path / name, writer)
+                writer.finish(report)
             assert info.value is error
             assert info.traceback[-1].name == "columns"
         child, retry = _pids(pid_file)
@@ -340,7 +349,7 @@ def test_an_early_writers_failure_is_written_again_or_raised_as_itself(tmp_path,
     writer = reports_mod.ReportWriter(tmp_path / "killed")
     _hand_over(writer, report, 2)
     with pytest.raises(OSError, match="killed by signal 9"):
-        write_report(report, tmp_path / "killed", writer)
+        writer.finish(report)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from slowmol import ControlSchedule, standard_storage_schedule
+from slowmol import ControlSchedule, Tabulated, TanhRamp, standard_storage_schedule
 
 
 def test_plateau_value():
@@ -75,3 +75,15 @@ def test_tanh_ramp_rejects_bad_parameters():
         ControlSchedule.tanh_ramp(omega0=1.0, t_down=2.0, t_up=1.0, rate=1.0)
     with pytest.raises(ValueError):
         ControlSchedule.tanh_ramp(omega0=1.0, t_down=0.0, t_up=1.0, rate=0.0)
+
+
+def test_each_form_is_a_schedule_that_shares_the_one_omega():
+    ramp = standard_storage_schedule()
+    table = ControlSchedule.tabulated([0.0, 1.0, 3.0], [2.0, 4.0, 0.0])
+    assert isinstance(ramp, TanhRamp) and isinstance(table, Tabulated)
+    assert TanhRamp.omega is Tabulated.omega is ControlSchedule.omega
+    assert (ramp.times, ramp.values) == ((), ())   # a ramp has no knots
+    assert (table.times, table.values) == ((0.0, 1.0, 3.0), (2.0, 4.0, 0.0))
+    for sched in (ramp, table):
+        assert type(sched.omega(0.5)) is float
+        assert sched.omega([0.0, 0.5]).dtype == np.float64
