@@ -337,6 +337,7 @@ def run_gpe_split(config: RunConfig, writer: ReportWriter | None = None) -> Expe
         z0=config.soliton.z0_um,
         seed_separation_widths=config.soliton.seed_separation_widths,
         snapshot_stride=config.gpegrid.snapshot_stride,
+        nonlinearity=config.gpe.nonlinearity,
         background_decay_rate=config.gpe.background_decay_per_us,
     )
     if not report.scalars.get("succeeded"):

@@ -62,8 +62,8 @@ class ScheduleConfig:
     t_down_us: float = 15.0
     t_up_us: float = 125.0
     rate_per_us: float = 0.15
-    table_times_us: tuple = ()
-    table_values_rad_per_us: tuple = ()
+    table_times_us: tuple[float, ...] = ()
+    table_values_rad_per_us: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,9 @@ class SolitonConfig:
 @dataclass(frozen=True)
 class SweepConfig:
     n_total: float = 3.0e6
-    etas: tuple = (1.0, 2.0, 15.0)
-    kinds: tuple = ("atomic-eit", "homonuclear-dimer",
-                    "heteronuclear-dimer", "heteronuclear-trimer")
+    etas: tuple[float, ...] = (1.0, 2.0, 15.0)
+    kinds: tuple[str, ...] = ("atomic-eit", "homonuclear-dimer",
+                              "heteronuclear-dimer", "heteronuclear-trimer")
     n_scan_min: float = 1.0e5
     n_scan_max: float = 1.0e7
     n_scan_points: int = 25
@@ -265,13 +265,6 @@ class RunConfig:
                 keyed(key, list, (effective_pair_density(kind, n) for kind in kinds))
         if not self.sweep.etas:
             raise ConfigError("sweep.etas: need at least one imbalance ratio")
-        for name, values in (("sweep.etas", self.sweep.etas),
-                             ("schedule.table_times_us", self.schedule.table_times_us),
-                             ("schedule.table_values_rad_per_us",
-                              self.schedule.table_values_rad_per_us)):
-            for v in values:
-                if not isinstance(v, (int, float)):
-                    raise ConfigError(f"{name}: expected a comma-separated list of numbers")
         keyed("sweep.etas", population_split, self.sweep.n_total, min(self.sweep.etas))
         if self.sweep.n_scan_points < 2:
             raise ConfigError("sweep.n_scan_points: need at least two")
@@ -345,15 +338,11 @@ def _parse_value(key: str, text: str, pytype: type):
             raise ValueError("expected true or false")
         if pytype is str:
             return text
-        if pytype is tuple:
+        if typing.get_origin(pytype) is tuple:
             if not text:
                 return ()
-            items = [tok.strip() for tok in text.split(",")]
-            try:
-                values = tuple(float(tok) for tok in items)
-            except ValueError:
-                return tuple(items)
-            return tuple(_finite(key, text, v) for v in values)
+            item_type = typing.get_args(pytype)[0]
+            return tuple(_parse_value(key, tok, item_type) for tok in text.split(","))
     except ConfigError:
         raise
     except ValueError as exc:

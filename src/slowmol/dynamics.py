@@ -193,9 +193,9 @@ class SignalEnvelope:
 class MeanFieldState:
     """Signal plus four matter fields on a grid at one instant.
 
-    ``boundary_photon_flux`` is the cumulative net photon number that has
-    left the domain through the edges up to time t (outflow minus inflow),
-    used for flux-corrected conservation checks.  ``matter_substeps`` is the
+    ``boundary_photon_flux`` is the cumulative photon number that has left
+    the domain through the right edge up to time t (nothing flows in), used
+    for flux-corrected conservation checks.  ``matter_substeps`` is the
     cumulative number of matter substeps (RK4 or split) taken up to time t.
     """
 
@@ -371,20 +371,24 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
 
 
-def _advect_upwind(E: np.ndarray, lam: float, e_in: complex) -> np.ndarray:
-    """One first-order upwind step; lam == 1 degenerates to the exact shift."""
+def _advect_upwind(E: np.ndarray, lam: float) -> np.ndarray:
+    """One first-order upwind step; lam == 1 degenerates to the exact shift.
+
+    Nothing flows in: the left face carries 0."""
     upstream = np.empty_like(E)
     upstream[1:] = E[:-1]
-    upstream[0] = e_in
+    upstream[0] = 0.0
     if abs(lam - 1.0) < 1e-12:
         return upstream
     return E - lam * (E - upstream)
 
 
-def _advect_muscl(E: np.ndarray, lam: float, e_in: complex) -> np.ndarray:
-    """Second-order MUSCL step with a minmod limiter (componentwise)."""
+def _advect_muscl(E: np.ndarray, lam: float) -> np.ndarray:
+    """Second-order MUSCL step with a minmod limiter (componentwise).
+
+    Nothing flows in: the ghost cell and the left face carry 0."""
     ext = np.empty(len(E) + 2, dtype=complex)
-    ext[0] = e_in
+    ext[0] = 0.0
     ext[1:-1] = E
     ext[-1] = E[-1]
     d_left = ext[1:-1] - ext[:-2]
@@ -394,7 +398,7 @@ def _advect_muscl(E: np.ndarray, lam: float, e_in: complex) -> np.ndarray:
     face = ext[1:-1] + 0.5 * (1.0 - lam) * slope
     flux_in = np.empty_like(face)
     flux_in[1:] = face[:-1]
-    flux_in[0] = e_in  # boundary face carried by the inflow value
+    flux_in[0] = 0.0
     return E - lam * (face - flux_in)
 
 
@@ -767,7 +771,6 @@ def integrate_mean_field(
     snapshot_stride: int = 10,
     substeps: int = 0,
     advection: str = "upwind",
-    inflow: Optional[Callable[[float], complex]] = None,
     on_snapshot: Optional[Callable[[MeanFieldState], None]] = None,
 ) -> list[MeanFieldState]:
     """Advance the coupled signal/matter equations to the grid horizon.
@@ -802,7 +805,8 @@ def integrate_mean_field(
     field per row, with the cumulative flux and substep count) are emitted
     every ``snapshot_stride`` outer steps and at the last; ``s0`` is not
     changed.  ``on_snapshot``, if given, is called with each snapshot as
-    soon as it exists, the first one included.
+    soon as it exists, the first one included.  Nothing flows in at the
+    left edge, so the flux counts what leaves through the right edge.
     """
     check_options(advection=advection, snapshot_stride=snapshot_stride)
     lam = grid.cfl(p.c)
@@ -882,10 +886,9 @@ def integrate_mean_field(
                 # Q1 at a whole state: after this half-step's closing B, where an
                 # outer step of matter evolution separates two readings
                 q_mid = q1()
-            e_in = complex(inflow(t0 + grid.dt)) if inflow is not None else 0.0 + 0.0j
             out_val = y[0, -1]
-            y[0] = advect(y[0], lam, e_in)
-            flux += lam * dz_over_L * (abs(out_val) ** 2 - abs(e_in) ** 2)
+            y[0] = advect(y[0], lam)
+            flux += lam * dz_over_L * abs(out_val) ** 2
             matter_half(t0 + half_dt, m1, n < n_steps - 1)
             taken += m0 + m1
             finite = np.isfinite(y)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import AliasingWarning, ConfigError, NumericsError, SupersonicError
-from .dynamics import Grid1D, capped_outer_steps, check_options, integrate
+from .dynamics import Grid1D, capped_outer_steps, check_options
 from .reports import ExperimentReport
 
 # spectral-tail power fraction above which split_step_evolve warns of aliasing
@@ -43,7 +43,7 @@ class GpeParams:
     m_b: float
     u_gg: float = 0.0               # molecule-molecule interaction, rad*um/us
     u_ab: float = 0.0               # atom-atom cross interaction, rad*um/us
-    v_ext: Union[float, tuple] = 0.0  # external potential: scalar or per-point samples
+    v_ext: float = 0.0              # uniform external potential, rad/us
     n_a: float = 0.0                # background atomic line densities, 1/um
     n_b: float = 0.0
     background_amp: float = 1.0     # |Phi0|, sqrt(1/um)
@@ -68,15 +68,9 @@ class GpeParams:
         return cls(m_a=0.5, m_b=0.5, u_gg=1.0)
 
 
-def effective_potential(p: GpeParams, n_z: int) -> np.ndarray:
-    """Pointwise effective potential V_ext + sqrt(n_a n_b) * u_ab on ``n_z`` points."""
-    shift = math.sqrt(p.n_a * p.n_b) * p.u_ab
-    if np.isscalar(p.v_ext):
-        return np.full(n_z, float(p.v_ext) + shift)
-    v = np.asarray(p.v_ext, dtype=float)
-    if len(v) != n_z:
-        raise ValueError("sampled potential length does not match the grid")
-    return v + shift
+def effective_potential(p: GpeParams) -> float:
+    """The uniform effective potential V_ext + sqrt(n_a n_b) * u_ab."""
+    return p.v_ext + math.sqrt(p.n_a * p.n_b) * p.u_ab
 
 
 def v_ext_for_zero_effective(p: GpeParams) -> float:
@@ -196,9 +190,8 @@ class WaveFunction:
 def check_free_background(p: GpeParams) -> None:
     """``ValueError`` unless the effective potential (``effective_potential``)
     vanishes, as the analytic soliton profiles require."""
-    veff = np.asarray(p.v_ext, dtype=float) - v_ext_for_zero_effective(p)
     scale = max(1.0, abs(p.u_gg) * p.background_amp * p.background_amp)
-    if not float(np.max(np.abs(veff))) <= 1e-10 * scale:
+    if not abs(effective_potential(p)) <= 1e-10 * scale:
         raise ValueError(
             "analytic soliton profiles require zero effective potential; "
             "tune v_ext (see v_ext_for_zero_effective)"
@@ -235,22 +228,12 @@ def gray_soliton(spec: SolitonSpec, p: GpeParams, grid: Grid1D) -> WaveFunction:
     return soliton_product([spec], p, grid)
 
 
-def background_phase(p: GpeParams, t0: float, t: float,
-                     density_fn: Optional[Callable[[float], float]] = None) -> complex:
-    """Phase factor exp(-i * integral of U_gg * |background|^2 dt') of the
-    condensate background between t0 and t.
-
-    With the default constant background the exponent is
-    -U_gg |Phi0|^2 (t - t0); a time-dependent density is integrated by
-    quadrature.
-    """
+def background_phase(p: GpeParams, t0: float, t: float) -> complex:
+    """Phase factor exp(-i U_gg |Phi0|^2 (t - t0)) of the constant
+    condensate background between t0 and t."""
     if t < t0:
         raise ValueError("t must not precede t0")
-    if density_fn is None:
-        phase = -p.u_gg * p.background_amp**2 * (t - t0)
-    else:
-        density = np.vectorize(density_fn, otypes=[float])
-        phase = -integrate(lambda s: p.u_gg * density(s), t0, t, rel_tol=1e-10)
+    phase = -p.u_gg * p.background_amp**2 * (t - t0)
     return complex(math.cos(phase), math.sin(phase))
 
 
@@ -260,7 +243,7 @@ def energy_functional(wf: WaveFunction, p: GpeParams) -> float:
     n = len(wf.psi)
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=wf.dz)
     dpsi = np.fft.ifft(1j * k * np.fft.fft(wf.psi))
-    veff = effective_potential(p, n)
+    veff = effective_potential(p)
     dens = wf.density()
     integrand = (np.abs(dpsi) ** 2 / (2.0 * p.m_total)
                  + veff * dens + 0.5 * p.u_gg * dens**2)
@@ -327,7 +310,7 @@ def split_step_evolve(
                                  "shorten the horizon or take a longer dt")
     n = grid.n_z
     dz = grid.dz
-    veff = effective_potential(p, n)
+    veff = effective_potential(p)
 
     psi = psi0.psi.astype(complex).copy()
     dens0 = np.abs(psi) ** 2
@@ -443,16 +426,14 @@ def _frame_minima(wf: WaveFunction, background: float) -> list[float]:
 
 
 def track_minima(frames: Sequence[WaveFunction], *,
-                 background_density: Optional[float] = None) -> list[DipTrajectory]:
-    """Locate density dips below ``_DIP_DEPTH`` times the background in
-    every frame and associate them across frames by nearest-neighbor
+                 background_density: float) -> list[DipTrajectory]:
+    """Locate density dips below ``_DIP_DEPTH`` times ``background_density``
+    in every frame and associate them across frames by nearest-neighbor
     continuity, at most ``_MAX_JUMP_CELLS`` cells from frame to frame.
     Contested associations flag the trajectories involved rather than
     merging them."""
     if len(frames) < 2:
         raise ValueError("need at least two frames")
-    if background_density is None:
-        background_density = float(np.median(frames[0].density()))
     max_jump = _MAX_JUMP_CELLS * frames[0].dz
 
     active: list[DipTrajectory] = []
@@ -488,7 +469,7 @@ def track_minima(frames: Sequence[WaveFunction], *,
             survivors.append(DipTrajectory(times=[wf.t], positions=[pos]))
         active = survivors
     done.extend(active)
-    return [tr for tr in done if len(tr) >= 1]
+    return done
 
 
 def check_split(*, q: float = 0.5, seed_separation_widths: float = 0.0) -> None:
@@ -508,6 +489,7 @@ def soliton_split_experiment(
     z0: float = 0.0,
     seed_separation_widths: float = 3.0,
     snapshot_stride: int = 10,
+    nonlinearity: str = "self-consistent",
     background_decay_rate: float = 0.0,
 ) -> ExperimentReport:
     """Seed two opposite-velocity gray-soliton factors around one point and
@@ -518,6 +500,7 @@ def soliton_split_experiment(
     not the exact two-soliton datum and reshapes the emerging solitons
     (about 19% excess speed for q = 0.8); from three widths on, the
     late-time speeds match +-v_s*sqrt(1-q^2) to well under a percent.
+    The seed evolves under ``split_step_evolve`` with ``nonlinearity``.
     Fewer than two persistent dips mark the experiment as failed with
     diagnostics in the scalars.
     """
@@ -532,6 +515,7 @@ def soliton_split_experiment(
     frames = split_step_evolve(
         seed, p, grid,
         snapshot_stride=snapshot_stride,
+        nonlinearity=nonlinearity,
         background_decay_rate=background_decay_rate,
     )
     v_s = sound_speed(p)

@@ -247,7 +247,9 @@ def run_storage_retrieval(
 
 
 def _rms_width(pulse: SignalEnvelope) -> float:
-    w = np.abs(pulse.samples) ** 2
+    """RMS width of the sampled pulse, weighted by |E| so that the samples
+    of a ``GaussianPulse`` give its ``rms_width`` sigma."""
+    w = np.abs(pulse.samples)
     total = float(np.sum(w))
     if total == 0.0:
         raise ValueError("zero-norm input envelope")
@@ -261,16 +263,15 @@ def imbalance_sweep(
     sched: ControlSchedule,
     p_base: MediumParams,
     *,
-    t_grid: Optional[np.ndarray] = None,
+    t_grid: np.ndarray,
 ) -> list[ExperimentReport]:
-    """Analytic group-velocity curves for a set of population imbalances.
+    """Analytic group-velocity curves on ``t_grid`` for a set of population
+    imbalances.
 
     Each eta = N_b/N_a splits the fixed total N into N_a = N/(1+eta),
     N_b = eta*N/(1+eta) (``population_split``); the velocity uses the
     decay-corrected formula.
     """
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 140.0, 281)
     omega = sched.omega(t_grid)
     out = []
     for eta in etas:
@@ -308,19 +309,16 @@ def medium_comparison(
     sched: ControlSchedule,
     p_base: MediumParams,
     *,
-    t_grid: Optional[np.ndarray] = None,
-    n_scan: Optional[np.ndarray] = None,
+    t_grid: np.ndarray,
+    n_scan: np.ndarray,
 ) -> list[ExperimentReport]:
-    """Velocity curves and slowdown scaling exponents per medium kind.
+    """Velocity curves on ``t_grid`` and slowdown scaling exponents, fitted
+    over the total atom numbers ``n_scan``, per medium kind.
 
     The balanced effective pair density replaces N_a*N_b in the velocity
     formula; the fitted exponent of (c/v_g - 1) vs N recovers the kind's
     density power (1, 2, 2 or 3).
     """
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 140.0, 281)
-    if n_scan is None:
-        n_scan = np.logspace(5, 7, 25)
     omega = sched.omega(t_grid)
     out = []
     for kind in kinds:

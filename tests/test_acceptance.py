@@ -91,7 +91,7 @@ def test_criterion_3_balance_optimality():
     p = sm.MediumParams.krb()
     sched = sm.standard_storage_schedule()
     etas = [1 / 15, 1 / 4, 1 / 2, 1.0, 2.0, 4.0, 15.0]
-    reports = sm.imbalance_sweep(3.0e6, etas, sched, p)
+    reports = sm.imbalance_sweep(3.0e6, etas, sched, p, t_grid=np.linspace(0.0, 140.0, 281))
     curves = {rep.params["eta"]: rep.series["vg_over_c"] for rep in reports}
     balanced = curves[1.0]
     for eta, curve in curves.items():

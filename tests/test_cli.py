@@ -156,6 +156,17 @@ def test_gpe_split_outputs(tmp_path):
     assert (out / "separation.csv").exists()
 
 
+def test_gpe_split_evolves_under_the_configured_nonlinearity(tmp_path):
+    outs = {mode: tmp_path / mode for mode in ("self-consistent", "frozen")}
+    for mode, out in outs.items():
+        assert main(["gpe-split", "--out", str(out), "--set", "gpegrid.t_end_us=4",
+                     "--set", f"gpe.nonlinearity={mode}"]) == 0
+    consistent, frozen = (read_summary(out) for out in outs.values())
+    assert frozen["v_right"] != consistent["v_right"]
+    assert ((outs["frozen"] / "separation.csv").read_bytes()
+            != (outs["self-consistent"] / "separation.csv").read_bytes())
+
+
 def test_gpe_soliton_outputs(tmp_path):
     out = tmp_path / "sol"
     code = main(["gpe-soliton", "--out", str(out),
@@ -254,6 +265,8 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
             ("groupvel", ["preset=lab"], "preset"),
             ("mediums", ["sweep.n_scan_min=1e7", "sweep.n_scan_max=1e5"], "sweep.n_scan_min"),
             ("imbalance", ["sweep.etas=a,b"], "sweep.etas"),
+            ("groupvel", ["schedule.form=table", "schedule.table_times_us=0,x",
+                          "schedule.table_values_rad_per_us=1,1"], "schedule.table_times_us"),
             ("mediums", ["sweep.n_scan_points=1"], "sweep.n_scan_points"),
             ("feasibility", ["feasibility.threshold=0"], "feasibility.threshold"),
             ("feasibility", ["feasibility.t_storage_us=-1"], "feasibility.t_storage_us"),

@@ -42,16 +42,12 @@ def soliton_grid(n_z=2048, t_end=10.0, dt=5e-3):
 def test_effective_potential_cancellation():
     p = GpeParams(m_a=0.5, m_b=0.5, u_ab=2.0, n_a=4.0, n_b=9.0,
                   v_ext=-math.sqrt(36.0) * 2.0)
-    np.testing.assert_allclose(effective_potential(p, 8), 0.0, atol=1e-14)
+    assert effective_potential(p) == pytest.approx(0.0, abs=1e-14)
     assert v_ext_for_zero_effective(p) == pytest.approx(p.v_ext)
 
 
 def test_effective_potential_trivial_cases():
-    p = GpeParams(m_a=0.5, m_b=0.5)
-    np.testing.assert_allclose(effective_potential(p, 4), 0.0)
-    harmonic = tuple(0.5 * x**2 for x in np.linspace(-1, 1, 16))
-    p2 = GpeParams(m_a=0.5, m_b=0.5, v_ext=harmonic)
-    np.testing.assert_allclose(effective_potential(p2, 16), harmonic)
+    assert effective_potential(GpeParams(m_a=0.5, m_b=0.5)) == 0.0
 
 
 # ---------------------------------------------------------------- sound speed
@@ -177,11 +173,6 @@ def test_background_phase_against_uniform_evolution():
     assert measured.imag == pytest.approx(expected.imag, abs=1e-10)
 
 
-def test_background_phase_quadrature_path():
-    val = background_phase(P, 0.0, 2.0, density_fn=lambda t: 0.5)
-    assert val == pytest.approx(complex(math.cos(-1.0), math.sin(-1.0)), abs=1e-10)
-
-
 def test_background_phase_rejects_reversed_times():
     with pytest.raises(ValueError):
         background_phase(P, 1.0, 0.0)
@@ -304,7 +295,7 @@ def _unfused_split_step(psi0, p, grid, snapshot_stride, nonlinearity, decay, fra
     (four FFTs), the frames as (t, psi) pairs; each step's spectral-tail
     fraction is appended to ``fractions``, if given."""
     dt, n_steps = grid.dt, max(1, int(round(grid.t_end / grid.dt)))
-    veff = effective_potential(p, grid.n_z)
+    veff = effective_potential(p)
     k = 2.0 * math.pi * np.fft.fftfreq(grid.n_z, d=grid.dz)
     kin_half = np.exp(-1j * (k**2) * dt / (4.0 * p.m_total))
     tail = np.abs(k) >= 0.9 * float(np.max(np.abs(k)))
@@ -503,7 +494,7 @@ def test_track_requires_two_frames():
     grid = soliton_grid(n_z=256, t_end=0.2, dt=1e-3)
     psi0 = WaveFunction(z=grid.z, psi=np.ones(grid.n_z, dtype=complex))
     with pytest.raises(ValueError):
-        track_minima([psi0])
+        track_minima([psi0], background_density=1.0)
 
 
 def test_counter_moving_dips_have_opposite_slopes():

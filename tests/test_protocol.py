@@ -27,6 +27,11 @@ from slowmol.dynamics import half_step_substeps
 from conftest import desk_pulse, read_csv
 
 
+# the curve and scan grids of the default curve and sweep config sections
+CURVE_T = np.linspace(0.0, 140.0, 281)
+N_SCAN = np.logspace(5, 7, 25)
+
+
 def fast_storage_schedule():
     """Compressed storage ramp for quick desk runs."""
     return ControlSchedule.tanh_ramp(omega0=10 * math.pi, t_down=5.0,
@@ -155,7 +160,7 @@ def test_feasibility_refuses_a_medium_without_coupling():
 def test_balanced_case_minimizes_velocity_pointwise():
     p = MediumParams.krb()
     sched = standard_storage_schedule()
-    reports = imbalance_sweep(3.0e6, [1.0, 2.0, 15.0], sched, p)
+    reports = imbalance_sweep(3.0e6, [1.0, 2.0, 15.0], sched, p, t_grid=CURVE_T)
     curves = {rep.params["eta"]: rep.series["vg_over_c"] for rep in reports}
     assert np.all(curves[1.0] <= curves[2.0])
     assert np.all(curves[1.0] <= curves[15.0])
@@ -166,7 +171,7 @@ def test_balanced_case_minimizes_velocity_pointwise():
 def test_imbalance_symmetry_under_eta_inversion():
     p = MediumParams.krb()
     sched = standard_storage_schedule()
-    reports = imbalance_sweep(3.0e6, [15.0, 1.0 / 15.0], sched, p)
+    reports = imbalance_sweep(3.0e6, [15.0, 1.0 / 15.0], sched, p, t_grid=CURVE_T)
     a = reports[0].series["vg_over_c"]
     b = reports[1].series["vg_over_c"]
     np.testing.assert_allclose(a, b, rtol=1e-12)
@@ -175,9 +180,9 @@ def test_imbalance_symmetry_under_eta_inversion():
 def test_imbalance_sweep_validates_etas():
     p = MediumParams.krb()
     with pytest.raises(ValueError, match="positive"):
-        imbalance_sweep(3.0e6, [1.0, -2.0], standard_storage_schedule(), p)
+        imbalance_sweep(3.0e6, [1.0, -2.0], standard_storage_schedule(), p, t_grid=CURVE_T)
     with pytest.raises(ValueError):
-        imbalance_sweep(-1.0, [1.0], standard_storage_schedule(), p)
+        imbalance_sweep(-1.0, [1.0], standard_storage_schedule(), p, t_grid=CURVE_T)
 
 
 def test_sweep_is_deterministic(tmp_path):
@@ -185,7 +190,7 @@ def test_sweep_is_deterministic(tmp_path):
     sched = standard_storage_schedule()
     files = []
     for run in range(2):
-        rep = imbalance_sweep(3.0e6, [2.0], sched, p)[0]
+        rep = imbalance_sweep(3.0e6, [2.0], sched, p, t_grid=CURVE_T)[0]
         path = tmp_path / f"curve_{run}.csv"
         rep.write_series_csv(path, ["t_us", "omega_rad_per_us", "vg_over_c"])
         files.append(path.read_bytes())
@@ -217,7 +222,8 @@ def test_scaling_exponent_refuses_a_vanishing_slowdown():
 def test_medium_comparison_ordering_at_large_n():
     p = MediumParams.krb()
     sched = standard_storage_schedule()
-    reports = medium_comparison(3.0e6, list(MediumKind), sched, p)
+    reports = medium_comparison(3.0e6, list(MediumKind), sched, p, t_grid=CURVE_T,
+                                n_scan=N_SCAN)
     curves = {rep.params["medium_kind"]: rep.series["vg_over_c"]
               for rep in reports}
     assert np.all(curves["heteronuclear-trimer"] <= curves["heteronuclear-dimer"])
@@ -228,7 +234,7 @@ def test_medium_comparison_ordering_at_large_n():
 def test_medium_comparison_reports_exponents():
     p = MediumParams.krb()
     reports = medium_comparison(3.0e6, [MediumKind.ATOMIC_EIT],
-                                standard_storage_schedule(), p)
+                                standard_storage_schedule(), p, t_grid=CURVE_T, n_scan=N_SCAN)
     assert reports[0].scalars["scaling_exponent"] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -362,11 +368,13 @@ def test_a_pulse_without_a_closed_form_is_timed_by_its_sampled_width():
     grid = Grid1D.for_speed(0.0, 200.0, 256, c=p.c, t_end=20.0)
     gaussian = desk_pulse(grid, width=8.0)
     bare = SignalEnvelope(z=grid.z, samples=gaussian.samples)
-    # the |E|^2-weighted width: sigma/sqrt(2) for an amplitude exp(-z^2/(2 sigma^2))
+    # the |E|-weighted width: sigma for an amplitude exp(-z^2/(2 sigma^2)), as the
+    # descriptor's rms_width; the left edge, 5 sigma off, clips the |E| tail by 3e-6
     width = protocol._rms_width(bare)
-    assert width == pytest.approx(8.0 / math.sqrt(2.0), rel=1e-9)
+    assert width == pytest.approx(gaussian.descriptor.rms_width, abs=1e-4)
+    # 11 sigma from either edge, the width is sigma to rounding wherever the pulse sits
     shifted = SignalEnvelope(z=grid.z, samples=desk_pulse(grid, center=90.0).samples)
-    assert protocol._rms_width(shifted) == pytest.approx(width, rel=1e-9)
+    assert protocol._rms_width(shifted) == pytest.approx(8.0, rel=1e-9)
     rep = run_storage_retrieval(p, fast_storage_schedule(), bare, grid, snapshot_stride=50)
     assert rep.params["t_s"] == pytest.approx(width / rep.params["plateau_velocity"],
                                               rel=1e-15)
@@ -376,7 +384,7 @@ def test_a_pulse_without_a_closed_form_is_timed_by_its_sampled_width():
 
 def test_storage_csv_roundtrip(tmp_path):
     p = MediumParams.krb()
-    rep = imbalance_sweep(3.0e6, [1.0], standard_storage_schedule(), p)[0]
+    rep = imbalance_sweep(3.0e6, [1.0], standard_storage_schedule(), p, t_grid=CURVE_T)[0]
     path = tmp_path / "curve.csv"
     rep.write_series_csv(path, ["t_us", "omega_rad_per_us", "vg_over_c"])
     header, cols = read_csv(path)
