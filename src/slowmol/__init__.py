@@ -46,7 +46,6 @@ from .gpe import (
     background_phase,
     effective_potential,
     energy_functional,
-    gray_soliton,
     grayness,
     healing_alpha,
     soliton_product,

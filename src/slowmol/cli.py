@@ -39,6 +39,7 @@ from .dynamics import (
 from .errors import ConfigError, FeasibilityRefused, NumericsError, StoppedLightError
 from .medium import group_velocity_with_decay, mixing_angle, velocity_floor
 from .reports import ExperimentReport, ReportWriter, fmt_float, format_column, scalar_lines
+from .schedule import ControlSchedule
 
 _IMPORTED = time.perf_counter()
 
@@ -70,18 +71,16 @@ def _gnuplot(config: RunConfig, curve_files: list[str]) -> dict:
         "set xlabel 't (us)'", "set ylabel 'v_g / c'", f"plot {plots}"])}
 
 
-def _curve_files(reports: list[ExperimentReport], curve_ids: list[str],
-                 tags: list, summary: list[str], config: RunConfig) -> dict:
-    """One curve CSV per sweep report, their manifest, summary and plot.
-    A column that is the same array in every report (the sweep's t and
-    Omega) is formatted once for all curves; each curve's own column is
-    formatted only when its file is written."""
+def _curve_files(t: np.ndarray, sched: ControlSchedule, curves: list[np.ndarray],
+                 curve_ids: list[str], tags: list, summary: list[str],
+                 config: RunConfig) -> dict:
+    """One curve CSV per v_g/c curve of a sweep on the times ``t``, their
+    manifest, summary and plot.  Every curve shares the columns of ``t`` and
+    of Omega(t), formatted once here; each curve's own column is formatted
+    only when its file is written."""
     names = [f"curve_{cid}.csv" for cid in curve_ids]
-    first = reports[0].series
-    shared = {k: format_column(first[k]) for k in _CURVE_COLUMNS
-              if all(rep.series[k] is first[k] for rep in reports)}
-    files = {name: (_CURVE_COLUMNS, [shared.get(k, rep.series[k]) for k in _CURVE_COLUMNS])
-             for name, rep in zip(names, reports)}
+    shared = [format_column(t), format_column(sched.omega(t))]
+    files = {name: (_CURVE_COLUMNS, [*shared, curve]) for name, curve in zip(names, curves)}
     files["manifest.csv"] = (["curve_id", "eta_or_kind", "file"],
                              [curve_ids, tags, names])
     files["summary.txt"] = _text(summary)
@@ -219,6 +218,7 @@ def run_store(config: RunConfig, writer: ReportWriter | None = None) -> Experime
         substeps=config.run.substeps,
         snapshot_stride=config.grid.snapshot_stride,
         advection=config.run.advection,
+        threshold=config.feasibility.threshold,
         on_snapshot=snapshot_files,
     )
     prof = report.profiles
@@ -226,7 +226,7 @@ def run_store(config: RunConfig, writer: ReportWriter | None = None) -> Experime
         "storage_report.csv": (
             ["z_um", "re_E_in", "im_E_in", "re_phig_stored", "im_phig_stored",
              "re_E_out", "im_E_out"],
-            [prof["z_um"], prof["e_in"].real, prof["e_in"].imag,
+            [grid.z, pulse.samples.real, pulse.samples.imag,
              prof["phig_stored"].real, prof["phig_stored"].imag,
              prof["e_out"].real, prof["e_out"].imag]),
         "velocity_curve.csv": (_CURVE_COLUMNS, [report.series[k] for k in _CURVE_COLUMNS]),
@@ -238,15 +238,15 @@ def run_store(config: RunConfig, writer: ReportWriter | None = None) -> Experime
 def run_imbalance(config: RunConfig, writer: ReportWriter | None = None) -> ExperimentReport:
     p = config.to_medium_params()
     sched = config.to_schedule()
+    t = _curve_grid(config)
+    etas = config.sweep.etas
     # validate has checked the ratios, so only N_a N_b g_tilde^2 can overflow here
-    reports = keyed("sweep.n_total", protocol.imbalance_sweep, config.sweep.n_total,
-                    config.sweep.etas, sched, p, t_grid=_curve_grid(config))
-    ids = [f"eta{i:02d}" for i in range(len(reports))]
-    summary = [f"min_vg_over_c_{cid} = {fmt_float(rep.scalars['min_vg_over_c'])} "
-               f"(eta = {fmt_float(rep.params['eta'])})"
-               for cid, rep in zip(ids, reports)]
-    return _report(config, _curve_files(
-        reports, ids, [rep.params["eta"] for rep in reports], summary, config))
+    curves = keyed("sweep.n_total", protocol.imbalance_sweep, config.sweep.n_total,
+                   etas, sched, p, t_grid=t)
+    ids = [f"eta{i:02d}" for i in range(len(curves))]
+    summary = [f"min_vg_over_c_{cid} = {fmt_float(np.min(curve))} (eta = {fmt_float(eta)})"
+               for cid, curve, eta in zip(ids, curves, etas)]
+    return _report(config, _curve_files(t, sched, curves, ids, etas, summary, config))
 
 
 def run_mediums(config: RunConfig, writer: ReportWriter | None = None) -> ExperimentReport:
@@ -256,12 +256,13 @@ def run_mediums(config: RunConfig, writer: ReportWriter | None = None) -> Experi
     n_scan = np.logspace(math.log10(config.sweep.n_scan_min),
                          math.log10(config.sweep.n_scan_max),
                          config.sweep.n_scan_points)
-    reports = protocol.medium_comparison(
-        config.sweep.n_total, kinds, sched, p, t_grid=_curve_grid(config), n_scan=n_scan)
-    names = [rep.params["medium_kind"] for rep in reports]
-    summary = scalar_lines({f"scaling_exponent_{name.replace('-', '_')}":
-                            rep.scalars["scaling_exponent"] for name, rep in zip(names, reports)})
-    return _report(config, _curve_files(reports, names, names, summary, config))
+    t = _curve_grid(config)
+    curves, exponents = protocol.medium_comparison(
+        config.sweep.n_total, kinds, sched, p, t_grid=t, n_scan=n_scan)
+    names = [kind.value for kind in kinds]
+    summary = scalar_lines({f"scaling_exponent_{name.replace('-', '_')}": exponent
+                            for name, exponent in zip(names, exponents)})
+    return _report(config, _curve_files(t, sched, curves, names, names, summary, config))
 
 
 def run_feasibility(config: RunConfig,
@@ -306,20 +307,22 @@ def run_gpe_soliton(config: RunConfig,
     trajectories = gpe_mod.track_minima(
         frames, background_density=p.background_amp**2)
     v_s = gpe_mod.sound_speed(p)
-    v_expected = spec.speed(v_s)
     main_track = min(
         (tr for tr in trajectories if len(tr) >= 2),
         key=lambda tr: abs(tr.positions[0] - spec.z0), default=None)
     summary = {
         "q": spec.q,
         "sound_speed_um_per_us": v_s,
-        "expected_speed_um_per_us": v_expected,
+        "expected_speed_um_per_us": spec.speed(v_s),
         "norm_initial": frames[0].norm(),
         "norm_final": frames[-1].norm(),
-        **gpe_mod.conservation_drifts(frames, p),
+        **gpe_mod.conservation_drifts(frames, p, config.gpe.nonlinearity),
         "min_density_final": frames[-1].density().min(),
         "expected_min_density": (1.0 - spec.q**2) * p.background_amp**2,
     }
+    if config.gpe.nonlinearity == "frozen":
+        # the analytic soliton's speed and depth solve the self-consistent equation
+        del summary["expected_speed_um_per_us"], summary["expected_min_density"]
     if main_track is not None and len(main_track) > 2:
         summary["measured_speed_um_per_us"] = main_track.fit_speed()
     summary["n_flagged"] = sum(tr.flagged for tr in trajectories)

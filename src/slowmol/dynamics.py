@@ -905,12 +905,11 @@ def integrate_mean_field(
     return snaps
 
 
-def storage_fidelity(input_env: SignalEnvelope, retrieved: SignalEnvelope,
-                     *, max_shift: Optional[int] = None) -> float:
+def storage_fidelity(input_env: SignalEnvelope, retrieved: SignalEnvelope) -> float:
     """Shift-aligned normalized overlap of two envelopes on one grid.
 
-    Maximizes |<in, out_shifted>|^2 / (|in|^2 |out|^2) over integer grid
-    shifts within +-max_shift cells (default a quarter of the grid);
+    Maximizes |<in, out_shifted>|^2 / (|in|^2 |out|^2) over every integer
+    grid shift, since a retrieved pulse may sit anywhere downstream;
     returns a value in [0, 1].
     """
     if input_env.z.shape != retrieved.z.shape or not np.allclose(input_env.z, retrieved.z):
@@ -923,13 +922,7 @@ def storage_fidelity(input_env: SignalEnvelope, retrieved: SignalEnvelope,
         raise ValueError("zero-norm input envelope")
     if nb == 0.0:
         return 0.0
-    n = len(a)
-    if max_shift is None:
-        max_shift = n // 4
-    corr = np.correlate(b, a, mode="full")  # index n-1 is the zero-shift overlap
-    lo = max(0, n - 1 - max_shift)
-    hi = min(len(corr), n + max_shift)
-    best = float(np.max(np.abs(corr[lo:hi]) ** 2))
+    best = float(np.max(np.abs(np.correlate(b, a, mode="full")) ** 2))
     return best / (na * nb)
 
 

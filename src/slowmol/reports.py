@@ -71,40 +71,29 @@ def write_csv(path: Path, header: list[str], columns: list) -> None:
 class FeasibilityReport:
     """Margins of the storage feasibility inequalities.
 
-    Each check passes when its margin (the ratio that the corresponding
-    "much less than" inequality requires to be small) stays below the
-    threshold.
+    A check passes (``passes(key)``, with ``key`` one of ``margins``: the
+    ``storage``, ``spectral`` and ``compression`` windows) when its margin
+    (the ratio that the corresponding "much less than" inequality requires
+    to be small) stays below the threshold; ``all_ok`` when every one does.
     """
 
     optical_depth: float
     margins: dict[str, float]
     threshold: float = 0.1
 
-    def _ok(self, key: str) -> bool:
+    def passes(self, key: str) -> bool:
         return self.margins[key] < self.threshold
 
     @property
-    def storage_window_ok(self) -> bool:
-        return self._ok("storage")
-
-    @property
-    def spectral_window_ok(self) -> bool:
-        return self._ok("spectral")
-
-    @property
-    def compression_ok(self) -> bool:
-        return self._ok("compression")
-
-    @property
     def all_ok(self) -> bool:
-        return all(m < self.threshold for m in self.margins.values())
+        return all(map(self.passes, self.margins))
 
     def summary_lines(self) -> list[str]:
         # a medium without excited-state decay has an infinite optical depth
         depth = fmt_float(self.optical_depth) if self.optical_depth < math.inf else "unbounded"
         lines = [f"optical_depth = {depth}", f"threshold = {fmt_float(self.threshold)}"]
         for key in sorted(self.margins):
-            ok = "pass" if self._ok(key) else "fail"
+            ok = "pass" if self.passes(key) else "fail"
             lines.append(f"margin_{key} = {fmt_float(self.margins[key])} ({ok})")
         return lines
 
@@ -225,13 +214,20 @@ class ReportWriter:
 
     def finish(self, report: ExperimentReport) -> None:
         """Write the entries of ``report.files`` not written yet (the ready
-        hand-overs and every entry never handed over), shared by
-        ``_writer_count`` processes: fork writer *i* for the entries
-        ``[i::k]`` of that rest, write share 0 here, then wait for every
-        writer, the ones forked during the solve included, also when share
-        0 failed.  Once share 0 is written, write each failed writer's share
-        again, so a failure that repeats is raised here as itself; a writer
-        killed by a signal raises ``OSError`` naming it."""
+        hand-overs and every entry never handed over; on a fresh writer,
+        the whole report), shared by ``_writer_count`` processes: fork
+        writer *i* for the entries ``[i::k]`` of that rest, write share 0
+        here, then wait for every writer, the ones forked during the solve
+        included, also when share 0 failed.  Once share 0 is written, write
+        each failed writer's share again, so a failure that repeats is
+        raised here as itself; a writer killed by a signal raises
+        ``OSError`` naming it.
+
+        No table text crosses processes, and every file holds the same bytes
+        as a one-process write, whichever process writes it and whenever.  A
+        report of fewer than ``_FORK_MIN_TABLES`` tables, or one written
+        while a second thread is alive, is written by this process alone.
+        The call returns or raises only after every writer has exited."""
         rest = self._ready + [(name, content) for name, content in report.files.items()
                               if name not in self._handed]
         self._ready = []
@@ -280,16 +276,3 @@ class ReportWriter:
                 live.append((pid, entries))
         self._live = live
 
-
-def write_report(report: ExperimentReport, outdir: Path) -> None:
-    """Write a whole report, every entry of ``report.files``, under
-    ``outdir`` through a fresh ``ReportWriter``.  A run whose solver handed
-    tables to a writer finishes that writer instead (``ReportWriter.finish``).
-
-    No table text crosses processes, and every file holds the same bytes as
-    a one-process write, whichever process writes it and whenever.  A report
-    of fewer than ``_FORK_MIN_TABLES`` tables, or one written while a second
-    thread is alive, is written by this process alone.  The call returns or
-    raises only after every writer has exited.
-    """
-    ReportWriter(outdir).finish(report)

@@ -91,8 +91,8 @@ def test_criterion_3_balance_optimality():
     p = sm.MediumParams.krb()
     sched = sm.standard_storage_schedule()
     etas = [1 / 15, 1 / 4, 1 / 2, 1.0, 2.0, 4.0, 15.0]
-    reports = sm.imbalance_sweep(3.0e6, etas, sched, p, t_grid=np.linspace(0.0, 140.0, 281))
-    curves = {rep.params["eta"]: rep.series["vg_over_c"] for rep in reports}
+    curves = dict(zip(etas, sm.imbalance_sweep(3.0e6, etas, sched, p,
+                                               t_grid=np.linspace(0.0, 140.0, 281))))
     balanced = curves[1.0]
     for eta, curve in curves.items():
         assert np.all(balanced <= curve)
@@ -278,8 +278,8 @@ def test_criterion_9_feasibility_margins_gated():
     assert set(rep.margins) == {"storage", "spectral", "compression"}
     assert rep.threshold == 0.1
     for key, margin in rep.margins.items():
-        assert (margin < 0.1) == rep._ok(key)
-    assert rep.storage_window_ok  # 110 us inside the coherence window
+        assert (margin < 0.1) == rep.passes(key)
+    assert rep.passes("storage")  # 110 us inside the coherence window
     announce(9, "feasibility-margins",
              "three margins computed and gated at 0.1; storage margin "
              f"{rep.margins['storage']:.3f}")

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slowmol import cli, dynamics, protocol
@@ -156,15 +157,44 @@ def test_gpe_split_outputs(tmp_path):
     assert (out / "separation.csv").exists()
 
 
+# the summary lines of a GPE run that only the self-consistent equation meets:
+# the analytic soliton's speed (and depth), and the energy of
+# energy_functional, whose (U_gg/2)|psi|^4 term a frozen evolution does not conserve
+SELF_CONSISTENT_ONLY = {
+    "gpe-soliton": {"expected_speed_um_per_us", "expected_min_density", "energy_drift"},
+    "gpe-split": {"v_expected", "param_v_expected", "energy_drift"},
+}
+
+
+def _claims_of_each_nonlinearity(experiment, outs):
+    """The summaries of the self-consistent and the frozen run, after checking
+    that the frozen one lacks exactly the self-consistent claims."""
+    consistent, frozen = (read_summary(outs[mode]) for mode in ("self-consistent", "frozen"))
+    assert SELF_CONSISTENT_ONLY[experiment] <= set(consistent)
+    assert set(frozen) == set(consistent) - SELF_CONSISTENT_ONLY[experiment]
+    assert "norm_drift" in frozen
+    return consistent, frozen
+
+
 def test_gpe_split_evolves_under_the_configured_nonlinearity(tmp_path):
     outs = {mode: tmp_path / mode for mode in ("self-consistent", "frozen")}
     for mode, out in outs.items():
         assert main(["gpe-split", "--out", str(out), "--set", "gpegrid.t_end_us=4",
                      "--set", f"gpe.nonlinearity={mode}"]) == 0
-    consistent, frozen = (read_summary(out) for out in outs.values())
+    consistent, frozen = _claims_of_each_nonlinearity("gpe-split", outs)
     assert frozen["v_right"] != consistent["v_right"]
     assert ((outs["frozen"] / "separation.csv").read_bytes()
             != (outs["self-consistent"] / "separation.csv").read_bytes())
+
+
+def test_a_frozen_gpe_soliton_claims_no_self_consistent_expectation(tmp_path):
+    outs = {mode: tmp_path / mode for mode in ("self-consistent", "frozen")}
+    for mode, out in outs.items():
+        assert main(["gpe-soliton", "--out", str(out), "--set", "gpegrid.t_end_us=1",
+                     "--set", "gpegrid.snapshot_stride=100",
+                     "--set", f"gpe.nonlinearity={mode}"]) == 0
+    consistent, frozen = _claims_of_each_nonlinearity("gpe-soliton", outs)
+    assert frozen["min_density_final"] != consistent["min_density_final"]
 
 
 def test_gpe_soliton_outputs(tmp_path):
@@ -221,6 +251,9 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
             ("feasibility", ["medium.g_tilde_rad_per_us=1e-300"], "medium.g_tilde_rad_per_us"),
             ("feasibility", uncoupled, "medium.g_tilde_rad_per_us"),
             ("store", uncoupled + tiny_store, "medium.g_tilde_rad_per_us"),
+            # an excited-state decay so fast that the optical depth underflows to 0
+            ("feasibility", ["medium.gamma_e_rad_per_us=1e300"], "medium.g_tilde_rad_per_us"),
+            ("store", ["medium.gamma_e_rad_per_us=1e300"], "medium.g_tilde_rad_per_us"),
             ("groupvel", stopped, "schedule.omega0_rad_per_us"),
             ("store", stopped, "schedule.omega0_rad_per_us"),
             ("feasibility", stopped, "schedule.omega0_rad_per_us"),
@@ -449,6 +482,23 @@ def test_exit_code_4_on_feasibility_refusal(tmp_path, capsys):
     assert "--force" in capsys.readouterr().err
 
 
+def test_store_gates_at_the_configured_threshold(tmp_path, capsys):
+    # the tiny desk store passes every margin at the default 0.1; its
+    # compression margin 0.04 fails a threshold of 0.001
+    tiny_store = ["preset=desk-storage", "grid.n_z=256", "grid.t_end_us=40",
+                  "grid.snapshot_stride=10", "schedule.t_down_us=8", "schedule.t_up_us=25",
+                  "schedule.rate_per_us=0.5", "feasibility.threshold=0.001"]
+    args = [arg for setting in tiny_store for arg in ("--set", setting)]
+    assert main(["store", "--out", str(tmp_path / "refused"), *args]) == 4
+    assert "margin_compression = 0.04 (fail)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    out = tmp_path / "forced"
+    assert main(["store", "--out", str(out), "--force", *args]) == 0
+    summary = read_summary(out)
+    assert summary["threshold"] == "0.001"
+    assert summary["margin_compression"] == "0.04 (fail)"
+
+
 def test_exit_code_3_on_numerical_failure(tmp_path, capsys):
     code = main(["propagate", "--out", str(tmp_path / "x"),
                  "--set", "preset=desk-storage",
@@ -522,11 +572,18 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def _capture_sweep(monkeypatch, name):
-    """Wrap ``protocol.<name>`` so the sweep reports it returns are kept."""
-    captured = []
+    """Wrap ``protocol.<name>`` so the time grid it is given and the v_g/c
+    curves it returns are kept."""
+    captured = {}
     inner = getattr(protocol, name)
-    monkeypatch.setattr(protocol, name,
-                        lambda *a, **k: captured.extend(inner(*a, **k)) or captured)
+
+    def sweep(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        captured.update(t=kwargs["t_grid"],
+                        curves=result if name == "imbalance_sweep" else result[0])
+        return result
+
+    monkeypatch.setattr(protocol, name, sweep)
     return captured
 
 
@@ -537,22 +594,24 @@ SWEEPS = {"imbalance": ("imbalance_sweep", ["sweep.etas=0.5,1,2,4,8,15"]),
 @pytest.mark.parametrize("experiment", sorted(SWEEPS))
 def test_every_curve_is_its_own_series_written_alone(tmp_path, monkeypatch, experiment):
     sweep, settings = SWEEPS[experiment]
-    reports = _capture_sweep(monkeypatch, sweep)
+    captured = _capture_sweep(monkeypatch, sweep)
     out = tmp_path / experiment
     assert main([experiment, "--out", str(out),
                  *[arg for setting in settings for arg in ("--set", setting)]]) == 0
     files = [line.split(",")[2] for line in
              (out / "manifest.csv").read_text(encoding="utf-8").splitlines()[1:]]
-    assert len(files) == len(reports) == {"imbalance": 6, "mediums": 4}[experiment]
-    for name, rep in zip(files, reports):
-        write_csv(tmp_path / "alone.csv", cli._CURVE_COLUMNS,
-                  [rep.series[k] for k in cli._CURVE_COLUMNS])
+    curves = captured["curves"]
+    assert len(files) == len(curves) == {"imbalance": 6, "mediums": 4}[experiment]
+    t = captured["t"]
+    omega = load_config(None, [f"experiment={experiment}", *settings]).to_schedule().omega(t)
+    for name, curve in zip(files, curves):
+        write_csv(tmp_path / "alone.csv", cli._CURVE_COLUMNS, [t, omega, curve])
         assert (out / name).read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
 @pytest.mark.parametrize("n_etas", [1, 2, 6])
 def test_a_sweep_formats_its_shared_columns_once(tmp_path, monkeypatch, n_etas):
-    reports = _capture_sweep(monkeypatch, "imbalance_sweep")
+    captured = _capture_sweep(monkeypatch, "imbalance_sweep")
     formatted = []
 
     def counting(column):
@@ -562,16 +621,20 @@ def test_a_sweep_formats_its_shared_columns_once(tmp_path, monkeypatch, n_etas):
     for module in (cli, reports_mod):
         monkeypatch.setattr(module, "format_column", counting)
     etas = ",".join(str(2.0**i) for i in range(n_etas))
-    assert main(["imbalance", "--out", str(tmp_path / "imb"), "--set", f"sweep.etas={etas}",
-                 "--set", "curve.points=11"]) == 0
+    settings = [f"sweep.etas={etas}", "curve.points=11"]
+    assert main(["imbalance", "--out", str(tmp_path / "imb"),
+                 *[arg for setting in settings for arg in ("--set", setting)]]) == 0
 
     def times(column):
         return sum(col is column for col in formatted)
 
-    assert len(reports) == n_etas
-    for key in ("t_us", "omega_rad_per_us"):
-        assert times(reports[0].series[key]) == 1
-    assert [times(rep.series["vg_over_c"]) for rep in reports] == [1] * n_etas
+    curves = captured["curves"]
+    assert len(curves) == n_etas
+    assert times(captured["t"]) == 1
+    omega = load_config(None, ["experiment=imbalance", *settings]).to_schedule().omega(
+        captured["t"])
+    assert sum(np.array_equal(col, omega) for col in formatted) == 1
+    assert [times(curve) for curve in curves] == [1] * n_etas
     assert len(formatted) == 2 + n_etas + 1  # the manifest's eta column is the one other
 
 

@@ -746,11 +746,12 @@ def test_fidelity_invariant_under_shifts(desk_grid_small):
     assert storage_fidelity(env, shifted) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_fidelity_zero_for_disjoint_support_beyond_window(desk_grid_small):
-    a = desk_pulse(desk_grid_small, center=30.0, width=2.0)
-    b = desk_pulse(desk_grid_small, center=170.0, width=2.0)
-    # separation (179 cells) exceeds the default quarter-grid window
-    assert storage_fidelity(a, b) < 1e-12
+def test_fidelity_finds_a_copy_shifted_beyond_a_quarter_of_the_grid(desk_grid_small):
+    env = desk_pulse(desk_grid_small, center=30.0, width=2.0)
+    shift = 179  # cells: beyond a quarter of the 256-cell grid, the copy still on it
+    assert shift > desk_grid_small.n_z // 4
+    shifted = SignalEnvelope(z=desk_grid_small.z, samples=np.roll(env.samples, shift))
+    assert storage_fidelity(env, shifted) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fidelity_errors_and_degenerate_cases(desk_grid_small):

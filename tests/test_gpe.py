@@ -17,7 +17,6 @@ from slowmol import (
     background_phase,
     effective_potential,
     energy_functional,
-    gray_soliton,
     grayness,
     healing_alpha,
     soliton_product,
@@ -121,14 +120,14 @@ def test_gray_soliton_depth_at_center():
     center = float(grid.z[grid.n_z // 2])  # an exact grid point
     for q in (0.5, 0.8, 1.0):
         spec = SolitonSpec.for_params(P, q=q, z0=center)
-        wf = gray_soliton(spec, P, grid)
+        wf = soliton_product([spec], P, grid)
         i0 = int(np.argmin(np.abs(grid.z - center)))
         assert wf.density()[i0] == pytest.approx((1.0 - q**2), abs=1e-10)
 
 
 def test_gray_soliton_tails_recover_background():
     grid = soliton_grid()
-    wf = gray_soliton(SolitonSpec.for_params(P, q=0.8), P, grid)
+    wf = soliton_product([SolitonSpec.for_params(P, q=0.8)], P, grid)
     assert wf.density()[0] == pytest.approx(1.0, rel=1e-10)
     assert wf.density()[-1] == pytest.approx(1.0, rel=1e-10)
 
@@ -136,7 +135,7 @@ def test_gray_soliton_tails_recover_background():
 def test_gray_soliton_requires_free_background():
     p = GpeParams(m_a=0.5, m_b=0.5, u_gg=1.0, v_ext=0.5)
     with pytest.raises(ValueError, match="effective potential"):
-        gray_soliton(SolitonSpec(q=0.8, alpha=1.0), p, soliton_grid())
+        soliton_product([SolitonSpec(q=0.8, alpha=1.0)], p, soliton_grid())
 
 
 def test_soliton_spec_validation():
@@ -151,7 +150,7 @@ def test_soliton_spec_validation():
 def test_narrow_domain_warns():
     grid = Grid1D(z_min=-5.0, z_max=5.0, n_z=64, dt=1e-3, t_end=0.01)
     with pytest.warns(UserWarning, match="soliton widths"):
-        gray_soliton(SolitonSpec.for_params(P, q=0.8), P, grid)
+        soliton_product([SolitonSpec.for_params(P, q=0.8)], P, grid)
 
 
 # ------------------------------------------------------------ background phase

@@ -7,6 +7,7 @@ from slowmol import protocol
 from slowmol import (
     ConfigError,
     ControlSchedule,
+    ExperimentReport,
     FeasibilityRefused,
     Grid1D,
     MediumKind,
@@ -46,7 +47,7 @@ def test_krb_feasibility_margins():
     rep = feasibility_check(p, t_s=1.0, sched=sched, t_storage=110.0)
     # 110 us against the 1.64 ms coherence window
     assert rep.margins["storage"] == pytest.approx(0.067, abs=0.005)
-    assert rep.storage_window_ok
+    assert rep.passes("storage")
     assert rep.optical_depth == pytest.approx(
         p.pair_coupling_sq * p.L / (p.gamma2 * p.c), rel=1e-12)
 
@@ -57,14 +58,14 @@ def test_feasibility_infinite_depth_without_excited_decay():
                             t_storage=50.0)
     assert math.isinf(rep.optical_depth)
     assert rep.margins["spectral"] == 0.0
-    assert rep.spectral_window_ok
+    assert rep.passes("spectral")
 
 
 def test_feasibility_long_pulse_fails_compression():
     p = MediumParams(g_tilde=1e-3, L=200.0, c=2.0, N_a=100.0, N_b=100.0)
     rep = feasibility_check(p, t_s=1e9, sched=fast_storage_schedule(),
                             t_storage=50.0)
-    assert not rep.compression_ok
+    assert not rep.passes("compression")
     assert not rep.all_ok
 
 
@@ -73,7 +74,7 @@ def test_feasibility_flag_threshold_consistency():
     rep = feasibility_check(p, t_s=1.0, sched=standard_storage_schedule(),
                             t_storage=110.0, threshold=0.01)
     for key, margin in rep.margins.items():
-        assert (margin < rep.threshold) == rep._ok(key)
+        assert (margin < rep.threshold) == rep.passes(key)
 
 
 def test_feasibility_validates_inputs():
@@ -160,8 +161,8 @@ def test_feasibility_refuses_a_medium_without_coupling():
 def test_balanced_case_minimizes_velocity_pointwise():
     p = MediumParams.krb()
     sched = standard_storage_schedule()
-    reports = imbalance_sweep(3.0e6, [1.0, 2.0, 15.0], sched, p, t_grid=CURVE_T)
-    curves = {rep.params["eta"]: rep.series["vg_over_c"] for rep in reports}
+    etas = [1.0, 2.0, 15.0]
+    curves = dict(zip(etas, imbalance_sweep(3.0e6, etas, sched, p, t_grid=CURVE_T)))
     assert np.all(curves[1.0] <= curves[2.0])
     assert np.all(curves[1.0] <= curves[15.0])
     # strong imbalance visibly deviates from the optimum
@@ -171,9 +172,7 @@ def test_balanced_case_minimizes_velocity_pointwise():
 def test_imbalance_symmetry_under_eta_inversion():
     p = MediumParams.krb()
     sched = standard_storage_schedule()
-    reports = imbalance_sweep(3.0e6, [15.0, 1.0 / 15.0], sched, p, t_grid=CURVE_T)
-    a = reports[0].series["vg_over_c"]
-    b = reports[1].series["vg_over_c"]
+    a, b = imbalance_sweep(3.0e6, [15.0, 1.0 / 15.0], sched, p, t_grid=CURVE_T)
     np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
@@ -185,12 +184,19 @@ def test_imbalance_sweep_validates_etas():
         imbalance_sweep(-1.0, [1.0], standard_storage_schedule(), p, t_grid=CURVE_T)
 
 
+def _curve_report(curve: np.ndarray, sched) -> ExperimentReport:
+    """A sweep curve as the series of a report, beside the t and Omega columns
+    that every curve of a sweep shares."""
+    return ExperimentReport(kind="imbalance", series={
+        "t_us": CURVE_T, "omega_rad_per_us": sched.omega(CURVE_T), "vg_over_c": curve})
+
+
 def test_sweep_is_deterministic(tmp_path):
     p = MediumParams.krb()
     sched = standard_storage_schedule()
     files = []
     for run in range(2):
-        rep = imbalance_sweep(3.0e6, [2.0], sched, p, t_grid=CURVE_T)[0]
+        rep = _curve_report(imbalance_sweep(3.0e6, [2.0], sched, p, t_grid=CURVE_T)[0], sched)
         path = tmp_path / f"curve_{run}.csv"
         rep.write_series_csv(path, ["t_us", "omega_rad_per_us", "vg_over_c"])
         files.append(path.read_bytes())
@@ -222,10 +228,9 @@ def test_scaling_exponent_refuses_a_vanishing_slowdown():
 def test_medium_comparison_ordering_at_large_n():
     p = MediumParams.krb()
     sched = standard_storage_schedule()
-    reports = medium_comparison(3.0e6, list(MediumKind), sched, p, t_grid=CURVE_T,
-                                n_scan=N_SCAN)
-    curves = {rep.params["medium_kind"]: rep.series["vg_over_c"]
-              for rep in reports}
+    curves, _ = medium_comparison(3.0e6, list(MediumKind), sched, p, t_grid=CURVE_T,
+                                  n_scan=N_SCAN)
+    curves = dict(zip([kind.value for kind in MediumKind], curves))
     assert np.all(curves["heteronuclear-trimer"] <= curves["heteronuclear-dimer"])
     assert np.all(curves["heteronuclear-dimer"] <= curves["atomic-eit"])
     assert np.all(curves["homonuclear-dimer"] <= curves["atomic-eit"])
@@ -233,9 +238,10 @@ def test_medium_comparison_ordering_at_large_n():
 
 def test_medium_comparison_reports_exponents():
     p = MediumParams.krb()
-    reports = medium_comparison(3.0e6, [MediumKind.ATOMIC_EIT],
-                                standard_storage_schedule(), p, t_grid=CURVE_T, n_scan=N_SCAN)
-    assert reports[0].scalars["scaling_exponent"] == pytest.approx(1.0, abs=1e-6)
+    _, exponents = medium_comparison(3.0e6, [MediumKind.ATOMIC_EIT],
+                                     standard_storage_schedule(), p, t_grid=CURVE_T,
+                                     n_scan=N_SCAN)
+    assert exponents == [pytest.approx(1.0, abs=1e-6)]
 
 
 # --------------------------------------------------------- storage/retrieval
@@ -330,7 +336,7 @@ def test_storage_gate_refuses_then_force_runs():
                                 force=True, snapshot_stride=50)
     # the stored component decays away: almost nothing is retrieved
     assert rep.scalars["efficiency"] < 1e-2
-    assert not rep.feasibility.storage_window_ok
+    assert not rep.feasibility.passes("storage")
 
 
 def test_storage_leakage_warning():
@@ -384,7 +390,8 @@ def test_a_pulse_without_a_closed_form_is_timed_by_its_sampled_width():
 
 def test_storage_csv_roundtrip(tmp_path):
     p = MediumParams.krb()
-    rep = imbalance_sweep(3.0e6, [1.0], standard_storage_schedule(), p, t_grid=CURVE_T)[0]
+    sched = standard_storage_schedule()
+    rep = _curve_report(imbalance_sweep(3.0e6, [1.0], sched, p, t_grid=CURVE_T)[0], sched)
     path = tmp_path / "curve.csv"
     rep.write_series_csv(path, ["t_us", "omega_rad_per_us", "vg_over_c"])
     header, cols = read_csv(path)

@@ -12,7 +12,7 @@ from slowmol import reports as reports_mod
 from slowmol.cli import main, run
 from slowmol.config import load_config
 from slowmol.errors import NumericsError
-from slowmol.reports import ExperimentReport, fmt_float, format_column, write_csv, write_report
+from slowmol.reports import ExperimentReport, fmt_float, format_column, write_csv
 
 
 def test_write_csv_refuses_a_ragged_table(tmp_path):
@@ -37,7 +37,7 @@ def test_write_report_bytes(tmp_path):
         "empty.csv": (["t_us", "file"], [[], []]),
         "notes.txt": "alpha = 1\nbeta = none\n",
     })
-    write_report(report, tmp_path)
+    reports_mod.ReportWriter(tmp_path).finish(report)
     assert (tmp_path / "table.csv").read_bytes() == (
         b"x,label,index\n0.1,a,0\n-2.0,b-c,1\n1e-300,d,10\n")
     assert (tmp_path / "nested" / "deeper" / "lazy.csv").read_bytes() == b"y\n3.0\n0.5\n"
@@ -222,7 +222,7 @@ def test_a_writers_failure_reaches_the_caller_and_no_run_is_left(tmp_path, monke
         report = _tables(4)
         report.files["sub/t01.csv"] = (["x"], _failing_in(pid_file, error))
         with pytest.raises(type(error)) as info:
-            write_report(report, tmp_path / name)
+            reports_mod.ReportWriter(tmp_path / name).finish(report)
         assert info.value is error  # NumericsError keeps its t and index
         assert info.traceback[-1].name == "columns"
         child, retry = _pids(pid_file)
@@ -233,7 +233,7 @@ def test_a_writers_failure_reaches_the_caller_and_no_run_is_left(tmp_path, monke
     report = _tables(4)
     report.files["sub/t01.csv"] = (["x"], lambda: os.kill(os.getpid(), signal.SIGKILL))
     with pytest.raises(OSError, match="killed by signal 9"):
-        write_report(report, tmp_path / "killed")
+        reports_mod.ReportWriter(tmp_path / "killed").finish(report)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -248,7 +248,7 @@ def test_a_writers_failure_reaches_the_caller_and_no_run_is_left(tmp_path, monke
     child, retry = _pids(pid_file)
     assert child != parent and retry == parent
     assert list((tmp_path / "cli").iterdir()) == []  # no output and no work directory
-    assert len(forks) == 5  # one per write_report call
+    assert len(forks) == 5  # one per finish call
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -262,7 +262,7 @@ def test_a_failure_in_a_writer_alone_is_written_again_here(tmp_path, monkeypatch
         ["x"], _failing_in(pid_file, TableError("writer only"), lambda pid: pid != parent))
     calls = _record_shares(monkeypatch, tmp_path / "calls")
     monkeypatch.setattr(reports_mod, "_FORK_MIN_TABLES", 0)
-    write_report(report, tmp_path / "forked")
+    reports_mod.ReportWriter(tmp_path / "forked").finish(report)
     child, retry = _pids(pid_file)
     assert child != parent and retry == parent
     names = tuple(report.files)
@@ -272,14 +272,14 @@ def test_a_failure_in_a_writer_alone_is_written_again_here(tmp_path, monkeypatch
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     monkeypatch.setattr(reports_mod, "_FORK_MIN_TABLES", 10**9)
-    write_report(report, tmp_path / "serial")
+    reports_mod.ReportWriter(tmp_path / "serial").finish(report)
     assert _files(tmp_path / "forked") == _files(tmp_path / "serial")
 
 
 def test_no_writer_outlives_a_successful_write(tmp_path, monkeypatch):
     forks = _count_forks(monkeypatch)
     monkeypatch.setattr(reports_mod, "_FORK_MIN_TABLES", 0)
-    write_report(_tables(6), tmp_path)
+    reports_mod.ReportWriter(tmp_path).finish(_tables(6))
     assert len(forks) == 1
     assert len(_files(tmp_path)) == 7
     with pytest.raises(ChildProcessError):
@@ -292,7 +292,7 @@ def test_a_small_report_or_a_second_thread_never_forks(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", fork)
-    write_report(_tables(reports_mod._FORK_MIN_TABLES - 1), tmp_path / "small")
+    reports_mod.ReportWriter(tmp_path / "small").finish(_tables(reports_mod._FORK_MIN_TABLES - 1))
     assert len(_files(tmp_path / "small")) == reports_mod._FORK_MIN_TABLES
 
     monkeypatch.setattr(reports_mod, "_FORK_MIN_TABLES", 0)
@@ -300,7 +300,7 @@ def test_a_small_report_or_a_second_thread_never_forks(tmp_path, monkeypatch):
     waiter = threading.Thread(target=release.wait, args=(10.0,))
     waiter.start()
     try:
-        write_report(_tables(6), tmp_path / "threaded")
+        reports_mod.ReportWriter(tmp_path / "threaded").finish(_tables(6))
     finally:
         release.set()
         waiter.join(10.0)
@@ -411,7 +411,7 @@ def test_the_shares_partition_the_entries_within_the_cap(tmp_path, monkeypatch):
     report = _tables(3 * cap + 1)
     assert reports_mod._writer_count(report.files) == cap
     calls = _record_shares(monkeypatch, tmp_path / "calls")
-    write_report(report, tmp_path / "shared")
+    reports_mod.ReportWriter(tmp_path / "shared").finish(report)
     assert len(forks) == cap - 1
     # one call per share, each in its own process, and no share written again
     shares = calls()
@@ -421,7 +421,7 @@ def test_the_shares_partition_the_entries_within_the_cap(tmp_path, monkeypatch):
     written = [name for _, share in shares for name in share]
     assert sorted(written) == sorted(report.files)
     monkeypatch.setattr(reports_mod, "_FORK_MIN_TABLES", 10**9)
-    write_report(report, tmp_path / "serial")
+    reports_mod.ReportWriter(tmp_path / "serial").finish(report)
     assert _files(tmp_path / "shared") == _files(tmp_path / "serial")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
