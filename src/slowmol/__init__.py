@@ -42,6 +42,7 @@ from .gpe import (
     DipTrajectory,
     GpeParams,
     SolitonSpec,
+    SplitResult,
     WaveFunction,
     background_phase,
     effective_potential,
@@ -57,6 +58,7 @@ from .gpe import (
     v_ext_for_zero_effective,
 )
 from .protocol import (
+    StorageResult,
     feasibility_check,
     imbalance_sweep,
     medium_comparison,

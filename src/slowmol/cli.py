@@ -1,11 +1,13 @@
 """Command-line front end: one runner per experiment, one writer.
 
 Each ``run_<name>(config, writer=None)`` computes an experiment and
-returns an ``ExperimentReport`` whose ``files`` hold every output file.  A
-solver experiment hands each frame or snapshot table to ``writer`` (a
-``reports.ReportWriter``) as soon as it exists; without one it touches no
-disk.  ``run`` gives the runner a writer, finishes it with the report
-(``ReportWriter.finish``) and moves the finished directory into place.
+returns an ``ExperimentReport`` whose ``files`` hold every output file.  The
+library calls return what they compute; this module alone names the output
+files, their columns and the summary keys.  A solver experiment hands each
+frame or snapshot table to ``writer`` (a ``reports.ReportWriter``) as soon
+as it exists; without one it touches no disk.  ``run`` gives the runner a
+writer, finishes it with the report (``ReportWriter.finish``) and moves the
+finished directory into place.
 
 Exit codes: 0 success, 2 configuration error (stopped light included),
 3 numerical failure, 4 feasibility gate refused.
@@ -54,12 +56,18 @@ def _text(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report(config: RunConfig, files: dict,
-            report: ExperimentReport | None = None) -> ExperimentReport:
-    """``report`` (a bare one by default) carrying ``files`` plus config.txt."""
-    report = report or ExperimentReport(kind=config.experiment)
-    report.files = {"config.txt": serialize_config(config), **files}
-    return report
+def _report(config: RunConfig, files: dict) -> ExperimentReport:
+    """The report of ``files`` plus config.txt."""
+    return ExperimentReport(kind=config.experiment,
+                            files={"config.txt": serialize_config(config), **files})
+
+
+def summary_lines(kind: str, params: dict, scalars: dict) -> list[str]:
+    """A solver experiment's summary: its kind, then its ``param_``-prefixed
+    ``params`` and its ``scalars``, each sorted by key."""
+    return [f"experiment = {kind}",
+            *scalar_lines({f"param_{key}": params[key] for key in sorted(params)}),
+            *scalar_lines({key: scalars[key] for key in sorted(scalars)})]
 
 
 def _gnuplot(config: RunConfig, curve_files: list[str]) -> dict:
@@ -212,7 +220,7 @@ def run_store(config: RunConfig, writer: ReportWriter | None = None) -> Experime
     grid = config.to_grid()
     pulse = config.to_pulse(grid)
     snapshot_files = _snapshot_files("snapshots/", grid.z, ("E", "phi_g"), writer)
-    report = protocol.run_storage_retrieval(
+    result = protocol.run_storage_retrieval(
         p, sched, pulse, grid,
         force=config.run.force,
         substeps=config.run.substeps,
@@ -221,18 +229,22 @@ def run_store(config: RunConfig, writer: ReportWriter | None = None) -> Experime
         threshold=config.feasibility.threshold,
         on_snapshot=snapshot_files,
     )
-    prof = report.profiles
+    stored, e_out = result.stored.phi_g, result.snapshots[-1].E
+    t = np.array([s.t for s in result.snapshots])
+    params = {"t_store": result.stored.t, "t_s": result.t_s,
+              "plateau_velocity": result.plateau_velocity}
     return _report(config, {
         "storage_report.csv": (
             ["z_um", "re_E_in", "im_E_in", "re_phig_stored", "im_phig_stored",
              "re_E_out", "im_E_out"],
             [grid.z, pulse.samples.real, pulse.samples.imag,
-             prof["phig_stored"].real, prof["phig_stored"].imag,
-             prof["e_out"].real, prof["e_out"].imag]),
-        "velocity_curve.csv": (_CURVE_COLUMNS, [report.series[k] for k in _CURVE_COLUMNS]),
+             stored.real, stored.imag, e_out.real, e_out.imag]),
+        "velocity_curve.csv": (_CURVE_COLUMNS, [
+            t, sched.omega(t), protocol.velocity_curve(p, sched, t) / p.c]),
         **snapshot_files.close(),
-        "summary.txt": _text(report.summary_lines()),
-    }, report)
+        "summary.txt": _text(summary_lines(config.experiment, params, result.scalars)
+                             + result.feasibility.summary_lines()),
+    })
 
 
 def run_imbalance(config: RunConfig, writer: ReportWriter | None = None) -> ExperimentReport:
@@ -335,7 +347,7 @@ def run_gpe_soliton(config: RunConfig,
 
 
 def run_gpe_split(config: RunConfig, writer: ReportWriter | None = None) -> ExperimentReport:
-    report = gpe_mod.soliton_split_experiment(
+    result = gpe_mod.soliton_split_experiment(
         config.soliton.q, config.to_gpe_params(), config.to_gpe_grid(),
         z0=config.soliton.z0_um,
         seed_separation_widths=config.soliton.seed_separation_widths,
@@ -343,19 +355,17 @@ def run_gpe_split(config: RunConfig, writer: ReportWriter | None = None) -> Expe
         nonlinearity=config.gpe.nonlinearity,
         background_decay_rate=config.gpe.background_decay_per_us,
     )
-    if not report.scalars.get("succeeded"):
-        diagnostics = ", ".join(scalar_lines(dict(sorted(report.scalars.items()))))
+    if not result.scalars.get("succeeded"):
+        diagnostics = ", ".join(scalar_lines(dict(sorted(result.scalars.items()))))
         raise NumericsError("soliton splitting did not produce two persistent dips "
                             f"({diagnostics})")
-    series = report.series
+    t, left, right = result.t, result.z_left, result.z_right
     return _report(config, {
         "separation.csv": (["t_us", "z_left_um", "z_right_um", "separation_um"],
-                           [series["t_us"], series["z_left_um"],
-                            series["z_right_um"], series["separation_um"]]),
-        "trajectory.csv": _trajectory_table(
-            [(series["t_us"], series["z_left_um"]), (series["t_us"], series["z_right_um"])]),
-        "summary.txt": _text(report.summary_lines()),
-    }, report)
+                           [t, left, right, right - left]),
+        "trajectory.csv": _trajectory_table([(t, left), (t, right)]),
+        "summary.txt": _text(summary_lines(config.experiment, result.params, result.scalars)),
+    })
 
 
 _RUNNERS = {

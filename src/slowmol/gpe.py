@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import AliasingWarning, ConfigError, NumericsError, SupersonicError
 from .dynamics import Grid1D, capped_outer_steps, check_options
-from .reports import ExperimentReport
 
 # spectral-tail power fraction above which split_step_evolve warns of aliasing
 _ALIASING_TOL = 1e-8
@@ -483,6 +482,20 @@ def check_split(*, q: float = 0.5, seed_separation_widths: float = 0.0) -> None:
         raise ValueError("seed_separation_widths must be nonnegative")
 
 
+@dataclass(frozen=True)
+class SplitResult:
+    """What ``soliton_split_experiment`` computes: its ``params``, its
+    ``scalars`` and, after a split, the frame times ``t`` at which both
+    outermost persistent dips are tracked with their positions ``z_left``
+    and ``z_right``; the tracks are empty when the split fails."""
+
+    params: dict
+    scalars: dict
+    t: np.ndarray = field(default_factory=lambda: np.empty(0))
+    z_left: np.ndarray = field(default_factory=lambda: np.empty(0))
+    z_right: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+
 def soliton_split_experiment(
     q: float,
     p: GpeParams,
@@ -493,7 +506,7 @@ def soliton_split_experiment(
     snapshot_stride: int = 10,
     nonlinearity: str = "self-consistent",
     background_decay_rate: float = 0.0,
-) -> ExperimentReport:
+) -> SplitResult:
     """Seed two opposite-velocity gray-soliton factors around one point and
     watch them split into counter-propagating dips.
 
@@ -536,21 +549,17 @@ def soliton_split_experiment(
     persistent = [tr for tr in trajectories if len(tr) >= max(3, n_frames // 2)]
     persistent.sort(key=lambda tr: tr.positions[-1])
 
-    report = ExperimentReport(
-        kind="gpe-split",
-        params={"q": q, "z0": z0, "v_s": v_s, **expected,
-                "seed_separation_widths": seed_separation_widths,
-                "background_decay_rate": background_decay_rate},
-    )
+    params = {"q": q, "z0": z0, "v_s": v_s, **expected,
+              "seed_separation_widths": seed_separation_widths,
+              "background_decay_rate": background_decay_rate}
     if len(persistent) < 2:
-        report.scalars = {
+        return SplitResult(params, {
             "succeeded": False,
             "n_trajectories": len(trajectories),
             "n_persistent": len(persistent),
             "n_frames": n_frames,
             "max_spectral_tail_fraction": tail,
-        }
-        return report
+        })
 
     left, right = persistent[0], persistent[-1]
     common = sorted(set(left.times) & set(right.times))
@@ -561,13 +570,7 @@ def soliton_split_experiment(
     tol = float(grid.dz) * 0.5
     monotone = bool(np.all(np.diff(sep[skip:]) > -tol))
 
-    report.series = {
-        "t_us": np.asarray(common),
-        "z_left_um": z_left,
-        "z_right_um": z_right,
-        "separation_um": sep,
-    }
-    report.scalars = {
+    return SplitResult(params, {
         "succeeded": True,
         "n_persistent": len(persistent),
         "n_flagged": sum(tr.flagged for tr in persistent),
@@ -577,5 +580,4 @@ def soliton_split_experiment(
         "separation_monotone": monotone,
         "max_spectral_tail_fraction": tail,
         **conservation_drifts(frames, p, nonlinearity),
-    }
-    return report
+    }, np.asarray(common), z_left, z_right)

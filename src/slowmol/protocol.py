@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from .medium import (
     population_split,
     slowdown,
 )
-from .reports import ExperimentReport, FeasibilityReport
+from .reports import FeasibilityReport
 from .schedule import ControlSchedule
 
 # the storage span is where the control stays below this fraction of its plateau
@@ -143,6 +143,21 @@ def _golden_section(f, lo: float, hi: float, xatol: float = 1e-5) -> tuple[float
     return (c, fc) if fc < fd else (d, fd)
 
 
+@dataclass(frozen=True)
+class StorageResult:
+    """What ``run_storage_retrieval`` computes: every snapshot, the ``stored``
+    one, the scores and run diagnostics in ``scalars``, the feasibility
+    margins, the pulse duration ``t_s`` the gate took, and the plateau group
+    velocity."""
+
+    snapshots: list[MeanFieldState]
+    stored: MeanFieldState
+    scalars: dict
+    feasibility: FeasibilityReport
+    t_s: float
+    plateau_velocity: float
+
+
 def run_storage_retrieval(
     p: MediumParams,
     sched: ControlSchedule,
@@ -155,16 +170,15 @@ def run_storage_retrieval(
     advection: str = "upwind",
     threshold: float = 0.1,
     on_snapshot: Optional[Callable[[MeanFieldState], None]] = None,
-) -> ExperimentReport:
+) -> StorageResult:
     """Store a signal pulse in the molecular field and retrieve it.
 
-    Runs the mean-field integrator through the full schedule, then reports
+    Runs the mean-field integrator through the full schedule, then scores
     the stored molecular profile (the snapshot nearest the middle of the
     storage span) against -E_in/sqrt(L) (shift-aligned residual), the
-    retrieved-vs-input fidelity (over every shift) and efficiency, the
-    analytic velocity curve, the feasibility margins, and the run's outer
-    steps, the matter substeps it took, its CFL number and worst charge
-    drifts; ``profiles`` holds ``phig_stored`` and ``e_out``.  The gate
+    retrieved-vs-input fidelity (over every shift) and efficiency, and
+    reports the feasibility margins and the run's outer steps, the matter
+    substeps it took, its CFL number and worst charge drifts.  The gate
     takes t_s as the pulse's rms width over the plateau velocity and the
     ``storage_span`` as the storage time, and refuses to run when a margin
     is not below ``threshold``, unless forced.  A lossless run
@@ -178,9 +192,7 @@ def run_storage_retrieval(
     span = storage_span(sched, grid.t_end)
     feas = feasibility_check(p, t_s, sched, t_storage=span[1] - span[0], threshold=threshold)
     if not feas.all_ok and not force:
-        raise FeasibilityRefused(
-            "feasibility gate failed: " + "; ".join(feas.summary_lines())
-        )
+        raise FeasibilityRefused("; ".join(feas.summary_lines()))
 
     if not pulse.wea_admissible(p):
         warnings.warn(
@@ -227,21 +239,8 @@ def run_storage_retrieval(
                 stacklevel=2,
             )
 
-    t_curve = np.array([s.t for s in snaps])
-    return ExperimentReport(
-        kind="store",
-        params={"t_store": float(stored.t), "t_s": t_s,
-                "plateau_velocity": v_plateau},
-        series={
-            "t_us": t_curve,
-            "omega_rad_per_us": sched.omega(t_curve),
-            "vg_over_c": velocity_curve(p, sched, t_curve) / p.c,
-        },
-        scalars=scalars,
-        feasibility=feas,
-        profiles={"phig_stored": stored.phi_g, "e_out": snaps[-1].E},
-        snapshots=snaps,
-    )
+    return StorageResult(snapshots=snaps, stored=stored, scalars=scalars, feasibility=feas,
+                         t_s=t_s, plateau_velocity=v_plateau)
 
 
 def _rms_width(pulse: SignalEnvelope) -> float:

@@ -1,9 +1,9 @@
-"""Structured experiment results and their one writer.
+"""The CLI's file map and its one writer.
 
-Every experiment returns an ``ExperimentReport`` whose ``files`` map holds
-each output file; a ``ReportWriter`` is the only code that writes them: the
-frame tables a solver hands over while it runs, then the rest at its
-``finish``.  This module also makes the text of every number written,
+Every CLI experiment returns an ``ExperimentReport`` whose ``files`` map
+holds each output file; a ``ReportWriter`` is the only code that writes
+them: the frame tables a solver hands over while it runs, then the rest at
+its ``finish``.  This module also makes the text of every number written,
 so a given report always serializes to byte-identical files.
 """
 
@@ -100,39 +100,22 @@ class FeasibilityReport:
 
 @dataclass
 class ExperimentReport:
-    """Results of one experiment: tagged series, scalars, feasibility.
+    """What one CLI experiment puts on disk.
 
-    ``profiles`` holds spatial arrays (e.g. stored envelopes) and
-    ``snapshots`` full field states; both are optional payloads and are
-    not part of the scalar summary.
-
-    ``files`` is everything the experiment puts on disk, keyed by path
-    relative to the output directory: a text string, or a
-    ``(header, columns)`` table for ``write_csv``.  ``columns`` may be a
-    zero-argument callable, so that a large table is built only when its
-    file is written.
+    ``files`` holds every output file, keyed by path relative to the output
+    directory: a text string, or a ``(header, columns)`` table for
+    ``write_csv``.  ``columns`` may be a zero-argument callable, so that a
+    large table is built only when its file is written.  ``series`` is a
+    set of named columns that ``write_series_csv`` writes as one table.
     """
 
     kind: str
-    params: dict = field(default_factory=dict)
     series: dict[str, np.ndarray] = field(default_factory=dict)
-    scalars: dict[str, float] = field(default_factory=dict)
-    feasibility: Optional[FeasibilityReport] = None
-    profiles: dict = field(default_factory=dict)
-    snapshots: list = field(default_factory=list)
     files: dict = field(default_factory=dict)
 
     def write_series_csv(self, path: Path, columns: Optional[list[str]] = None) -> None:
         names = columns if columns is not None else list(self.series)
         write_csv(path, names, [np.asarray(self.series[k], dtype=float) for k in names])
-
-    def summary_lines(self) -> list[str]:
-        lines = [f"experiment = {self.kind}",
-                 *scalar_lines({f"param_{key}": self.params[key] for key in sorted(self.params)}),
-                 *scalar_lines({key: self.scalars[key] for key in sorted(self.scalars)})]
-        if self.feasibility is not None:
-            lines.extend(self.feasibility.summary_lines())
-        return lines
 
 
 # While a solver runs, a writer is forked once this many handed-over tables

@@ -261,7 +261,7 @@ def test_criterion_8_splitting_phenomenology(gpe_soliton_units):
     err_l = abs(abs(rep.scalars["v_left"]) - v_exp) / v_exp
     err_r = abs(abs(rep.scalars["v_right"]) - v_exp) / v_exp
     assert err_l < 0.05 and err_r < 0.05
-    sep = rep.series["separation_um"]
+    sep = rep.z_right - rep.z_left
     assert sep[-1] > sep[0]
     announce(8, "splitting-phenomenology",
              f"two dips, speeds -{abs(rep.scalars['v_left']):.4f}/"

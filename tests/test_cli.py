@@ -490,7 +490,13 @@ def test_store_gates_at_the_configured_threshold(tmp_path, capsys):
                   "schedule.rate_per_us=0.5", "feasibility.threshold=0.001"]
     args = [arg for setting in tiny_store for arg in ("--set", setting)]
     assert main(["store", "--out", str(tmp_path / "refused"), *args]) == 4
-    assert "margin_compression = 0.04 (fail)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "margin_compression = 0.04 (fail)" in err
+    # the prefix names the gate once, and the margins follow
+    assert err.splitlines()[0] == (
+        "feasibility gate refused: optical_depth = unbounded; threshold = 0.001; "
+        "margin_compression = 0.04 (fail); margin_spectral = 0.0 (pass); "
+        "margin_storage = 0.0 (pass)")
     assert list(tmp_path.iterdir()) == []
     out = tmp_path / "forced"
     assert main(["store", "--out", str(out), "--force", *args]) == 0

@@ -513,7 +513,7 @@ def test_split_experiment_velocities_and_monotone_separation():
     assert rep.scalars["separation_monotone"] == 1.0
     assert abs(rep.scalars["v_left"]) == pytest.approx(v_exp, rel=0.02)
     assert abs(rep.scalars["v_right"]) == pytest.approx(v_exp, rel=0.02)
-    sep = rep.series["separation_um"]
+    sep = rep.z_right - rep.z_left
     assert sep[-1] > sep[0]
 
 
@@ -541,6 +541,7 @@ def test_split_failure_reports_diagnostics():
                                    snapshot_stride=1)
     assert rep.scalars["succeeded"] == 0.0
     assert "n_trajectories" in rep.scalars
+    assert len(rep.t) == len(rep.z_left) == len(rep.z_right) == 0
 
 
 @pytest.mark.parametrize("n_z", [255, 256, 2048])

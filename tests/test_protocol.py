@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from slowmol import protocol
+from slowmol import cli, protocol
 from slowmol import (
     ConfigError,
     ControlSchedule,
@@ -25,7 +25,7 @@ from slowmol import (
     velocity_curve,
 )
 from slowmol.dynamics import half_step_substeps
-from conftest import desk_pulse, read_csv
+from conftest import constant_schedule, desk_pulse, read_csv
 
 
 # the curve and scan grids of the default curve and sweep config sections
@@ -256,15 +256,19 @@ def test_storage_retrieval_quick_run():
     p = desk_params()
     grid = Grid1D.for_speed(0.0, 200.0, 512, c=p.c, t_end=60.0)
     pulse = desk_pulse(grid, center=40.0, width=8.0, amplitude=1.0)
-    rep = run_storage_retrieval(p, fast_storage_schedule(), pulse, grid,
-                                snapshot_stride=20)
+    sched = fast_storage_schedule()
+    rep = run_storage_retrieval(p, sched, pulse, grid, snapshot_stride=20)
     assert rep.scalars["fidelity"] > 0.95
     assert rep.scalars["mapping_residual"] < 0.03
     assert rep.scalars["efficiency"] == pytest.approx(1.0, abs=0.05)
     assert rep.scalars["leaked_fraction"] < 1e-6
     assert rep.feasibility.all_ok
-    # velocity series follows the analytic curve
-    assert set(rep.series) == {"t_us", "omega_rad_per_us", "vg_over_c"}
+    # the stored snapshot is one of the run's, which span the whole schedule,
+    # and the plateau velocity is the analytic curve's at the plateau
+    assert any(s is rep.stored for s in rep.snapshots)
+    assert rep.snapshots[0].t == 0.0 and grid.t_end <= rep.snapshots[-1].t < grid.t_end + grid.dt
+    assert rep.plateau_velocity == pytest.approx(
+        velocity_curve(p, constant_schedule(sched.plateau), np.array([0.0]))[0], rel=1e-12)
 
 
 def test_storage_reports_its_step_counts_and_charge_drifts():
@@ -291,7 +295,9 @@ def test_storage_reports_its_step_counts_and_charge_drifts():
     # the split conserves Q3 and Q1 - Q2 to rounding: its error shows in Q1
     assert rep.scalars["charge_drift_q3"] <= 1e-12
     assert 0.0 < rep.scalars["charge_drift_q1"] <= 0.5e-6
-    lines = rep.summary_lines()
+    # the summary that cli.run_store writes
+    params = {"t_store": rep.stored.t, "t_s": rep.t_s, "plateau_velocity": rep.plateau_velocity}
+    lines = cli.summary_lines("store", params, rep.scalars) + rep.feasibility.summary_lines()
     assert f"matter_substeps = {taken}" in lines
     assert "matter_step = split" in lines
     assert f"outer_steps = {len(counts) // 2}" in lines
@@ -382,8 +388,7 @@ def test_a_pulse_without_a_closed_form_is_timed_by_its_sampled_width():
     shifted = SignalEnvelope(z=grid.z, samples=desk_pulse(grid, center=90.0).samples)
     assert protocol._rms_width(shifted) == pytest.approx(8.0, rel=1e-9)
     rep = run_storage_retrieval(p, fast_storage_schedule(), bare, grid, snapshot_stride=50)
-    assert rep.params["t_s"] == pytest.approx(width / rep.params["plateau_velocity"],
-                                              rel=1e-15)
+    assert rep.t_s == pytest.approx(width / rep.plateau_velocity, rel=1e-15)
     with pytest.raises(ValueError, match="zero-norm"):
         protocol._rms_width(SignalEnvelope(z=grid.z, samples=np.zeros(grid.n_z)))
 
