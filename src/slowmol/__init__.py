@@ -58,6 +58,7 @@ from .gpe import (
     v_ext_for_zero_effective,
 )
 from .protocol import (
+    FeasibilityReport,
     StorageResult,
     feasibility_check,
     imbalance_sweep,
@@ -67,6 +68,6 @@ from .protocol import (
     storage_span,
     velocity_curve,
 )
-from .reports import ExperimentReport, FeasibilityReport
+from .reports import ExperimentReport
 
 __version__ = "0.1.0"

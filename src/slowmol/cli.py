@@ -2,12 +2,12 @@
 
 Each ``run_<name>(config, writer=None)`` computes an experiment and
 returns an ``ExperimentReport`` whose ``files`` hold every output file.  The
-library calls return what they compute; this module alone names the output
-files, their columns and the summary keys.  A solver experiment hands each
-frame or snapshot table to ``writer`` (a ``reports.ReportWriter``) as soon
-as it exists; without one it touches no disk.  ``run`` gives the runner a
-writer, finishes it with the report (``ReportWriter.finish``) and moves the
-finished directory into place.
+library calls return what they compute; this module names the output
+files and columns and writes every summary and refusal line.  A solver
+experiment hands each frame or snapshot table to ``writer`` (a
+``reports.ReportWriter``) as soon as it exists; without one it touches no
+disk.  ``run`` gives the runner a writer, finishes it with the report
+(``ReportWriter.finish``) and moves the finished directory into place.
 
 Exit codes: 0 success, 2 configuration error (stopped light included),
 3 numerical failure, 4 feasibility gate refused.
@@ -40,7 +40,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, FeasibilityRefused, NumericsError, StoppedLightError
 from .medium import group_velocity_with_decay, mixing_angle, velocity_floor
-from .reports import ExperimentReport, ReportWriter, fmt_float, format_column, scalar_lines
+from .reports import ExperimentReport, ReportWriter, fmt_float, format_column
 from .schedule import ControlSchedule
 
 _IMPORTED = time.perf_counter()
@@ -58,8 +58,12 @@ def _text(lines: list[str]) -> str:
 
 def _report(config: RunConfig, files: dict) -> ExperimentReport:
     """The report of ``files`` plus config.txt."""
-    return ExperimentReport(kind=config.experiment,
-                            files={"config.txt": serialize_config(config), **files})
+    return ExperimentReport(files={"config.txt": serialize_config(config), **files})
+
+
+def scalar_lines(values: dict) -> list[str]:
+    """The ``key = value`` lines of a summary, in the order of ``values``."""
+    return [f"{key} = {fmt_float(value)}" for key, value in values.items()]
 
 
 def summary_lines(kind: str, params: dict, scalars: dict) -> list[str]:
@@ -68,6 +72,17 @@ def summary_lines(kind: str, params: dict, scalars: dict) -> list[str]:
     return [f"experiment = {kind}",
             *scalar_lines({f"param_{key}": params[key] for key in sorted(params)}),
             *scalar_lines({key: scalars[key] for key in sorted(scalars)})]
+
+
+def feasibility_lines(report: protocol.FeasibilityReport) -> list[str]:
+    """The depth, threshold and margin lines of the summaries and the refusal."""
+    # a medium without excited-state decay has an infinite optical depth
+    depth = report.optical_depth if report.optical_depth < math.inf else "unbounded"
+    lines = scalar_lines({"optical_depth": depth, "threshold": report.threshold})
+    for key in sorted(report.margins):
+        ok = "pass" if report.passes(key) else "fail"
+        lines.append(f"margin_{key} = {fmt_float(report.margins[key])} ({ok})")
+    return lines
 
 
 def _gnuplot(config: RunConfig, curve_files: list[str]) -> dict:
@@ -166,7 +181,8 @@ def run_groupvel(config: RunConfig, writer: ReportWriter | None = None) -> Exper
         "gamma2_rad_per_us": p.gamma2,
     }
     if p.gamma1 * p.gamma2 > 0:
-        floor = velocity_floor(p)
+        # a decay product so small that the floor still underflows to 0
+        floor = keyed("medium.gamma_g_rad_per_us", velocity_floor, p)
         summary.update(velocity_floor_m_per_s=floor, velocity_floor_km_per_s=floor * 1e-3)
     else:
         summary["velocity_floor_m_per_s"] = "none (no decay floor)"
@@ -243,7 +259,7 @@ def run_store(config: RunConfig, writer: ReportWriter | None = None) -> Experime
             t, sched.omega(t), protocol.velocity_curve(p, sched, t) / p.c]),
         **snapshot_files.close(),
         "summary.txt": _text(summary_lines(config.experiment, params, result.scalars)
-                             + result.feasibility.summary_lines()),
+                             + feasibility_lines(result.feasibility)),
     })
 
 
@@ -277,20 +293,29 @@ def run_mediums(config: RunConfig, writer: ReportWriter | None = None) -> Experi
     return _report(config, _curve_files(t, sched, curves, names, names, summary, config))
 
 
+# the key to change when a value of the feasibility summary overflows
+_FEASIBILITY_KEYS = {"gamma1_inverse_ms": "medium.gamma_g_rad_per_us",
+                     "margin_storage": "feasibility.t_storage_us, medium.gamma_g_rad_per_us",
+                     "margin_spectral": "feasibility.t_s_us",
+                     "margin_compression": "feasibility.t_s_us"}
+
+
 def run_feasibility(config: RunConfig,
                     writer: ReportWriter | None = None) -> ExperimentReport:
     p = config.to_medium_params()
     rep = protocol.feasibility_check(
         p, config.feasibility.t_s_us, config.to_schedule(),
         config.feasibility.t_storage_us, threshold=config.feasibility.threshold)
-    lines = []
-    if p.gamma1 > 0:
-        lines.append(f"gamma1_inverse_ms = {fmt_float(1e-3 / p.gamma1)}")
-    lines.extend(rep.summary_lines())
-    lines.append(f"all_ok = {fmt_float(rep.all_ok)}")
+    coherence = {"gamma1_inverse_ms": 1e-3 / p.gamma1} if p.gamma1 > 0 else {}
+    written = {**coherence, **{f"margin_{key}": margin for key, margin in rep.margins.items()}}
+    for name, value in written.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{_FEASIBILITY_KEYS[name]}: {name} = {fmt_float(value)} "
+                              "is not a finite number")
     names = sorted(rep.margins)
     return _report(config, {
-        "summary.txt": _text(lines),
+        "summary.txt": _text(scalar_lines(coherence) + feasibility_lines(rep)
+                             + scalar_lines({"all_ok": rep.all_ok})),
         "feasibility.csv": (["margin_" + n for n in names],
                             [[rep.margins[n]] for n in names]),
     })
@@ -463,7 +488,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {key}: {exc}", file=sys.stderr)
         return 2
     except FeasibilityRefused as exc:
-        print(f"feasibility gate refused: {exc}", file=sys.stderr)
+        print(f"feasibility gate refused: {'; '.join(feasibility_lines(exc.args[0]))}",
+              file=sys.stderr)
         print("re-run with --force to override", file=sys.stderr)
         return 4
     except NumericsError as exc:

@@ -28,6 +28,11 @@ from .units import rad_per_us_from_hz
 EXPERIMENTS = ("groupvel", "propagate", "store", "imbalance", "mediums",
                "gpe-soliton", "gpe-split", "feasibility")
 PRESETS = ("none", "desk-storage")
+# the most samples of a curve (curve.points) or of an atom-number scan
+# (sweep.n_scan_points), 178 times perfbench's largest curve.  On a 2-vCPU
+# Xeon, 1e5 curve points take 0.3-0.7 s and 72-84 MB (1e6: 2.8-9.3 s and
+# 430-500 MB) in groupvel, imbalance or mediums; a 1e5-point scan, 0.4 s
+MAX_SAMPLES = 100_000
 
 
 def keyed(key: str, check, *args, **kwargs):
@@ -249,8 +254,8 @@ class RunConfig:
         self.to_gpe_grid()
         self.to_soliton_spec()
         kinds = self.sweep_kinds()
-        if self.curve.points < 2:
-            raise ConfigError("curve.points: need at least two samples")
+        if not 2 <= self.curve.points <= MAX_SAMPLES:
+            raise ConfigError(f"curve.points: need 2 to {MAX_SAMPLES} samples")
         if self.curve.t_end_us <= 0:
             raise ConfigError("curve.t_end_us: must be positive")
         if not kinds:
@@ -266,8 +271,8 @@ class RunConfig:
         if not self.sweep.etas:
             raise ConfigError("sweep.etas: need at least one imbalance ratio")
         keyed("sweep.etas", population_split, self.sweep.n_total, min(self.sweep.etas))
-        if self.sweep.n_scan_points < 2:
-            raise ConfigError("sweep.n_scan_points: need at least two")
+        if not 2 <= self.sweep.n_scan_points <= MAX_SAMPLES:
+            raise ConfigError(f"sweep.n_scan_points: need 2 to {MAX_SAMPLES} samples")
         keyed("feasibility.t_s_us", check_durations, t_s=self.feasibility.t_s_us)
         keyed("feasibility.t_storage_us", check_durations,
               t_storage=self.feasibility.t_storage_us)

@@ -23,7 +23,8 @@ class NumericsError(RuntimeError):
 
 
 class FeasibilityRefused(RuntimeError):
-    """Experiment gate declined to run (CLI exit code 4); use force to override."""
+    """Experiment gate declined to run (CLI exit code 4); use force to override.
+    Its one argument is the ``protocol.FeasibilityReport`` of the refused margins."""
 
 
 class StoppedLightError(ValueError):

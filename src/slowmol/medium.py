@@ -143,11 +143,12 @@ def mixing_state(p: MediumParams, omega: float) -> MixingState:
 def slowdown(gc2, omega, gamma_sq=0.0):
     """Slowdown factor c/v_g - 1 = gc2 / (omega^2 + gamma_sq), elementwise, for
     gc2 = g_tilde^2 N_a N_b and gamma_sq = gamma1*gamma2: inf where the
-    denominator vanishes in a coupled medium, 0 wherever gc2 = 0.  Every
-    group velocity in the package is c / (1 + slowdown(...)).
+    denominator vanishes or the quotient overflows in a coupled medium, 0
+    wherever gc2 = 0.  Every group velocity in the package is
+    c / (1 + slowdown(...)).
     """
     eff = omega**2 + gamma_sq
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(np.equal(gc2, 0.0), 0.0, np.divide(gc2, eff))
 
 

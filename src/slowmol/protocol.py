@@ -1,5 +1,5 @@
-"""Experiment drivers: storage/retrieval orchestration, population-imbalance
-and medium-kind sweeps, and storage feasibility checks."""
+"""Experiment drivers, each returning what it computes: storage/retrieval,
+population-imbalance and medium-kind sweeps, and the feasibility margins."""
 
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from .medium import (
     population_split,
     slowdown,
 )
-from .reports import FeasibilityReport
 from .schedule import ControlSchedule
 
 # the storage span is where the control stays below this fraction of its plateau
@@ -55,6 +54,28 @@ def check_durations(*, t_s: float = 1.0, t_storage: float = 0.0) -> None:
         raise ValueError("t_s must be positive")
     if not t_storage >= 0:
         raise ValueError("t_storage must be nonnegative")
+
+
+@dataclass
+class FeasibilityReport:
+    """Margins of the storage feasibility inequalities.
+
+    A check passes (``passes(key)``, with ``key`` one of ``margins``: the
+    ``storage``, ``spectral`` and ``compression`` windows) when its margin
+    (the ratio that the corresponding "much less than" inequality requires
+    to be small) stays below the threshold; ``all_ok`` when every one does.
+    """
+
+    optical_depth: float
+    margins: dict[str, float]
+    threshold: float = 0.1
+
+    def passes(self, key: str) -> bool:
+        return self.margins[key] < self.threshold
+
+    @property
+    def all_ok(self) -> bool:
+        return all(map(self.passes, self.margins))
 
 
 def feasibility_check(p: MediumParams, t_s: float, sched: ControlSchedule,
@@ -181,10 +202,11 @@ def run_storage_retrieval(
     substeps it took, its CFL number and worst charge drifts.  The gate
     takes t_s as the pulse's rms width over the plateau velocity and the
     ``storage_span`` as the storage time, and refuses to run when a margin
-    is not below ``threshold``, unless forced.  A lossless run
-    (every gamma 0) conserves the charges, so a worst drift above
-    ``CHARGE_DRIFT_LIMIT`` raises ``NumericsError``; with decay the drift is
-    only reported.  ``on_snapshot`` is ``integrate_mean_field``'s.
+    is not below ``threshold``, unless forced, raising ``FeasibilityRefused``
+    with the margins.  A lossless run (every gamma 0) conserves the charges,
+    so a worst drift above ``CHARGE_DRIFT_LIMIT`` raises ``NumericsError``;
+    with decay the drift is only reported.  ``on_snapshot`` is
+    ``integrate_mean_field``'s.
     """
     v_plateau = group_velocity_with_decay(p, sched.plateau)
     width = pulse.descriptor.rms_width if pulse.descriptor is not None else _rms_width(pulse)
@@ -192,7 +214,7 @@ def run_storage_retrieval(
     span = storage_span(sched, grid.t_end)
     feas = feasibility_check(p, t_s, sched, t_storage=span[1] - span[0], threshold=threshold)
     if not feas.all_ok and not force:
-        raise FeasibilityRefused("; ".join(feas.summary_lines()))
+        raise FeasibilityRefused(feas)
 
     if not pulse.wea_admissible(p):
         warnings.warn(

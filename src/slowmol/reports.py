@@ -1,15 +1,14 @@
-"""The CLI's file map and its one writer.
+"""The CLI's file map, its one writer and the text of every number written.
 
 Every CLI experiment returns an ``ExperimentReport`` whose ``files`` map
 holds each output file; a ``ReportWriter`` is the only code that writes
 them: the frame tables a solver hands over while it runs, then the rest at
-its ``finish``.  This module also makes the text of every number written,
-so a given report always serializes to byte-identical files.
+its ``finish``.  ``fmt_float`` and ``format_column`` make the text of every
+number, so a given report always serializes to byte-identical files.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -30,11 +29,6 @@ def fmt_float(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(x)
     return x if isinstance(x, str) else repr(float(x))
-
-
-def scalar_lines(values: dict) -> list[str]:
-    """The ``key = value`` lines of a summary, in the order of ``values``."""
-    return [f"{key} = {fmt_float(value)}" for key, value in values.items()]
 
 
 def format_column(column) -> list[str]:
@@ -68,37 +62,6 @@ def write_csv(path: Path, header: list[str], columns: list) -> None:
 
 
 @dataclass
-class FeasibilityReport:
-    """Margins of the storage feasibility inequalities.
-
-    A check passes (``passes(key)``, with ``key`` one of ``margins``: the
-    ``storage``, ``spectral`` and ``compression`` windows) when its margin
-    (the ratio that the corresponding "much less than" inequality requires
-    to be small) stays below the threshold; ``all_ok`` when every one does.
-    """
-
-    optical_depth: float
-    margins: dict[str, float]
-    threshold: float = 0.1
-
-    def passes(self, key: str) -> bool:
-        return self.margins[key] < self.threshold
-
-    @property
-    def all_ok(self) -> bool:
-        return all(map(self.passes, self.margins))
-
-    def summary_lines(self) -> list[str]:
-        # a medium without excited-state decay has an infinite optical depth
-        depth = fmt_float(self.optical_depth) if self.optical_depth < math.inf else "unbounded"
-        lines = [f"optical_depth = {depth}", f"threshold = {fmt_float(self.threshold)}"]
-        for key in sorted(self.margins):
-            ok = "pass" if self.passes(key) else "fail"
-            lines.append(f"margin_{key} = {fmt_float(self.margins[key])} ({ok})")
-        return lines
-
-
-@dataclass
 class ExperimentReport:
     """What one CLI experiment puts on disk.
 
@@ -109,7 +72,6 @@ class ExperimentReport:
     set of named columns that ``write_series_csv`` writes as one table.
     """
 
-    kind: str
     series: dict[str, np.ndarray] = field(default_factory=dict)
     files: dict = field(default_factory=dict)
 

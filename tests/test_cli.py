@@ -301,8 +301,18 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
             ("groupvel", ["schedule.form=table", "schedule.table_times_us=0,x",
                           "schedule.table_values_rad_per_us=1,1"], "schedule.table_times_us"),
             ("mediums", ["sweep.n_scan_points=1"], "sweep.n_scan_points"),
+            # beyond the sample cap, refused before numpy allocates the grid
+            ("groupvel", [f"curve.points={10**12}"], "curve.points"),
+            ("mediums", [f"sweep.n_scan_points={10**12}"], "sweep.n_scan_points"),
             ("feasibility", ["feasibility.threshold=0"], "feasibility.threshold"),
             ("feasibility", ["feasibility.t_storage_us=-1"], "feasibility.t_storage_us"),
+            # a feasibility value that overflows names the key that sets it
+            ("feasibility", ["feasibility.t_s_us=1e-320"], "feasibility.t_s_us"),
+            ("feasibility", ["feasibility.t_s_us=1e308"], "feasibility.t_s_us"),
+            ("feasibility", ["medium.gamma_g_rad_per_us=1e308"], "medium.gamma_g_rad_per_us"),
+            ("feasibility", ["medium.gamma_g_rad_per_us=1e-320"], "medium.gamma_g_rad_per_us"),
+            # its velocity floor underflows to 0 (the slowdown overflows)
+            ("groupvel", ["medium.gamma_g_rad_per_us=1e-320"], "medium.gamma_g_rad_per_us"),
             ("gpe-soliton", ["gpe.background_decay_per_us=-1"], "gpe.background_decay_per_us"),
             ("gpe-split", ["soliton.seed_separation_widths=-1"],
              "soliton.seed_separation_widths"),
@@ -368,8 +378,9 @@ def test_exit_code_2_on_non_finite_value(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("experiment", ["groupvel", "mediums", "feasibility", "imbalance"])
 @pytest.mark.parametrize("key", ["medium.g_tilde_rad_per_us", "medium.n_a", "medium.n_b",
                                  "schedule.omega0_rad_per_us", "medium.length_um",
-                                 "medium.c_um_per_us"])
-@pytest.mark.parametrize("value", ["1e-300", "1e-30", "1", "1e30", "1e300"])
+                                 "medium.c_um_per_us", "feasibility.t_s_us",
+                                 "feasibility.t_storage_us", "medium.gamma_g_rad_per_us"])
+@pytest.mark.parametrize("value", ["1e-320", "1e-300", "1e-30", "1", "1e30", "1e300", "1e308"])
 def test_extreme_values_exit_cleanly(tmp_path, experiment, key, value):
     code = main([experiment, "--out", str(tmp_path / "x"), "--set", f"{key}={value}"])
     assert code in (0, 2, 3, 4)

@@ -7,9 +7,10 @@ experiments.  Keys that size the work (grid points, horizons, time steps,
 strides and sample counts) are drawn from small ranges, so the solver
 experiments run on tiny grids; every other numeric key is drawn from
 extreme values (0, +-1e-300, +-1e300, nan, inf) and from values near its
-default.  The horizons, the control plateau and the explicit substep count
-are also drawn from ranges wholly beyond a work cap (2e6 time steps, 1e8
-substeps), where a run must stop with exit 2 before its first step.
+default.  The horizons, the control plateau, the explicit substep count and
+the curve and scan sample counts are also drawn from ranges wholly beyond a
+work cap (2e6 time steps, 1e8 substeps, 1e5 samples), where a run must stop
+with exit 2 before its first step or allocation.
 """
 
 import contextlib
@@ -24,7 +25,7 @@ from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 
 from slowmol import cli
-from slowmol.config import EXPERIMENTS, RunConfig
+from slowmol.config import EXPERIMENTS, MAX_SAMPLES, RunConfig
 
 _TINY_STORE = ["preset=desk-storage", "grid.n_z=64", "grid.t_end_us=40",
                "grid.snapshot_stride=10", "schedule.t_down_us=8", "schedule.t_up_us=25",
@@ -50,14 +51,17 @@ SIZES = {
 # ranges wholly beyond a work cap: at the largest drawn dt, 5 us on the grid and
 # 0.2 us on the GPE grid, these horizons take 2e7 and 5e7 steps (cap 2e6), and
 # this plateau takes more than 1e8 substeps; so does an explicit substep count of
-# 1e8 or more, over the two half-steps or more of any run.  A tiny time step or a
-# larger grid or curve would allocate before any cap, so none is drawn; a grid
-# beyond the held-frames budget is pinned once per solver below.
+# 1e8 or more, over the two half-steps or more of any run.  A curve or scan of
+# more than MAX_SAMPLES points is refused by validate.  A tiny time step or a
+# larger grid would allocate before any cap, so none is drawn; a grid beyond
+# the held-frames budget is pinned once per solver below.
 BEYOND_CAPS = {
     "grid.t_end_us": st.floats(1e8, 1e300),
     "gpegrid.t_end_us": st.floats(1e7, 1e300),
     "schedule.omega0_rad_per_us": st.floats(1e9, 1e150),
     "run.substeps": st.integers(10**8, 10**12),
+    "curve.points": st.integers(MAX_SAMPLES + 1, 10**12),
+    "sweep.n_scan_points": st.integers(MAX_SAMPLES + 1, 10**12),
 }
 EXTREMES = [0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300, "nan", "inf", "-inf"]
 
@@ -125,6 +129,8 @@ def cases(draw):
 @example(("gpe-soliton", ["gpegrid.t_end_us=1e7"]))
 @example(("propagate", ["schedule.omega0_rad_per_us=1e9"]))
 @example(("store", ["run.substeps=100000000"]))
+@example(("groupvel", [f"curve.points={10**12}"]))
+@example(("mediums", [f"sweep.n_scan_points={10**12}"]))
 # one run beyond the held-frames budget (1e7 cells) per solver, refused by validate
 @example(("propagate", ["grid.n_z=100000000"]))
 @example(("gpe-soliton", ["gpegrid.n_z=1000000", "gpegrid.snapshot_stride=1"]))

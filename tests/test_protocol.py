@@ -187,7 +187,7 @@ def test_imbalance_sweep_validates_etas():
 def _curve_report(curve: np.ndarray, sched) -> ExperimentReport:
     """A sweep curve as the series of a report, beside the t and Omega columns
     that every curve of a sweep shares."""
-    return ExperimentReport(kind="imbalance", series={
+    return ExperimentReport(series={
         "t_us": CURVE_T, "omega_rad_per_us": sched.omega(CURVE_T), "vg_over_c": curve})
 
 
@@ -297,7 +297,7 @@ def test_storage_reports_its_step_counts_and_charge_drifts():
     assert 0.0 < rep.scalars["charge_drift_q1"] <= 0.5e-6
     # the summary that cli.run_store writes
     params = {"t_store": rep.stored.t, "t_s": rep.t_s, "plateau_velocity": rep.plateau_velocity}
-    lines = cli.summary_lines("store", params, rep.scalars) + rep.feasibility.summary_lines()
+    lines = cli.summary_lines("store", params, rep.scalars) + cli.feasibility_lines(rep.feasibility)
     assert f"matter_substeps = {taken}" in lines
     assert "matter_step = split" in lines
     assert f"outer_steps = {len(counts) // 2}" in lines

@@ -112,6 +112,7 @@ def test_every_library_name_in_the_readme_resolves():
 
 def test_a_stale_name_would_not_resolve():
     for stale in ("write_report", "reports.write_report", "FeasibilityReport.compression_ok",
-                  "gpe.gray_soliton"):
+                  "gpe.gray_soliton", "reports.FeasibilityReport",
+                  "FeasibilityReport.summary_lines"):
         assert not _resolves(stale)
     assert _resolves("FeasibilityReport.passes") and _resolves("dynamics.storage_fidelity")

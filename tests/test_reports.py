@@ -25,7 +25,7 @@ def test_write_csv_refuses_a_ragged_table(tmp_path):
 
 
 def test_write_report_bytes(tmp_path):
-    report = ExperimentReport(kind="demo", files={
+    report = ExperimentReport(files={
         "table.csv": (["x", "label", "index"],
                       [np.array([0.1, -2.0, 1e-300]), ["a", "b-c", "d"],
                        ["0", "1", "10"]]),
@@ -164,7 +164,7 @@ def _tables(n):
     files = {f"sub/t{i:02d}.csv": (["x", "i"], functools.partial(columns, i))
              for i in range(n)}
     files["notes.txt"] = "n = 1\n"
-    return ExperimentReport(kind="demo", files=files)
+    return ExperimentReport(files=files)
 
 
 def _serial_files(root, report):
