@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 configuration error (stopped light included),
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
@@ -24,6 +23,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,6 +42,9 @@ from .errors import ConfigError, FeasibilityRefused, NumericsError, StoppedLight
 from .medium import group_velocity_with_decay, mixing_angle, velocity_floor
 from .reports import ExperimentReport, ReportWriter, fmt_float, format_column
 from .schedule import ControlSchedule
+
+if TYPE_CHECKING:
+    import argparse
 
 _IMPORTED = time.perf_counter()
 
@@ -76,7 +79,7 @@ def summary_lines(kind: str, params: dict, scalars: dict) -> list[str]:
 
 def feasibility_lines(report: protocol.FeasibilityReport) -> list[str]:
     """The depth, threshold and margin lines of the summaries and the refusal."""
-    # a medium without excited-state decay has an infinite optical depth
+    # the depth is inf exactly when the medium has no excited-state decay
     depth = report.optical_depth if report.optical_depth < math.inf else "unbounded"
     lines = scalar_lines({"optical_depth": depth, "threshold": report.threshold})
     for key in sorted(report.margins):
@@ -447,6 +450,8 @@ def run(config: RunConfig, out_dir: str | Path, timings: dict | None = None) -> 
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse   # only main parses a command line: kept out of import time
+
     parser = argparse.ArgumentParser(
         prog="slowmol",
         description="Slow light, optical storage and gray solitons in an "

@@ -15,7 +15,8 @@ import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .dynamics import MAX_HELD_CELLS, Grid1D, SignalEnvelope, check_options, held_frame_cells
+from .dynamics import (MAX_HELD_CELLS, Grid1D, SignalEnvelope, check_options, check_split_scale,
+                       held_frame_cells, matter_step)
 from .errors import ConfigError
 from .gpe import (GpeParams, SolitonSpec, check_evolution, check_free_background, check_split,
                   healing_alpha)
@@ -295,7 +296,11 @@ class RunConfig:
         keyed("gpegrid.snapshot_stride", check_options,
               snapshot_stride=self.gpegrid.snapshot_stride)
         if self.experiment in ("store", "propagate"):
-            _check_held_frames("grid", self.to_grid(), self.grid.snapshot_stride, rows=5)
+            grid = self.to_grid()
+            _check_held_frames("grid", grid, self.grid.snapshot_stride, rows=5)
+            p = self.to_medium_params()
+            if matter_step(p, self.run.substeps) == "split":
+                keyed("medium.length_um", check_split_scale, p, grid, self.to_schedule())
         elif self.experiment in ("gpe-soliton", "gpe-split"):
             _check_held_frames("gpegrid", self.to_gpe_grid(), self.gpegrid.snapshot_stride,
                                rows=1)

@@ -20,13 +20,15 @@ The integrator carries the signal and the four matter fields as one complex
 state array of shape (5, n_z), rows in the order E, phi_a, phi_b, phi_e,
 phi_g, and subcycles each matter half-step.  A lossless automatic run takes
 the exact dark-state split (``_DarkStateSplit``): closed-form flows that keep
-Q3 to rounding, with substeps steered by the drift of Q1 it measures.  Runs
+Q3 to rounding, the coupling as a fourth-order Magnus step, with substeps
+steered by the drift of Q1 it measures.  Runs
 with decay or an explicit substep count take classical RK4, with counts that
 follow the fastest frequency of the half-step (``half_step_substeps``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -58,13 +60,19 @@ _MAX_RK4_SUBSTEPS = 100_000_000
 # gpe-soliton's 206,848 (101 frames of 2048); the desk store at stride 1 holds
 # 7.3e6 and peaks at 159 MB resident
 MAX_HELD_CELLS = 10_000_000
-# 12-node Gauss-Legendre rule on [-1, 1]; panel doubling stops after this many halvings
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# panel doubling of ``integrate`` stops after this many halvings
 _MAX_HALVINGS = 16
 # the smallest normal float: the floor of a half angle or x that a sin(x)/x divides by
 _TINY = float(np.finfo(float).tiny)
-# below this (|kappa| h)^2 the pair flow's cosh and sinh(x)/x are their series to x^4
+# the split's cosh(x) and sinh(x)/x (cos(x) and sin(x)/x) are their series in x^2:
+# to x^2 while every x^2 is at most _SERIES_LINEAR_MAX, to x^4 while at most
+# _PAIR_SERIES_MAX; the dropped terms are then below 4.2e-18 and 1.4e-21
+_SERIES_LINEAR_MAX = 1e-8
 _PAIR_SERIES_MAX = 1e-6
+# the Magnus step's Gauss nodes sit (sqrt(3)/6) h either side of the substep's
+# midpoint; its commutator rotation, halved, is this times h^2 (Omega2 - Omega1)
+_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+_MAGNUS_KAPPA = math.sqrt(3.0) / 24.0
 
 
 @dataclass(frozen=True)
@@ -345,13 +353,22 @@ def wea_propagate(env0: SignalEnvelope, sched: ControlSchedule, p: MediumParams,
     return SignalEnvelope(z=env0.z, samples=samples, descriptor=desc)
 
 
+@functools.cache
+def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 12-node Gauss-Legendre rule on [-1, 1], built on first use: importing
+    numpy.polynomial costs a few ms that most runs never need."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(12)
+
+
 def gauss_legendre(f, edges) -> float:
     """Sum of 12-node Gauss-Legendre rules over the panels between ``edges``;
     the vectorised ``f`` is called once, on the (panels, 12) node array."""
+    nodes, weights = _gauss_legendre_rule()
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
-    return float(np.sum(half * (f(mid[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS)))
+    return float(np.sum(half * (f(mid[:, None] + half[:, None] * nodes) @ weights)))
 
 
 def integrate(f, a: float, b: float, rel_tol: float) -> float:
@@ -438,6 +455,22 @@ def check_options(*, substeps: int = 0, advection: str = "upwind",
         raise ConfigError(f"unknown advection scheme {advection!r}")
 
 
+def check_split_scale(p: MediumParams, grid: Grid1D, sched: ControlSchedule) -> None:
+    """``ValueError`` unless every coupling scalar the split squares on a
+    substep h <= dt/2 has a finite square: g_tilde L h, g_tilde sqrt(L) h and
+    the commutator's kappa g_tilde L, kappa <= _MAGNUS_KAPPA h^2 Omega_max."""
+    h = 0.5 * grid.dt
+    g_pair = p.g_tilde * p.L
+    for name, x in (("g_tilde L dt/2", h * g_pair),
+                    ("g_tilde sqrt(L) dt/2", h * p.g_tilde * math.sqrt(p.L)),
+                    ("its commutator angle per |phi_a phi_b|",
+                     _MAGNUS_KAPPA * h * h * sched.plateau * g_pair)):
+        # a product, not ``**``: an overflowing float power raises OverflowError
+        if not math.isfinite(x * x):
+            raise ValueError(f"the dark-state split's coupling {name} = {x:.3g} squares "
+                             "beyond the float range")
+
+
 def matter_step(p: MediumParams, substeps: int) -> str:
     """The matter step of an ``integrate_mean_field`` run: ``"split"`` for a
     lossless automatic one (``substeps=0``), otherwise ``"rk4"``."""
@@ -475,6 +508,19 @@ def _substep_counts(half_dt: float, w: np.ndarray, theta: float) -> np.ndarray:
     return np.maximum(1, np.ceil(half_dt * w / theta)).astype(int)
 
 
+def _split_substeps(phase0: float, phase1: float, theta: float) -> tuple[int, int]:
+    """The split's substeps on an outer step's two half-steps, whose one-substep
+    phases are ``phase0`` and ``phase1``: max(1, ceil(phase / theta)) each, the
+    counts ``_substep_counts`` gives, in plain Python."""
+    return max(1, math.ceil(phase0 / theta)), max(1, math.ceil(phase1 / theta))
+
+
+def _gauss_nodes(start: float, h: float, m: int) -> list:
+    """The two Gauss nodes of each of m substeps of length h from ``start``."""
+    off = _GAUSS_OFFSET * h
+    return [t + d for t in (start + h * (j + 0.5) for j in range(m)) for d in (-off, off)]
+
+
 def _half_step_frequencies(t0: float, sched: ControlSchedule, p: MediumParams,
                            grid: Grid1D) -> np.ndarray:
     """Fastest frequency of each matter half-step of an integration from ``t0``:
@@ -509,8 +555,10 @@ def _next_split_phase(theta: float, drift: float, budget: float, ceiling: float)
     Norsett & Wanner, Solving ODEs I, sec. II.4) of the split matter step,
     its factor clipped to [1/2, 3/2] (3/2 for a zero drift, 1/2 for an
     overflowing one), then theta to at most ``ceiling`` and at least
-    _SUBSTEP_PHASE_TARGET.  The exponent is the split's measured drift law:
-    its Q1 drift per outer step scales as h^2 (about 1/4 when h halves)."""
+    _SUBSTEP_PHASE_TARGET.  The exponent is that of a Q1 drift per outer step
+    that scales as h^2; the split's drift, with its fourth-order Magnus
+    coupling, falls about 16-fold when h halves, so the factor overshoots
+    and the drift fed in is a two-step mean (see ``integrate_mean_field``)."""
     if drift == 0.0:
         factor = 1.5
     elif drift < math.inf:
@@ -520,9 +568,35 @@ def _next_split_phase(theta: float, drift: float, budget: float, ceiling: float)
     return max(min(theta * factor, ceiling), _SUBSTEP_PHASE_TARGET)
 
 
+def _even_series(r: np.ndarray, y_scale: float, y_max: float, c: np.ndarray,
+                 s: np.ndarray, s_scale: complex) -> bool:
+    """cosh(x) into c and s_scale sinh(x)/x into s from their series in
+    y = y_scale r = x^2 (at y = -x^2, cos(x) and s_scale sin(x)/x), in place
+    and True while y_max, the largest |y|, allows the series (see
+    _SERIES_LINEAR_MAX); False, with nothing written, above."""
+    mul, add = np.multiply, np.add
+    if y_max <= _SERIES_LINEAR_MAX:
+        mul(r, 0.5 * y_scale, c)
+        add(c, 1.0, c)                        # 1 + y/2
+        mul(r, s_scale * y_scale / 6.0, s)
+        add(s, s_scale, s)                    # s_scale (1 + y/6)
+        return True
+    if y_max <= _PAIR_SERIES_MAX:
+        mul(r, y_scale * y_scale / 24.0, c)
+        add(c, 0.5 * y_scale, c)
+        mul(c, r, c)
+        add(c, 1.0, c)                        # 1 + y/2 + y^2/24
+        mul(r, s_scale * y_scale * y_scale / 120.0, s)
+        add(s, s_scale * y_scale / 6.0, s)
+        mul(s, r, s)
+        add(s, s_scale, s)                    # s_scale (1 + y/6 + y^2/120)
+        return True
+    return False
+
+
 class _DarkStateSplit:
     """Exact flows of the lossless matter equations on one grid, composed
-    into a second-order split step.
+    into a split step.
 
     With every gamma 0 the matter/source system is the sum of three flows,
     each solved in closed form per cell (rows of the state: E, phi_a, phi_b,
@@ -533,7 +607,14 @@ class _DarkStateSplit:
       G = g_tilde L phi_a phi_b.  The dark vector (Omega, 0, -G)/W,
       W = sqrt(|G|^2 + Omega^2), is left alone; phi_e and the bright vector
       (G*, 0, Omega)/W rotate into each other by the angle x = W h.  The
-      rotation is written with sin(x/2)/(x/2), never dividing by W.
+      rotation is written with tan(x/4), never dividing by W.  Omega
+      changes in time, so A runs as the fourth-order Magnus step at the
+      Gauss nodes t1,2 = t_mid -+ (sqrt(3)/6) h (Iserles & Norsett, Phil.
+      Trans. R. Soc. A 357 (1999) 983; Blanes, Casas & Ros, BIT 40 (2000)
+      434): exp(Y/2) A(h; (Omega1 + Omega2)/2) exp(Y/2), where the
+      commutator term Y/2 (``rotate``) turns (u, phi_g) alone by the angle
+      kappa |G| per cell, u' = kappa G* phi_g and phi_g' = -kappa G u, with
+      kappa = _MAGNUS_KAPPA h^2 (Omega2 - Omega1), _MAGNUS_KAPPA = sqrt(3)/24.
     - ``pairs`` (B): E, phi_e and phi_g frozen, phi_a' = i kappa phi_b* and
       phi_b' = i kappa phi_a* with kappa = g_tilde sqrt(L) E* phi_e, so
       phi_a <- cosh(x) phi_a + i h sinh(x)/x kappa phi_b* with x = |kappa| h,
@@ -541,110 +622,162 @@ class _DarkStateSplit:
     - ``phases`` (D): the detunings, phi_a <- exp(-i delta t) phi_a and
       phi_e <- exp(-i Delta t) phi_e.
 
-    A and D conserve Q3 and |phi_a|^2 - |phi_b|^2 per cell; B conserves
-    |phi_a|^2 - |phi_b|^2 and leaves the Q3 terms alone.  So Q3 and Q1 - Q2
-    hold to rounding, and the splitting error shows in Q1 (and Q2) alone.
-    Every buffer and view is made once; the last argument of each ufunc
-    call is its output.
+    A, its rotations and D conserve Q3 and |phi_a|^2 - |phi_b|^2 per cell; B
+    conserves |phi_a|^2 - |phi_b|^2 and leaves the Q3 terms alone.  So Q3
+    and Q1 - Q2 hold to rounding, and the splitting error shows in Q1 (and
+    Q2) alone.  Every buffer and view is made once; the last argument of
+    each ufunc call is its output.
     """
 
     def __init__(self, p: MediumParams, n_z: int):
         self.g_field = p.g_tilde * math.sqrt(p.L)   # kappa = g_field E* phi_e
         self.g_signal = self.g_field * p.L          # E' = i g_signal (phi_a phi_b)* phi_e
         self.g_pair = p.g_tilde * p.L               # |G| = g_pair |phi_a phi_b|
+        self.sqrt_L, self.inv_L = math.sqrt(p.L), 1.0 / p.L
         self.delta, self.Delta = p.delta, p.Delta
         self.detuned = p.delta != 0.0 or p.Delta != 0.0
-        self.ab, self.s, self.c, self.e_new, self.tmp = np.empty((5, n_z), dtype=complex)
+        self.ab, self.cab, self.s, self.c, self.e_new, self.tmp = np.empty((6, n_z), dtype=complex)
         self.q, self.sh, self.ch, self.sq, self.mix = np.empty((5, n_z))
         self.pair = np.empty((2, n_z), dtype=complex)
-        sq2 = np.empty((n_z, 2))
-        # |z|^2 of a complex row z = square of its (re, im) pairs, summed
-        self.sq2, self.sq2_re, self.sq2_im = sq2, sq2[:, 0], sq2[:, 1]
-        self.ab_ri = self.ab.view(float).reshape(n_z, 2)
-        self.s_ri = self.s.view(float).reshape(n_z, 2)
+        # |phi_a phi_b|^2 as ab cab, and the rotation's cos and coefficient rows:
+        # held complex because a complex product is cheaper than a mixed one
+        self.rc, self.rot_c, self.rot_p, self.rot_pc = np.empty((4, n_z), dtype=complex)
+        self.r = self.rc.real
+        # the pair flow's kappa, cosh and sinh(x)/x, and |kappa|^2 (complex too)
+        self.kappa, self.cosh, self.sinh, self.rk = np.empty((4, n_z), dtype=complex)
 
-    def coupling(self, y: np.ndarray, om: float, h: float) -> None:
-        """Flow A of y over h at control ``om``, in place.
+    def _load_ab(self, y: np.ndarray) -> None:
+        """phi_a phi_b, its conjugate and |phi_a phi_b|^2 of y into ab, cab and
+        rc, whose real part is r (its imaginary part is 0 up to rounding)."""
+        np.multiply(y[1], y[2], self.ab)
+        np.conjugate(self.ab, self.cab)
+        np.multiply(self.ab, self.cab, self.rc)
+
+    def rotate(self, y: np.ndarray, kappa: float) -> None:
+        """The commutator rotation of (u, phi_g) by kappa, in place (see the
+        class docstring)."""
+        self._load_ab(y)
+        self._rotate(y, kappa, float(self.r.max()))
+
+    def _rotate(self, y: np.ndarray, kappa: float, r_max: float) -> None:
+        """``rotate`` from the loaded ab, cab, r and rc, r_max the largest r:
+        with x^2 = k^2 r, k = kappa g_pair, C = cos(x) and S = sin(x)/x,
+            E <- C E + k sqrt(L) S cab phi_g,  phi_g <- C phi_g - (k/sqrt(L)) S ab E.
+        C^2 + S^2 x^2 = 1: the rotation is unitary.  C and S are their series
+        (``_even_series``) where x is small enough everywhere; above, S is taken
+        at x floored to the smallest normal float."""
+        mul, add = np.multiply, np.add
+        E, g = y[0], y[4]
+        c, p, pc = self.rot_c, self.rot_p, self.rot_pc
+        k = kappa * self.g_pair
+        kk = k * k
+        alpha = k * self.sqrt_L
+        if not _even_series(self.rc, -kk, kk * r_max, c, p, alpha):
+            x, sn = self.q, self.sh
+            mul(self.r, kk, x)
+            np.sqrt(x, x)
+            np.maximum(x, _TINY, out=x)
+            np.cos(x, c)
+            np.sin(x, sn)
+            np.divide(sn, x, sn)
+            mul(sn, alpha, p)                 # C and k sqrt(L) S
+        mul(p, self.cab, p)                   # k sqrt(L) S cab
+        np.conjugate(p, pc)
+        mul(pc, -self.inv_L, pc)              # -(k/sqrt(L)) S ab
+        mul(pc, E, pc)
+        mul(p, g, p)
+        mul(E, c, E)
+        mul(g, c, g)
+        add(E, p, E)
+        add(g, pc, g)
+
+    def coupling(self, y: np.ndarray, om: float, h: float,
+                 before: float = 0.0, after: float = 0.0) -> None:
+        """Flow A of y over h at control ``om``, in place, between the
+        commutator rotations by ``before`` and ``after`` (0 skips one); all
+        three share phi_a phi_b, which A leaves alone.
 
         With s = W beta = g_field phi_a phi_b E + om phi_g (beta the bright
         amplitude), P = h sinc(x), Q = -(h^2/2) (sin(x/2)/(x/2))^2 and
         C = cos(x), the bright change over W is c = Q s + i P phi_e, and
             phi_e <- i P s + C phi_e,  E <- E + g_signal (phi_a phi_b)* c,
             phi_g <- phi_g + om c.
-        The code carries -i s and -i c, which folds each factor i into a
-        scalar.  At W = 0 both G and om vanish, so E and phi_g keep their
+        All three come from t = tan(x/4), one vectorised call where sin and
+        cos of x/2 would take two slower ones.  The code carries -i h s and
+        -i c/h, which folds each factor i and h into a scalar.  At W = 0 both G and om vanish, so E and phi_g keep their
         values whatever c is, and phi_e keeps its own."""
         mul, add = np.multiply, np.add
         E, a, b, e, g = y
         ab, s, c, tmp = self.ab, self.s, self.c, self.tmp
         q, sh, ch, sq, mix = self.q, self.sh, self.ch, self.sq, self.mix
-        mul(a, b, ab)
-        np.square(self.ab_ri, self.sq2)
-        add(self.sq2_re, self.sq2_im, q)
-        mul(q, (0.5 * h * self.g_pair) ** 2, q)
-        add(q, (0.5 * h * om) ** 2, q)
-        np.sqrt(q, q)                         # x/2
-        # at least the smallest normal float: sin(q)/q is then 1, not 0/0, at W = 0
+        self._load_ab(y)
+        if before or after:
+            r_max = float(self.r.max())
+        if before:
+            self._rotate(y, before, r_max)
+        mul(self.r, (0.25 * h * self.g_pair) ** 2, q)
+        add(q, (0.25 * h * om) ** 2, q)
+        np.sqrt(q, q)                         # v = x/4
+        # at least the smallest normal float: t d / v is then 1, not 0/0, at W = 0
         np.maximum(q, _TINY, out=q)
-        np.sin(q, sh)
-        np.cos(q, ch)
-        np.divide(sh, q, sq)                  # sin(x/2)/(x/2)
-        mul(sq, h, q)
-        mul(q, ch, q)                         # P = h sinc(x)
-        mul(sq, sq, sq)
-        mul(sq, -0.5 * h * h, sq)             # Q
+        np.tan(q, sh)                         # t = tan(x/4)
         mul(sh, sh, mix)
-        mul(mix, -2.0, mix)
-        add(mix, 1.0, mix)                    # C = 1 - 2 sin^2(x/2)
+        add(mix, 1.0, ch)
+        np.divide(1.0, ch, ch)                # d = cos^2(x/4) = 1/(1 + t^2)
+        mul(sh, ch, sq)
+        np.divide(sq, q, sq)                  # sin(x/2)/(x/2) = t d / v
+        np.subtract(1.0, mix, mix)
+        mul(mix, ch, mix)                     # cos(x/2) = (1 - t^2) d
+        mul(sq, mix, sh)                      # P/h = sinc(x)
+        mul(mix, mix, ch)
+        mul(ch, 2.0, ch)
+        add(ch, -1.0, ch)                     # C = 2 cos^2(x/2) - 1
+        mul(sq, sq, sq)
+        mul(sq, -0.5, sq)                     # Q/h^2
         mul(ab, E, s)
-        mul(s, -1j * self.g_field, s)
-        mul(g, -1j * om, tmp)
-        add(s, tmp, s)                        # -i s
+        mul(s, -1j * h * self.g_field, s)
+        mul(g, -1j * h * om, tmp)
+        add(s, tmp, s)                        # -i h s
         mul(sq, s, c)
-        mul(q, e, tmp)
-        add(c, tmp, c)                        # -i c = Q (-i s) + P e
-        mul(mix, e, tmp)
-        mul(q, s, self.e_new)
-        np.subtract(tmp, self.e_new, e)       # phi_e <- C e - P (-i s)
-        np.conjugate(ab, ab)
-        mul(ab, c, tmp)
-        mul(tmp, 1j * self.g_signal, tmp)
+        mul(sh, e, tmp)
+        add(c, tmp, c)                        # -i c/h = (Q/h^2)(-i h s) + (P/h) e
+        mul(ch, e, tmp)
+        mul(sh, s, self.e_new)
+        np.subtract(tmp, self.e_new, e)       # phi_e <- C e - (P/h)(-i h s)
+        mul(self.cab, c, tmp)
+        mul(tmp, 1j * h * self.g_signal, tmp)
         add(E, tmp, E)
-        mul(c, 1j * om, tmp)
+        mul(c, 1j * h * om, tmp)
         add(g, tmp, g)
+        if after:
+            self._rotate(y, after, r_max)
 
     def pairs(self, y: np.ndarray, h: float) -> None:
         """Flow B of y over h, in place: with x = |kappa| h,
         (phi_a, phi_b) <- cosh(x) (phi_a, phi_b) + i h sinh(x)/x kappa (phi_b, phi_a)*.
-        Below (x^2 < _PAIR_SERIES_MAX everywhere) cosh and sinh(x)/x are
-        their series to x^4, exact to rounding; above, sinh(x)/x is taken at
-        x floored to the smallest normal float, so it never divides by 0."""
+        Where x is small enough everywhere cosh and sinh(x)/x are their series
+        (``_even_series``), exact to rounding; above, sinh(x)/x is taken at x
+        floored to the smallest normal float, so it never divides by 0."""
         mul, add = np.multiply, np.add
-        E, a, b, e, g = y
-        kappa, r, ch, sc = self.s, self.q, self.ch, self.sq
+        E, e = y[0], y[3]
+        kappa, ch, sc, rk = self.kappa, self.cosh, self.sinh, self.rk
         np.conjugate(E, kappa)
         mul(kappa, e, kappa)                  # kappa / g_field
-        np.square(self.s_ri, self.sq2)
-        add(self.sq2_re, self.sq2_im, r)      # |kappa / g_field|^2
+        np.conjugate(kappa, sc)
+        mul(kappa, sc, rk)                    # |kappa / g_field|^2, its real part r
+        r = rk.real
         hh = (h * self.g_field) ** 2          # x^2 = hh r
-        if r.max() * hh < _PAIR_SERIES_MAX:
-            mul(r, hh * hh / 24.0, ch)
-            add(ch, 0.5 * hh, ch)
-            mul(ch, r, ch)
-            add(ch, 1.0, ch)                  # 1 + x^2/2 + x^4/24
-            mul(r, hh * hh / 120.0, sc)
-            add(sc, hh / 6.0, sc)
-            mul(sc, r, sc)
-            add(sc, 1.0, sc)                  # 1 + x^2/6 + x^4/120
-        else:
-            mul(r, hh, r)
-            np.sqrt(r, r)
-            np.maximum(r, _TINY, out=r)
-            np.cosh(r, ch)
-            np.sinh(r, sc)
-            np.divide(sc, r, sc)
+        scale = 1j * h * self.g_field
+        if not _even_series(rk, hh, hh * float(r.max()), ch, sc, scale):
+            x, sn = self.q, self.sh
+            mul(r, hh, x)
+            np.sqrt(x, x)
+            np.maximum(x, _TINY, out=x)
+            np.cosh(x, ch)
+            np.sinh(x, sn)
+            np.divide(sn, x, sn)
+            mul(sn, scale, sc)
         mul(kappa, sc, kappa)
-        mul(kappa, 1j * h * self.g_field, kappa)
         np.conjugate(y[2:0:-1], self.pair)    # rows phi_b*, phi_a*
         mul(self.pair, kappa, self.pair)
         mul(y[1:3], ch, y[1:3])
@@ -655,25 +788,36 @@ class _DarkStateSplit:
         np.multiply(y[1], complex(math.cos(self.delta * tau), -math.sin(self.delta * tau)), y[1])
         np.multiply(y[3], complex(math.cos(self.Delta * tau), -math.sin(self.Delta * tau)), y[3])
 
-    def half_step(self, y: np.ndarray, om: np.ndarray, h: float,
-                  opening: float, closing: float) -> None:
-        """len(om) split substeps of length h, in place, om the control at
-        each substep's midpoint: B(h/2) D(h/2) A D(h/2) B(h/2) per substep,
-        the two B halves between neighbouring substeps fused into B(h).
-        The first B runs for ``opening`` and the last for ``closing`` (h/2
-        each, unless the caller fuses a neighbour's B half into them; a
-        closing 0 leaves it to the caller)."""
+    def half_step(self, y: np.ndarray, om: list, h: float, opening: float,
+                  closing: float, pending: float) -> float:
+        """len(om) // 2 split substeps of length h, in place, om the control
+        at each substep's two Gauss nodes in turn: per substep
+        B(h/2) D(h/2) R A R D(h/2) B(h/2), R A R the Magnus step of
+        ``coupling``.  Between neighbouring substeps the two B halves are
+        fused into B(h) and the two rotations into one, taken with the next
+        A.  The first B runs for ``opening``, and ``pending`` (a rotation the
+        caller still owes y) joins the first rotation.  The last B runs for
+        ``closing``, with the last rotation before it; a closing 0 leaves
+        both to the caller, and the rotation left owed is returned (0 if
+        none)."""
         self.pairs(y, opening)
-        for j, om_j in enumerate(om.tolist()):
+        m = len(om) // 2
+        scale = _MAGNUS_KAPPA * h * h
+        for j in range(m):
             if j:
                 self.pairs(y, h)
             if self.detuned:
                 self.phases(y, 0.5 * h)
-            self.coupling(y, om_j, h)
+            om1, om2 = om[2 * j], om[2 * j + 1]
+            kappa = scale * (om2 - om1)
+            close = kappa if closing and j == m - 1 else 0.0
+            self.coupling(y, 0.5 * (om1 + om2), h, pending + kappa, close)
+            pending = kappa - close
             if self.detuned:
                 self.phases(y, 0.5 * h)
         if closing:
             self.pairs(y, closing)
+        return pending
 
 
 def _rk4_matter_step(y: np.ndarray, p: MediumParams, n_z: int) -> Callable:
@@ -784,12 +928,16 @@ def integrate_mean_field(
     - A lossless automatic run (every gamma 0, ``substeps=0``) takes the
       exact dark-state split of ``_DarkStateSplit``: per substep the Strang
       composition B(h/2) D(h/2) A(h) D(h/2) B(h/2) of closed-form flows,
-      with the control of A at the substep midpoint.  The closing B(h/2)
-      of an outer step is fused into the opening B of the next (a snapshot
-      closes it on its own copy).  Q3 and Q1 - Q2 hold to rounding, so
-      theta is steered by Q1: Q1 is read after each first half-step (a
-      whole state), and after each outer step, once the fields are finite,
-      d is the relative change between the last two readings and theta
+      A the fourth-order Magnus step of the coupling, wrapped in its
+      commutator rotations, with the controls at the substep's two Gauss
+      nodes (all of an outer step's in one ``sched.omega`` call).  The
+      closing B(h/2) of an outer step, and the rotation before it, are
+      fused into the opening B and rotation of the next (a snapshot closes
+      both on its own copy).  Q3 and Q1 - Q2 hold to rounding, so theta is
+      steered by Q1: Q1 is read after each first half-step (a whole state),
+      and after each outer step, once the fields are finite, d is the mean
+      relative change of the last two outer steps (the last one's after
+      the first), whose one-step change flips sign on a plateau, and theta
       becomes ``_next_split_phase(theta, d, b, half_dt w_next)`` with
       b = 0.5 CHARGE_DRIFT_LIMIT / max(outer steps, _DRIFT_STEPS_MIN) and
       w_next the next step's larger half-step frequency: above that phase
@@ -823,6 +971,8 @@ def integrate_mean_field(
         n_steps = len(w) // 2
         theta = _SUBSTEP_PHASE_TARGET
         budget = 0.5 * CHARGE_DRIFT_LIMIT / max(n_steps, _DRIFT_STEPS_MIN)
+        # the phase of one substep on each half-step
+        phase = (half_dt * w).tolist()
     else:
         counts = half_step_substeps(s0.t, sched, p, grid, substeps).tolist()
         n_steps = len(counts) // 2
@@ -833,6 +983,8 @@ def integrate_mean_field(
     y = np.array([s0.E, s0.phi_a, s0.phi_b, s0.phi_e, s0.phi_g], dtype=complex)
     flux = float(s0.boundary_photon_flux)
     taken = int(s0.matter_substeps)
+    # the B time and the rotation the split still owes the state y, 0 under RK4
+    deferred = pending = 0.0
 
     if split:
         flows = _DarkStateSplit(p, grid.n_z)
@@ -840,34 +992,21 @@ def integrate_mean_field(
         def q1() -> float:
             return float((np.vdot(y[1], y[1]) + np.vdot(y[3:], y[3:])).real) * grid.dz
 
-        q = q1()
+        q = q_old = q1()
         scale = abs(q) or 1.0   # as in charge_drifts: absolute where Q1 is 0
         # the phase at which every half-step of step n takes one substep
-        ceilings = (half_dt * np.maximum(w[0::2], w[1::2])).tolist()
-
-        def matter_half(t0: float, m: int, defer: bool) -> None:
-            # a deferred closing B(h/2) is fused into the next step's opening B
-            nonlocal deferred
-            h = half_dt / m
-            flows.half_step(y, sched.omega(t0 + h * (np.arange(m) + 0.5)), h,
-                            deferred + 0.5 * h, 0.0 if defer else 0.5 * h)
-            deferred = 0.5 * h if defer else 0.0
+        ceilings = [max(a, b) for a, b in zip(phase[0::2], phase[1::2])]
     else:
         rk4 = _rk4_matter_step(y, p, grid.n_z)
-
-        def matter_half(t0: float, m: int, defer: bool) -> None:
-            h = half_dt / m
-            rk4(sched.omega(t0 + 0.5 * h * np.arange(2 * m + 1)), h)
-
-    # the B time the split still owes the state y, always 0 under RK4
-    deferred = 0.0
 
     snaps = []
 
     def snapshot(t: float) -> None:
         fields = y.copy()
-        if deferred:
-            flows.pairs(fields, deferred)   # the state at t itself
+        if deferred:   # the state at t itself: the owed rotation, then the owed B
+            if pending:
+                flows.rotate(fields, pending)
+            flows.pairs(fields, deferred)
         snaps.append(MeanFieldState(t, grid.z, *fields, boundary_photon_flux=flux,
                                     matter_substeps=taken))
         if on_snapshot is not None:
@@ -879,28 +1018,48 @@ def integrate_mean_field(
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             t0 = s0.t + n * grid.dt
-            m0, m1 = (_substep_counts(half_dt, w[2 * n:2 * n + 2], theta).tolist()
-                      if split else counts[2 * n:2 * n + 2])
-            matter_half(t0, m0, False)
+            t1 = t0 + half_dt
+            last = n == n_steps - 1
             if split:
+                m0, m1 = _split_substeps(phase[2 * n], phase[2 * n + 1], theta)
+                h0, h1 = half_dt / m0, half_dt / m1
+                # the Gauss-node controls of both half-steps in one call
+                om = sched.omega(_gauss_nodes(t0, h0, m0) + _gauss_nodes(t1, h1, m1)).tolist()
+                flows.half_step(y, om[:2 * m0], h0, deferred + 0.5 * h0, 0.5 * h0, pending)
                 # Q1 at a whole state: after this half-step's closing B, where an
                 # outer step of matter evolution separates two readings
                 q_mid = q1()
+            else:
+                m0, m1 = counts[2 * n], counts[2 * n + 1]
+                h0, h1 = half_dt / m0, half_dt / m1
+                rk4(sched.omega(t0 + 0.5 * h0 * np.arange(2 * m0 + 1)), h0)
             out_val = y[0, -1]
             y[0] = advect(y[0], lam)
             flux += lam * dz_over_L * abs(out_val) ** 2
-            matter_half(t0 + half_dt, m1, n < n_steps - 1)
-            taken += m0 + m1
-            finite = np.isfinite(y)
-            if not finite.all():
-                # row-major: the first bad column of the first row that has one
-                raise NumericsError("non-finite field value", t=t0 + grid.dt,
-                                    index=int(np.nonzero(~finite)[1][0]))
             if split:
-                theta = _next_split_phase(theta, abs(q_mid - q) / scale, budget,
-                                          ceilings[n + 1] if n + 1 < n_steps else 0.0)
-                q = q_mid
-            if (n + 1) % snapshot_stride == 0 or n == n_steps - 1:
+                # a closing B(h/2) and rotation left owed join the next step's first
+                pending = flows.half_step(y, om[2 * m0:], h1, 0.5 * h1,
+                                          0.5 * h1 if last else 0.0, 0.0)
+                deferred = 0.0 if last else 0.5 * h1
+            else:
+                rk4(sched.omega(t1 + 0.5 * h1 * np.arange(2 * m1 + 1)), h1)
+            taken += m0 + m1
+            # one sum of squares is finite where every value is (its overflow on
+            # a finite state is told apart by the cell-by-cell look)
+            if not math.isfinite(np.vdot(y, y).real):
+                bad = ~np.isfinite(y)
+                if bad.any():
+                    # row-major: the first bad column of the first row that has one
+                    raise NumericsError("non-finite field value", t=t0 + grid.dt,
+                                        index=int(np.nonzero(bad)[1][0]))
+            if split:
+                # the mean signed change of Q1 over the last two outer steps (one,
+                # after the first): on a plateau the one-step change flips sign
+                drift = abs(q_mid - q_old) / (2.0 * scale) if n else abs(q_mid - q) / scale
+                theta = _next_split_phase(theta, drift, budget,
+                                          0.0 if last else ceilings[n + 1])
+                q_old, q = q, q_mid
+            if (n + 1) % snapshot_stride == 0 or last:
                 snapshot(t0 + grid.dt)
     return snaps
 

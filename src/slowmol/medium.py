@@ -180,10 +180,16 @@ def group_velocity_with_decay(p: MediumParams, omega: float) -> float:
 
 
 def velocity_floor(p: MediumParams) -> float:
-    """Nonzero group velocity left at switched-off control due to decay."""
+    """Nonzero group velocity left at switched-off control due to decay;
+    ``StoppedLightError`` without decay, or where the floor underflows to 0."""
     if p.gamma1 * p.gamma2 <= 0.0:
         raise StoppedLightError("no decay floor; velocity is zero at omega=0")
-    return group_velocity_with_decay(p, 0.0)
+    try:
+        return group_velocity_with_decay(p, 0.0)
+    except StoppedLightError:
+        raise StoppedLightError("the decay floor c / (1 + g_tilde^2 N_a N_b / (gamma1 gamma2)) "
+                                "underflows to 0: the decay rates are too small to leave a "
+                                "velocity at omega=0") from None
 
 
 def mapping_coefficient(p: MediumParams, omega0: float, omega_t: float) -> float:

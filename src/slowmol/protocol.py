@@ -91,15 +91,21 @@ def feasibility_check(p: MediumParams, t_s: float, sched: ControlSchedule,
     effective coupling (g_tilde^2 N_a N_b is 0 or underflows, lossless
     media included) or whose optical depth is 0 stores nothing and has no
     spectral window: ``ConfigError`` naming ``medium.g_tilde_rad_per_us``.
+    The depth is ``inf`` exactly when gamma2 is 0; a decaying medium whose
+    depth overflows is a ``ConfigError`` naming ``medium.gamma_e_rad_per_us``.
     """
     check_durations(t_s=t_s, t_storage=t_storage)
     if p.pair_coupling_sq == 0.0:
         raise ConfigError("medium.g_tilde_rad_per_us: the coupling g_tilde^2 N_a N_b is 0, "
                           "so the medium stores nothing and has no spectral window")
-    if p.gamma2 > 0:
-        depth = p.pair_coupling_sq * p.L / (p.gamma2 * p.c)
+    if p.gamma2 == 0.0:
+        depth = math.inf   # no excited-state decay: the depth is unbounded
     else:
-        depth = math.inf
+        depth = p.pair_coupling_sq * p.L / (p.gamma2 * p.c)
+        if depth == math.inf:
+            raise ConfigError("medium.gamma_e_rad_per_us: the optical depth g_tilde^2 N_a N_b "
+                              "L / (gamma2 c) overflows a float; for a medium without "
+                              "excited-state decay set gamma_a, gamma_b and gamma_e to 0")
     v_plateau = group_velocity_with_decay(p, sched.plateau)
     window = math.sqrt(depth) * v_plateau / p.L  # inf depth -> trivially wide window
     if not window > 0:

@@ -313,6 +313,12 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
             ("feasibility", ["medium.gamma_g_rad_per_us=1e-320"], "medium.gamma_g_rad_per_us"),
             # its velocity floor underflows to 0 (the slowdown overflows)
             ("groupvel", ["medium.gamma_g_rad_per_us=1e-320"], "medium.gamma_g_rad_per_us"),
+            # a decaying medium whose optical depth overflows is not a lossless one
+            *[(experiment, ["medium.gamma_e_rad_per_us=1e-320"], "medium.gamma_e_rad_per_us")
+              for experiment in ("feasibility", "store")],
+            # the split would square g_tilde L dt/2 beyond the float range
+            *[(experiment, [*tiny_store, "preset=desk-storage", "medium.length_um=1e308"],
+               "medium.length_um") for experiment in ("store", "propagate")],
             ("gpe-soliton", ["gpe.background_decay_per_us=-1"], "gpe.background_decay_per_us"),
             ("gpe-split", ["soliton.seed_separation_widths=-1"],
              "soliton.seed_separation_widths"),
@@ -328,6 +334,16 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
     for i, settings in enumerate(no_healing_width):
         args = [arg for setting in settings for arg in ("--set", setting)]
         assert main(["groupvel", "--out", str(tmp_path / f"gv_product{i}"), *args]) == 0
+
+
+def test_an_underflowing_velocity_floor_names_its_own_remedy(tmp_path, capsys):
+    # the floor is refused by velocity_floor itself: the remedy must not send
+    # the reader back to velocity_floor
+    assert main(["groupvel", "--out", str(tmp_path / "x"),
+                 "--set", "medium.gamma_g_rad_per_us=1e-320"]) == 2
+    err = capsys.readouterr().err
+    assert "medium.gamma_g_rad_per_us: the decay floor" in err
+    assert "use velocity_floor" not in err
 
 
 def test_cli_import_loads_no_scipy():

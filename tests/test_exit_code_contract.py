@@ -124,6 +124,8 @@ def cases(draw):
 @example(("gpe-soliton", ["gpe.potential_rad_per_us=0.5"]))
 @example(("gpe-soliton", ["gpegrid.dt_us=0.2"]))
 @example(("gpe-split", ["soliton.q=1.0"]))
+@example(("store", ["medium.length_um=1e308"]))
+@example(("propagate", ["medium.length_um=1e308"]))
 # one run beyond each work cap
 @example(("store", ["grid.t_end_us=1e8"]))
 @example(("gpe-soliton", ["gpegrid.t_end_us=1e7"]))

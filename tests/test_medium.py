@@ -121,6 +121,13 @@ def test_velocity_floor_requires_decay():
         velocity_floor(params())
 
 
+def test_an_underflowing_velocity_floor_is_refused_with_its_own_remedy():
+    # gamma1 gamma2 is subnormal: the slowdown at omega = 0 overflows
+    with pytest.raises(StoppedLightError, match="decay floor .* underflows") as info:
+        velocity_floor(params(gamma_g=1e-320, gamma_e=1e-3))
+    assert "velocity_floor" not in str(info.value)
+
+
 # --------------------------------------------------------- mapping coefficient
 
 def test_mapping_initial_stage_is_photonic():
