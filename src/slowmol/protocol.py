@@ -92,7 +92,8 @@ def feasibility_check(p: MediumParams, t_s: float, sched: ControlSchedule,
     media included) or whose optical depth is 0 stores nothing and has no
     spectral window: ``ConfigError`` naming ``medium.g_tilde_rad_per_us``.
     The depth is ``inf`` exactly when gamma2 is 0; a decaying medium whose
-    depth overflows is a ``ConfigError`` naming ``medium.gamma_e_rad_per_us``.
+    depth overflows is a ``ConfigError`` naming ``medium.gamma_e_rad_per_us``
+    and ``medium.length_um``.
     """
     check_durations(t_s=t_s, t_storage=t_storage)
     if p.pair_coupling_sq == 0.0:
@@ -101,11 +102,12 @@ def feasibility_check(p: MediumParams, t_s: float, sched: ControlSchedule,
     if p.gamma2 == 0.0:
         depth = math.inf   # no excited-state decay: the depth is unbounded
     else:
-        depth = p.pair_coupling_sq * p.L / (p.gamma2 * p.c)
+        rate = p.gamma2 * p.c   # 0 where a subnormal gamma2 underflows: the depth overflows
+        depth = p.pair_coupling_sq * p.L / rate if rate > 0.0 else math.inf
         if depth == math.inf:
-            raise ConfigError("medium.gamma_e_rad_per_us: the optical depth g_tilde^2 N_a N_b "
-                              "L / (gamma2 c) overflows a float; for a medium without "
-                              "excited-state decay set gamma_a, gamma_b and gamma_e to 0")
+            raise ConfigError("medium.gamma_e_rad_per_us, medium.length_um: the optical depth "
+                              "g_tilde^2 N_a N_b L / (gamma2 c) of a decaying medium "
+                              "overflows a float")
     v_plateau = group_velocity_with_decay(p, sched.plateau)
     window = math.sqrt(depth) * v_plateau / p.L  # inf depth -> trivially wide window
     if not window > 0:

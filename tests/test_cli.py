@@ -316,6 +316,9 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
             # a decaying medium whose optical depth overflows is not a lossless one
             *[(experiment, ["medium.gamma_e_rad_per_us=1e-320"], "medium.gamma_e_rad_per_us")
               for experiment in ("feasibility", "store")],
+            # gamma2 c underflows to 0: no division by zero
+            ("feasibility", ["medium.gamma_e_rad_per_us=5e-324", "medium.c_um_per_us=0.1"],
+             "medium.gamma_e_rad_per_us"),
             # the split would square g_tilde L dt/2 beyond the float range
             *[(experiment, [*tiny_store, "preset=desk-storage", "medium.length_um=1e308"],
                "medium.length_um") for experiment in ("store", "propagate")],

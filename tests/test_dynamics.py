@@ -639,6 +639,26 @@ def test_commutator_rotation_is_the_exact_unitary_rotation_of_its_generator(desk
                                np.sum(np.abs(v0) ** 2, axis=1), rtol=1e-14)
 
 
+def test_commutator_rotation_is_finite_for_a_huge_coupling_on_a_thin_medium():
+    # L = 1e100: g_tilde L = 3e97 but |phi_a phi_b| = N/L = 1e-97, so x^2 = 3.6e-7
+    # (the x^4 series) while (kappa g_tilde L)^4 overflows a float
+    p = MediumParams(g_tilde=3.0e-3, L=1e100, c=2.0, N_a=1000.0, N_b=1000.0)
+    y = _random_state(16, 11, scale=(1.0, 0.0, 0.0, 1e-50, 1e-50))
+    y[1:3] = math.sqrt(1000.0 / p.L)
+    before = y.copy()
+    kappa = 2e-4
+    G = p.g_tilde * p.L * before[1] * before[2]
+    assert dynamics._SERIES_LINEAR_MAX < np.max(np.abs(kappa * G)) ** 2 < dynamics._PAIR_SERIES_MAX
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dynamics._DarkStateSplit(p, 16).rotate(y, kappa)
+    assert np.all(np.isfinite(y))
+    x = kappa * np.abs(G)
+    u0 = before[0] / math.sqrt(p.L)
+    u = np.cos(x) * u0 + np.sin(x) / x * kappa * np.conj(G) * before[4]
+    np.testing.assert_allclose(y[0] / math.sqrt(p.L), u, rtol=1e-14)
+
+
 def test_magnus_coupling_step_has_a_fifth_order_local_error_on_a_linear_ramp(desk_medium):
     # one cell, phi_a and phi_b frozen, Omega(t) = 3 + 20 t: one Magnus step
     # (the coupling at the mean of the Gauss-node controls between its two
