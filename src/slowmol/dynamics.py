@@ -64,9 +64,11 @@ MAX_HELD_CELLS = 10_000_000
 _MAX_HALVINGS = 16
 # the smallest normal float: the floor of a half angle or x that a sin(x)/x divides by
 _TINY = float(np.finfo(float).tiny)
-# the split's cosh(x) and sinh(x)/x (cos(x) and sin(x)/x) are their series in x^2:
-# to x^2 while every x^2 is at most _SERIES_LINEAR_MAX, to x^4 while at most
-# _PAIR_SERIES_MAX; the dropped terms are then below 4.2e-18 and 1.4e-21
+# the split's cosh(x) - 1 and sinh(x)/x (cos(x) - 1 and sin(x)/x) are their series
+# in x^2: to x^2 while every x^2 is at most _SERIES_LINEAR_MAX, to x^4 while at
+# most _PAIR_SERIES_MAX; the dropped terms are then below 4.2e-18 and 1.4e-21, and
+# the flows add them to fields of size 1 (every call of the desk store takes the
+# first: it saves a tenth of the run)
 _SERIES_LINEAR_MAX = 1e-8
 _PAIR_SERIES_MAX = 1e-6
 # the Magnus step's Gauss nodes sit (sqrt(3)/6) h either side of the substep's
@@ -503,16 +505,15 @@ def _half_steps(grid: Grid1D) -> int:
                                   "(smaller c or shorter horizon) or coarsen the grid")
 
 
+def _substeps(phase: float, theta: float) -> int:
+    """Substeps of a half-step whose one-substep phase is ``phase`` that keep
+    each substep's phase at most theta: max(1, ceil(phase / theta))."""
+    return max(1, math.ceil(phase / theta))
+
+
 def _substep_counts(half_dt: float, w: np.ndarray, theta: float) -> np.ndarray:
     """RK4 substeps that keep w * substep <= theta on each half-step."""
-    return np.maximum(1, np.ceil(half_dt * w / theta)).astype(int)
-
-
-def _split_substeps(phase0: float, phase1: float, theta: float) -> tuple[int, int]:
-    """The split's substeps on an outer step's two half-steps, whose one-substep
-    phases are ``phase0`` and ``phase1``: max(1, ceil(phase / theta)) each, the
-    counts ``_substep_counts`` gives, in plain Python."""
-    return max(1, math.ceil(phase0 / theta)), max(1, math.ceil(phase1 / theta))
+    return np.array([_substeps(phase, theta) for phase in (half_dt * w).tolist()], dtype=int)
 
 
 def _gauss_nodes(start: float, h: float, m: int) -> list:
@@ -570,8 +571,8 @@ def _next_split_phase(theta: float, drift: float, budget: float, ceiling: float)
 
 def _even_series(r: np.ndarray, y_scale: float, y_max: float, y: np.ndarray,
                  c: np.ndarray, s: np.ndarray, s_scale: complex) -> bool:
-    """cosh(x) into c and s_scale sinh(x)/x into s from their series in
-    y = y_scale r = x^2 (at y = -x^2, cos(x) and s_scale sin(x)/x), y into
+    """cosh(x) - 1 into c and s_scale sinh(x)/x into s from their series in
+    y = y_scale r = x^2 (at y = -x^2, cos(x) - 1 and s_scale sin(x)/x), y into
     ``y`` first so that no scalar product of the scales can overflow; in
     place and True while y_max, the largest |y|, allows the series (see
     _SERIES_LINEAR_MAX), False, with nothing written, above."""
@@ -580,15 +581,13 @@ def _even_series(r: np.ndarray, y_scale: float, y_max: float, y: np.ndarray,
         return False
     mul(r, y_scale, y)
     if y_max <= _SERIES_LINEAR_MAX:
-        mul(y, 0.5, c)
-        add(c, 1.0, c)                        # 1 + y/2
+        mul(y, 0.5, c)                        # y/2
         mul(y, s_scale / 6.0, s)
         add(s, s_scale, s)                    # s_scale (1 + y/6)
         return True
     mul(y, 1.0 / 24.0, c)
     add(c, 0.5, c)
-    mul(c, y, c)
-    add(c, 1.0, c)                            # 1 + y/2 + y^2/24
+    mul(c, y, c)                              # y/2 + y^2/24
     mul(y, s_scale / 120.0, s)
     add(s, s_scale / 6.0, s)
     mul(s, y, s)
@@ -666,10 +665,11 @@ class _DarkStateSplit:
         """``rotate`` from the loaded ab, cab, r and rc, r_max the largest r:
         with x^2 = k^2 r, k = kappa g_pair, C = cos(x) and S = sin(x)/x,
             E <- C E + k sqrt(L) S cab phi_g,  phi_g <- C phi_g - (k/sqrt(L)) S ab E.
-        C^2 + S^2 x^2 = 1: the rotation is unitary (to 1 - x^4/12 >= 1 - 8.4e-18
-        where the series stops at x^2).  C and S are their series
-        (``_even_series``) where x is small enough everywhere; above, S is taken
-        at x floored to the smallest normal float."""
+        C^2 + S^2 x^2 = 1: the rotation is unitary.  It adds each change to
+        its field, with C - 1 in place of a C rounded near 1, whose error
+        would build up over a run in Q3.  C - 1 and S are their series
+        (``_even_series``) where x is small enough everywhere; above, they
+        come from x/2 floored to half the smallest normal float."""
         mul, add = np.multiply, np.add
         E, g = y[0], y[4]
         c, p, pc = self.rot_c, self.rot_p, self.rot_pc
@@ -677,21 +677,28 @@ class _DarkStateSplit:
         kk = k * k
         alpha = k * self.sqrt_L
         if not _even_series(self.rc, -kk, kk * r_max, self.rot_y, c, p, alpha):
-            x, sn = self.q, self.sh
+            x, half, sn, cs = self.q, self.sh, self.ch, self.sq
             mul(self.r, kk, x)
             np.sqrt(x, x)
             np.maximum(x, _TINY, out=x)
-            np.cos(x, c)
-            np.sin(x, sn)
-            np.divide(sn, x, sn)
-            mul(sn, alpha, p)                 # C and k sqrt(L) S
+            mul(x, 0.5, half)
+            np.sin(half, sn)
+            np.cos(half, cs)
+            mul(cs, sn, cs)
+            np.divide(cs, half, cs)
+            mul(cs, alpha, p)                 # k sqrt(L) S
+            mul(sn, sn, sn)
+            mul(sn, -2.0, c)                  # C - 1 = -2 sin^2(x/2)
+        t = self.rot_y
         mul(p, self.cab, p)                   # k sqrt(L) S cab
         np.conjugate(p, pc)
         mul(pc, -self.inv_L, pc)              # -(k/sqrt(L)) S ab
         mul(pc, E, pc)
+        mul(c, g, t)
+        add(pc, t, pc)                        # the change of phi_g
         mul(p, g, p)
-        mul(E, c, E)
-        mul(g, c, g)
+        mul(c, E, t)
+        add(p, t, p)                          # the change of E
         add(E, p, E)
         add(g, pc, g)
 
@@ -773,7 +780,9 @@ class _DarkStateSplit:
         r = rk.real
         hh = (h * self.g_field) ** 2          # x^2 = hh r
         scale = 1j * h * self.g_field
-        if not _even_series(rk, hh, hh * float(r.max()), rk, ch, sc, scale):
+        if _even_series(rk, hh, hh * float(r.max()), rk, ch, sc, scale):
+            add(ch, 1.0, ch)
+        else:
             x, sn = self.q, self.sh
             mul(r, hh, x)
             np.sqrt(x, x)
@@ -941,9 +950,10 @@ def integrate_mean_field(
       both on its own copy).  Q3 and Q1 - Q2 hold to rounding, so theta is
       steered by Q1: Q1 is read after each first half-step (a whole state),
       and after each outer step, once the fields are finite, d is the mean
-      relative change of the last two outer steps (the last one's after
-      the first), whose one-step change flips sign on a plateau, and theta
-      becomes ``_next_split_phase(theta, d, b, half_dt w_next)`` with
+      relative change of the last two outer steps from the third step on
+      (before, the change since the last reading), since the one-step
+      change flips sign on a plateau, and theta becomes
+      ``_next_split_phase(theta, d, b, half_dt w_next)`` with
       b = 0.5 CHARGE_DRIFT_LIMIT / max(outer steps, _DRIFT_STEPS_MIN) and
       w_next the next step's larger half-step frequency: above that phase
       each of its half-steps takes one substep already, so theta cannot
@@ -1026,7 +1036,7 @@ def integrate_mean_field(
             t1 = t0 + half_dt
             last = n == n_steps - 1
             if split:
-                m0, m1 = _split_substeps(phase[2 * n], phase[2 * n + 1], theta)
+                m0, m1 = _substeps(phase[2 * n], theta), _substeps(phase[2 * n + 1], theta)
                 h0, h1 = half_dt / m0, half_dt / m1
                 # the Gauss-node controls of both half-steps in one call
                 om = sched.omega(_gauss_nodes(t0, h0, m0) + _gauss_nodes(t1, h1, m1)).tolist()
@@ -1058,9 +1068,10 @@ def integrate_mean_field(
                     raise NumericsError("non-finite field value", t=t0 + grid.dt,
                                         index=int(np.nonzero(bad)[1][0]))
             if split:
-                # the mean signed change of Q1 over the last two outer steps (one,
-                # after the first): on a plateau the one-step change flips sign
-                drift = abs(q_mid - q_old) / (2.0 * scale) if n else abs(q_mid - q) / scale
+                # the mean signed change of Q1 over the last two outer steps once
+                # two lie between readings (the change since the last reading
+                # before): on a plateau the one-step change flips sign
+                drift = abs(q_mid - q_old) / (2.0 * scale) if n > 1 else abs(q_mid - q) / scale
                 theta = _next_split_phase(theta, drift, budget,
                                           0.0 if last else ceilings[n + 1])
                 q_old, q = q, q_mid
