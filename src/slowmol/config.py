@@ -18,8 +18,8 @@ from pathlib import Path
 from .dynamics import (MAX_HELD_CELLS, Grid1D, SignalEnvelope, check_options, check_split_scale,
                        held_frame_cells, matter_step)
 from .errors import ConfigError
-from .gpe import (GpeParams, SolitonSpec, check_evolution, check_free_background, check_split,
-                  healing_alpha)
+from .gpe import (GpeParams, SolitonSpec, check_evolution, check_free_background, check_period,
+                  check_split, healing_alpha)
 from .medium import MediumKind, MediumParams, effective_pair_density, population_split
 from .protocol import check_durations
 from .reports import fmt_float
@@ -302,8 +302,9 @@ class RunConfig:
             if matter_step(p, self.run.substeps) == "split":
                 keyed("medium.length_um", check_split_scale, p, grid, self.to_schedule())
         elif self.experiment in ("gpe-soliton", "gpe-split"):
-            _check_held_frames("gpegrid", self.to_gpe_grid(), self.gpegrid.snapshot_stride,
-                               rows=1)
+            gpe_grid = self.to_gpe_grid()
+            keyed("gpegrid.z_max_um", check_period, gpe_grid)
+            _check_held_frames("gpegrid", gpe_grid, self.gpegrid.snapshot_stride, rows=1)
         return self
 
 

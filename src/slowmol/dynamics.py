@@ -18,12 +18,14 @@ is conserved up to boundary flux of the light term.
 
 The integrator carries the signal and the four matter fields as one complex
 state array of shape (5, n_z), rows in the order E, phi_a, phi_b, phi_e,
-phi_g, and subcycles each matter half-step.  A lossless automatic run takes
-the exact dark-state split (``_DarkStateSplit``): closed-form flows that keep
-Q3 to rounding, the coupling as a fourth-order Magnus step, with substeps
-steered by the drift of Q1 it measures.  Runs with decay or an explicit
-substep count take classical RK4, with counts that follow the fastest
-frequency of the half-step (``half_step_substeps``).
+phi_g, and subcycles the matter evolution between advection steps.  A
+lossless automatic run takes the exact dark-state split (``_DarkStateSplit``):
+closed-form flows that keep Q3 to rounding, the coupling as a fourth-order
+Magnus step, run as one block from the middle of one outer step to the
+middle of the next, with substeps steered by the drift of Q1 it measures.
+Runs with decay or an explicit substep count take classical RK4 on each
+matter half-step, with counts that follow its fastest frequency
+(``half_step_substeps``).
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ _DRIFT_STEPS_MIN = 2000
 _WEA_DENSITY_RATIO = 1e-2
 # relative tolerance of wea_propagate's distance on a closed-form schedule
 _WEA_QUAD_REL_TOL = 1e-8
-# caps on one run: its outer steps, and the RK4 substeps the fixed 0.1 rad rule gives it
+# caps on one run: its outer steps, and the matter substeps the fixed 0.1 rad rule
+# gives it, which bounds the RK4 counts and the split's alike
 _MAX_OUTER_STEPS = 2_000_000
-_MAX_RK4_SUBSTEPS = 100_000_000
+_MAX_SUBSTEPS = 100_000_000
 # cap on the frame or snapshot cells (complex, 16 bytes each) one run holds: 27x
 # the desk store's 373,760 (73 snapshots of 1024 x 5) and 48x a default
 # gpe-soliton's 206,848 (101 frames of 2048); the desk store at stride 1 holds
@@ -62,6 +65,10 @@ _MAX_RK4_SUBSTEPS = 100_000_000
 MAX_HELD_CELLS = 10_000_000
 # panel doubling of ``integrate`` stops after this many halvings
 _MAX_HALVINGS = 16
+# the split's phase target never exceeds this: a long substep errs where Q1,
+# which steers it, cannot see (the desk store's efficiency misses its
+# converged value by 1.3e-5 without it, where Q1 drifts only 6.2e-8)
+_SPLIT_PHASE_MAX = 1.0
 # the smallest normal float: the floor of a half angle or x that a sin(x)/x divides by
 _TINY = float(np.finfo(float).tiny)
 # the split's cosh(x) - 1 and sinh(x)/x (cos(x) - 1 and sin(x)/x) are their series
@@ -429,17 +436,18 @@ def half_step_substeps(t0: float, sched: ControlSchedule, p: MediumParams, grid:
     ``substeps=0`` sizes each half-step from its own fastest frequency w
     (``_half_step_frequencies``) so that w * substep <= _SUBSTEP_PHASE_TARGET.
     A positive count is used everywhere; a negative one is a ``ConfigError``.
-    A lossless automatic integration takes the split step instead, never more
-    substeps than these counts, sized from its measured drift (see
-    ``integrate_mean_field``).
+    A lossless automatic integration takes the split step instead, in
+    blocks that span two neighbouring half-steps and never take more
+    substeps than these counts give the two, sized from its measured drift
+    (see ``integrate_mean_field``).
     """
     n_half = _half_steps(grid)
     check_options(substeps=substeps)
     if substeps:
-        if substeps * n_half > _MAX_RK4_SUBSTEPS:
+        if substeps * n_half > _MAX_SUBSTEPS:
             raise ConfigError(f"run.substeps: {substeps} on each of {n_half} half-steps is "
                               f"{substeps * n_half:.3g} RK4 substeps (more than "
-                              f"{_MAX_RK4_SUBSTEPS:g})")
+                              f"{_MAX_SUBSTEPS:g})")
         return np.full(n_half, substeps)
     return _substep_counts(0.5 * grid.dt, _half_step_frequencies(t0, sched, p, grid),
                            _SUBSTEP_PHASE_TARGET)
@@ -459,12 +467,13 @@ def check_options(*, substeps: int = 0, advection: str = "upwind",
 
 def check_split_scale(p: MediumParams, grid: Grid1D, sched: ControlSchedule) -> None:
     """``ValueError`` unless every coupling scalar the split squares on a
-    substep h <= dt/2 has a finite square: g_tilde L h, g_tilde sqrt(L) h and
-    the commutator's kappa g_tilde L, kappa <= _MAGNUS_KAPPA h^2 Omega_max."""
-    h = 0.5 * grid.dt
+    substep h <= dt (one substep per block) has a finite square: g_tilde L h,
+    g_tilde sqrt(L) h and the commutator's kappa g_tilde L,
+    kappa <= _MAGNUS_KAPPA h^2 Omega_max."""
+    h = grid.dt
     g_pair = p.g_tilde * p.L
-    for name, x in (("g_tilde L dt/2", h * g_pair),
-                    ("g_tilde sqrt(L) dt/2", h * p.g_tilde * math.sqrt(p.L)),
+    for name, x in (("g_tilde L dt", h * g_pair),
+                    ("g_tilde sqrt(L) dt", h * p.g_tilde * math.sqrt(p.L)),
                     ("its commutator angle per |phi_a phi_b|",
                      _MAGNUS_KAPPA * h * h * sched.plateau * g_pair)):
         # a product, not ``**``: an overflowing float power raises OverflowError
@@ -506,8 +515,9 @@ def _half_steps(grid: Grid1D) -> int:
 
 
 def _substeps(phase: float, theta: float) -> int:
-    """Substeps of a half-step whose one-substep phase is ``phase`` that keep
-    each substep's phase at most theta: max(1, ceil(phase / theta))."""
+    """Substeps of a half-step or split block whose one-substep phase is
+    ``phase`` that keep each substep's phase at most theta:
+    max(1, ceil(phase / theta))."""
     return max(1, math.ceil(phase / theta))
 
 
@@ -530,7 +540,8 @@ def _half_step_frequencies(t0: float, sched: ControlSchedule, p: MediumParams,
     exact from the two end values plus any schedule knot inside, where it
     can peak above both: a table is piecewise linear between its knots and a
     tanh ramp, which has none, has a single minimum.  ``ConfigError`` if the
-    fixed rule would take more than ``_MAX_RK4_SUBSTEPS`` in all."""
+    fixed rule would take more than ``_MAX_SUBSTEPS`` in all: it bounds the
+    split's substeps as well as RK4's."""
     n_half = _half_steps(grid)
     half_dt = 0.5 * grid.dt
     edges = t0 + half_dt * np.arange(n_half + 1)
@@ -543,11 +554,12 @@ def _half_step_frequencies(t0: float, sched: ControlSchedule, p: MediumParams,
          + abs(p.Delta) + abs(p.delta)
          + max(p.gamma_a, p.gamma_b, p.gamma_e, p.gamma_g))
     total = half_dt * float(np.sum(w)) / _SUBSTEP_PHASE_TARGET
-    if not total <= _MAX_RK4_SUBSTEPS:
+    if not total <= _MAX_SUBSTEPS:
         raise ConfigError(
             "medium: the fastest frequency hypot(Omega, g_tilde sqrt(N_a N_b)) + |Delta| + "
-            f"|delta| + max gamma reaches {float(np.max(w)):.3g} rad/us, so the run needs "
-            f"{total:.3g} RK4 substeps (more than {_MAX_RK4_SUBSTEPS:g})")
+            f"|delta| + max gamma reaches {float(np.max(w)):.3g} rad/us, so the fixed "
+            f"{_SUBSTEP_PHASE_TARGET:g} rad rule takes {total:.3g} matter substeps (more "
+            f"than {_MAX_SUBSTEPS:g})")
     return w
 
 
@@ -556,10 +568,10 @@ def _next_split_phase(theta: float, drift: float, budget: float, ceiling: float)
     Norsett & Wanner, Solving ODEs I, sec. II.4) of the split matter step,
     its factor clipped to [1/2, 3/2] (3/2 for a zero drift, 1/2 for an
     overflowing one), then theta to at most ``ceiling`` and at least
-    _SUBSTEP_PHASE_TARGET.  The exponent is that of a Q1 drift per outer step
+    _SUBSTEP_PHASE_TARGET.  The exponent is that of a Q1 drift per block
     that scales as h^2; the split's drift, with its fourth-order Magnus
-    coupling, falls about 16-fold when h halves, so the factor overshoots
-    and the drift fed in is a two-step mean (see ``integrate_mean_field``)."""
+    coupling, falls about 15-fold when h halves, so the factor overshoots
+    and the drift fed in is a two-block mean (see ``integrate_mean_field``)."""
     if drift == 0.0:
         factor = 1.5
     elif drift < math.inf:
@@ -802,21 +814,18 @@ class _DarkStateSplit:
         np.multiply(y[1], complex(math.cos(self.delta * tau), -math.sin(self.delta * tau)), y[1])
         np.multiply(y[3], complex(math.cos(self.Delta * tau), -math.sin(self.Delta * tau)), y[3])
 
-    def half_step(self, y: np.ndarray, om: list, h: float, opening: float,
-                  closing: float, pending: float) -> float:
+    def block(self, y: np.ndarray, om: list, h: float) -> None:
         """len(om) // 2 split substeps of length h, in place, om the control
         at each substep's two Gauss nodes in turn: per substep
         B(h/2) D(h/2) R A R D(h/2) B(h/2), R A R the Magnus step of
         ``coupling``.  Between neighbouring substeps the two B halves are
         fused into B(h) and the two rotations into one, taken with the next
-        A.  The first B runs for ``opening``, and ``pending`` (a rotation the
-        caller still owes y) joins the first rotation.  The last B runs for
-        ``closing``, with the last rotation before it; a closing 0 leaves
-        both to the caller, and the rotation left owed is returned (0 if
-        none)."""
-        self.pairs(y, opening)
+        A; the block opens with its own B(h/2) and rotation and closes with
+        its own, so it leaves a whole state."""
         m = len(om) // 2
         scale = _MAGNUS_KAPPA * h * h
+        pending = 0.0
+        self.pairs(y, 0.5 * h)
         for j in range(m):
             if j:
                 self.pairs(y, h)
@@ -824,14 +833,12 @@ class _DarkStateSplit:
                 self.phases(y, 0.5 * h)
             om1, om2 = om[2 * j], om[2 * j + 1]
             kappa = scale * (om2 - om1)
-            close = kappa if closing and j == m - 1 else 0.0
-            self.coupling(y, 0.5 * (om1 + om2), h, pending + kappa, close)
-            pending = kappa - close
+            self.coupling(y, 0.5 * (om1 + om2), h, pending + kappa,
+                          kappa if j == m - 1 else 0.0)
+            pending = kappa
             if self.detuned:
                 self.phases(y, 0.5 * h)
-        if closing:
-            self.pairs(y, closing)
-        return pending
+        self.pairs(y, 0.5 * h)
 
 
 def _rk4_matter_step(y: np.ndarray, p: MediumParams, n_z: int) -> Callable:
@@ -935,33 +942,37 @@ def integrate_mean_field(
 
     Strang splitting per outer step: half a matter/source step, one
     advection step of the signal at speed c, half a matter/source step.
-    Each matter half-step is subcycled so the fastest frequency stays
-    resolved: it takes max(1, ceil(half_dt w / theta)) substeps of length h,
-    w its fastest frequency (``_half_step_frequencies``).
+    The matter evolution is subcycled so the fastest frequency stays
+    resolved; w, the fastest frequency of each half-step, comes from
+    ``_half_step_frequencies``.
 
     - A lossless automatic run (every gamma 0, ``substeps=0``) takes the
-      exact dark-state split of ``_DarkStateSplit``: per substep the Strang
-      composition B(h/2) D(h/2) A(h) D(h/2) B(h/2) of closed-form flows,
-      A the fourth-order Magnus step of the coupling, wrapped in its
+      exact dark-state split of ``_DarkStateSplit``.  The two matter
+      half-steps that meet at each outer-step boundary t_n run as one block
+      over [t_n - dt/2, t_n + dt/2], with half-blocks after the start and
+      before the horizon (``_DarkStateSplit.block``: per substep the Strang
+      composition B(h/2) D(h/2) A(h) D(h/2) B(h/2) of closed-form flows, A
+      the fourth-order Magnus step of the coupling, wrapped in its
       commutator rotations, with the controls at the substep's two Gauss
-      nodes (all of an outer step's in one ``sched.omega`` call).  The
-      closing B(h/2) of an outer step, and the rotation before it, are
-      fused into the opening B and rotation of the next (a snapshot closes
-      both on its own copy).  Q3 and Q1 - Q2 hold to rounding, so theta is
-      steered by Q1: Q1 is read after each first half-step (a whole state),
-      and after each outer step, once the fields are finite, d is the mean
-      relative change of the last two outer steps from the third step on
-      (before, the change since the last reading), since the one-step
-      change flips sign on a plateau, and theta becomes
-      ``_next_split_phase(theta, d, b, half_dt w_next)`` with
-      b = 0.5 CHARGE_DRIFT_LIMIT / max(outer steps, _DRIFT_STEPS_MIN) and
-      w_next the next step's larger half-step frequency: above that phase
-      each of its half-steps takes one substep already, so theta cannot
-      wind up.  theta starts at 0.1 rad.
+      nodes, all of a block's in one ``sched.omega`` call).  A block takes
+      max(1, ceil(phi / theta)) substeps, phi the sum of its half-steps'
+      half_dt w, so never more than the fixed 0.1 rad rule gives those
+      half-steps.  A snapshot at t_n runs the first half of block n on a
+      copy, in ceil(m/2) substeps of a block of m, so the stride changes
+      no state.  Q3 and Q1 - Q2 hold to rounding, so theta is steered by
+      Q1, read after each block: d is the mean relative change over the
+      last two blocks from the third reading on (before, the change since
+      the last reading), since the one-step change flips sign on a
+      plateau, and theta becomes ``_next_split_phase(theta, d, b, c)``
+      with b = 0.5 CHARGE_DRIFT_LIMIT / max(outer steps, _DRIFT_STEPS_MIN)
+      and c the smaller of the next block's phi, where it takes one
+      substep already, and _SPLIT_PHASE_MAX, since Q1 cannot see the error
+      of a long substep.  theta starts at 0.1 rad.
     - Otherwise the matter/source system is integrated pointwise with
-      classical RK4 (``_rk4_matter_step``): with decay and ``substeps=0`` theta
-      is the fixed 0.1 rad of ``half_step_substeps``; a positive count gives
-      every half-step that count.
+      classical RK4 (``_rk4_matter_step``), half-step by half-step: with
+      decay and ``substeps=0`` each takes max(1, ceil(half_dt w / 0.1))
+      substeps (``half_step_substeps``); a positive count gives every
+      half-step that count.
 
     The state is one (5, n_z) array with rows E, phi_a, phi_b, phi_e, phi_g;
     row 0 alone is advected.  Snapshots (copies, one ``MeanFieldState``
@@ -982,12 +993,13 @@ def integrate_mean_field(
     half_dt = 0.5 * grid.dt
     split = matter_step(p, substeps) == "split"
     if split:
-        w = _half_step_frequencies(s0.t, sched, p, grid)
-        n_steps = len(w) // 2
+        half = (half_dt * _half_step_frequencies(s0.t, sched, p, grid)).tolist()
+        n_steps = len(half) // 2
         theta = _SUBSTEP_PHASE_TARGET
         budget = 0.5 * CHARGE_DRIFT_LIMIT / max(n_steps, _DRIFT_STEPS_MIN)
-        # the phase of one substep on each half-step
-        phase = (half_dt * w).tolist()
+        # the phase of one substep spanning each block: the half-step after t = 0,
+        # the two half-steps around each t_n, the half-step before the horizon
+        phase = [half[0], *(a + b for a, b in zip(half[1::2], half[2::2])), half[-1]]
     else:
         counts = half_step_substeps(s0.t, sched, p, grid, substeps).tolist()
         n_steps = len(counts) // 2
@@ -998,53 +1010,46 @@ def integrate_mean_field(
     y = np.array([s0.E, s0.phi_a, s0.phi_b, s0.phi_e, s0.phi_g], dtype=complex)
     flux = float(s0.boundary_photon_flux)
     taken = int(s0.matter_substeps)
-    # the B time and the rotation the split still owes the state y, 0 under RK4
-    deferred = pending = 0.0
 
     if split:
         flows = _DarkStateSplit(p, grid.n_z)
+
+        def block(state: np.ndarray, start: float, length: float, m: int) -> None:
+            """m split substeps of ``state`` from ``start`` over ``length``, the
+            controls at their Gauss nodes from one ``sched.omega`` call."""
+            h = length / m
+            flows.block(state, sched.omega(_gauss_nodes(start, h, m)).tolist(), h)
 
         def q1() -> float:
             return float((np.vdot(y[1], y[1]) + np.vdot(y[3:], y[3:])).real) * grid.dz
 
         q = q_old = q1()
         scale = abs(q) or 1.0   # as in charge_drifts: absolute where Q1 is 0
-        # the phase at which every half-step of step n takes one substep
-        ceilings = [max(a, b) for a, b in zip(phase[0::2], phase[1::2])]
     else:
         rk4 = _rk4_matter_step(y, p, grid.n_z)
 
     snaps = []
 
-    def snapshot(t: float) -> None:
-        fields = y.copy()
-        if deferred:   # the state at t itself: the owed rotation, then the owed B
-            if pending:
-                flows.rotate(fields, pending)
-            flows.pairs(fields, deferred)
+    def snapshot(t: float, fields: np.ndarray, count: int) -> None:
         snaps.append(MeanFieldState(t, grid.z, *fields, boundary_photon_flux=flux,
-                                    matter_substeps=taken))
+                                    matter_substeps=count))
         if on_snapshot is not None:
             on_snapshot(snaps[-1])
 
-    snapshot(s0.t)
+    snapshot(s0.t, y.copy(), taken)
     # divergence is caught by the finiteness check; silence the overflow
     # chatter a diverging step emits on the way there
     with np.errstate(over="ignore", invalid="ignore"):
+        if split:
+            m = _substeps(phase[0], theta)
+            block(y, s0.t, half_dt, m)
+            taken += m
         for n in range(n_steps):
             t0 = s0.t + n * grid.dt
             t1 = t0 + half_dt
             last = n == n_steps - 1
-            if split:
-                m0, m1 = _substeps(phase[2 * n], theta), _substeps(phase[2 * n + 1], theta)
-                h0, h1 = half_dt / m0, half_dt / m1
-                # the Gauss-node controls of both half-steps in one call
-                om = sched.omega(_gauss_nodes(t0, h0, m0) + _gauss_nodes(t1, h1, m1)).tolist()
-                flows.half_step(y, om[:2 * m0], h0, deferred + 0.5 * h0, 0.5 * h0, pending)
-                # Q1 at a whole state: after this half-step's closing B, where an
-                # outer step of matter evolution separates two readings
-                q_mid = q1()
-            else:
+            due = (n + 1) % snapshot_stride == 0 or last
+            if not split:
                 m0, m1 = counts[2 * n], counts[2 * n + 1]
                 h0, h1 = half_dt / m0, half_dt / m1
                 rk4(sched.omega(t0 + 0.5 * h0 * np.arange(2 * m0 + 1)), h0)
@@ -1052,31 +1057,39 @@ def integrate_mean_field(
             y[0] = advect(y[0], lam)
             flux += lam * dz_over_L * abs(out_val) ** 2
             if split:
-                # a closing B(h/2) and rotation left owed join the next step's first
-                pending = flows.half_step(y, om[2 * m0:], h1, 0.5 * h1,
-                                          0.5 * h1 if last else 0.0, 0.0)
-                deferred = 0.0 if last else 0.5 * h1
+                # Q1 of the whole state block n left (advection leaves Q1 alone):
+                # the mean signed change over the last two blocks once two lie
+                # between readings (the change since the last reading before),
+                # since on a plateau the one-step change flips sign
+                q_new = q1()
+                drift = abs(q_new - q_old) / (2.0 * scale) if n > 1 else abs(q_new - q) / scale
+                theta = _next_split_phase(theta, drift, budget,
+                                          min(phase[n + 1], _SPLIT_PHASE_MAX))
+                q_old, q = q, q_new
+                m = _substeps(phase[n + 1], theta)
+                if due and not last:
+                    # the state at t0 + dt, inside block n + 1: its first half on a
+                    # copy, in substeps no longer than the block's
+                    fields, k = y.copy(), (m + 1) // 2
+                    block(fields, t1, half_dt, k)
+                    snapshot(t0 + grid.dt, fields, taken + k)
+                block(y, t1, half_dt if last else grid.dt, m)
+                taken += m
             else:
                 rk4(sched.omega(t1 + 0.5 * h1 * np.arange(2 * m1 + 1)), h1)
-            taken += m0 + m1
+                taken += m0 + m1
             # one sum of squares is finite where every value is (its overflow on
             # a finite state is told apart by the cell-by-cell look)
             if not math.isfinite(np.vdot(y, y).real):
                 bad = ~np.isfinite(y)
                 if bad.any():
-                    # row-major: the first bad column of the first row that has one
-                    raise NumericsError("non-finite field value", t=t0 + grid.dt,
+                    # at the time y has reached (block n + 1 runs past t0 + dt), the
+                    # row-major first bad column of the first row that has one
+                    t_y = t1 + grid.dt if split and not last else t0 + grid.dt
+                    raise NumericsError("non-finite field value", t=t_y,
                                         index=int(np.nonzero(bad)[1][0]))
-            if split:
-                # the mean signed change of Q1 over the last two outer steps once
-                # two lie between readings (the change since the last reading
-                # before): on a plateau the one-step change flips sign
-                drift = abs(q_mid - q_old) / (2.0 * scale) if n > 1 else abs(q_mid - q) / scale
-                theta = _next_split_phase(theta, drift, budget,
-                                          0.0 if last else ceilings[n + 1])
-                q_old, q = q, q_mid
-            if (n + 1) % snapshot_stride == 0 or last:
-                snapshot(t0 + grid.dt)
+            if due and (last or not split):
+                snapshot(t0 + grid.dt, y.copy(), taken)
     return snaps
 
 

@@ -186,6 +186,14 @@ class WaveFunction:
         return float(np.sum(self.density()) * self.dz)
 
 
+def check_period(grid: Grid1D) -> None:
+    """``ValueError`` unless the grid's period n_z dz, the span every norm and
+    energy integrates over, is a finite float."""
+    if not math.isfinite(grid.n_z * grid.dz):
+        raise ValueError("the periodic span n_z (z_max - z_min)/(n_z - 1) overflows "
+                         "the float range")
+
+
 def check_free_background(p: GpeParams) -> None:
     """``ValueError`` unless the effective potential (``effective_potential``)
     vanishes, as the analytic soliton profiles require."""

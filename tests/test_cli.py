@@ -292,7 +292,7 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
              "grid.t_end_us"),
             ("gpe-soliton", ["gpegrid.t_end_us=1e7"], "gpegrid.t_end_us"),
             ("propagate", [*tiny_store, "preset=desk-storage", "schedule.omega0_rad_per_us=1e9"],
-             "RK4 substeps"),
+             "matter substeps"),
             # documented refusals of the document itself
             ("groupvel", ["schedule.form=ramp"], "schedule.form"),
             ("groupvel", ["preset=lab"], "preset"),
@@ -322,6 +322,10 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
             # the split would square g_tilde L dt/2 beyond the float range
             *[(experiment, [*tiny_store, "preset=desk-storage", "medium.length_um=1e308"],
                "medium.length_um") for experiment in ("store", "propagate")],
+            # the periodic span n_z dz overflows: every norm would be inf
+            *[(experiment, ["gpegrid.n_z=64", "gpegrid.t_end_us=0.05",
+                            "gpegrid.z_max_um=1.7976931348623157e308"], "gpegrid.z_max_um")
+              for experiment in ("gpe-soliton", "gpe-split")],
             ("gpe-soliton", ["gpe.background_decay_per_us=-1"], "gpe.background_decay_per_us"),
             ("gpe-split", ["soliton.seed_separation_widths=-1"],
              "soliton.seed_separation_widths"),
@@ -422,6 +426,22 @@ def test_lossless_store_exits_3_on_charge_drift(tmp_path, capsys):
     assert "charge drift 0.00539" in err
     assert "run.substeps = 4" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_automatic_substeps_beyond_the_cap_name_the_fixed_rule(tmp_path, capsys):
+    # the 0.1 rad rule bounds the split's substeps as well as RK4's, so a lossless
+    # store, which takes the split, and a lossy one, which takes RK4, name it alike
+    tiny_store = ["preset=desk-storage", "grid.n_z=64", "grid.t_end_us=40",
+                  "schedule.t_down_us=8", "schedule.t_up_us=25", "schedule.rate_per_us=0.5",
+                  "medium.n_a=1e300"]
+    for decay in ([], ["medium.gamma_g_rad_per_us=0.001"]):
+        args = [arg for s in [*tiny_store, *decay] for arg in ("--set", s)]
+        assert main(["store", "--out", str(tmp_path / "x"), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: medium: the fastest frequency")
+        assert err.rstrip().endswith("reaches 9.49e+148 rad/us, so the fixed 0.1 rad rule "
+                                     "takes 3.76e+151 matter substeps (more than 1e+08)")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_explicit_substeps_beyond_the_cap_exit_2_before_a_step(tmp_path, capsys, monkeypatch):

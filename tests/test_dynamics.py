@@ -455,11 +455,14 @@ def test_auto_substeps_see_a_table_knot_inside_a_half_step(desk_medium):
 
 def _recorded_desk_run(desk_medium, monkeypatch, amplitude):
     """The lossless desk store at ``amplitude``: its snapshots, the fixed-rule
-    counts, and every (theta, counts) the controller asks the split's rule for."""
+    counts of each matter block (the half-step after t = 0, the two half-steps
+    around each outer-step boundary, the half-step before the horizon), and
+    every (theta, count) the controller asks the split's rule for."""
     from slowmol import standard_storage_schedule
     grid = Grid1D.for_speed(0.0, 200.0, 1024, c=desk_medium.c, t_end=140.0)
     sched = standard_storage_schedule()
-    fixed = half_step_substeps(0.0, sched, desk_medium, grid)
+    halves = half_step_substeps(0.0, sched, desk_medium, grid)
+    fixed = np.concatenate([halves[:1], halves[1:-1:2] + halves[2::2], halves[-1:]])
     rule = dynamics._substeps
     asked = []
 
@@ -478,10 +481,12 @@ def _recorded_desk_run(desk_medium, monkeypatch, amplitude):
 def test_lossless_desk_run_takes_the_substeps_its_drift_allows(desk_medium, monkeypatch):
     snaps, fixed, asked = _recorded_desk_run(desk_medium, monkeypatch, 1.0)
     counts = np.array([c for _, c in asked])
-    assert len(counts) == len(fixed) == 2864
-    # measured: 3,322 substeps (5,090 with the midpoint control of the coupling)
-    assert counts.sum() == snaps[-1].matter_substeps <= 3750
-    # between the one-substep floor and the 0.1 rad rule
+    # one count per matter block: 1,432 outer steps, 1,433 blocks
+    assert len(counts) == len(fixed) == 1433
+    # measured: 2,287 substeps (3,322 in half-steps, 5,090 with the midpoint
+    # control of the coupling)
+    assert counts.sum() == snaps[-1].matter_substeps <= 2600
+    # between the one-substep floor and the 0.1 rad rule of the block's half-steps
     assert np.all((1 <= counts) & (counts <= fixed))
     assert counts.min() == 1
     assert all(theta >= 0.1 for theta, _ in asked)
@@ -499,12 +504,12 @@ def test_lossless_desk_run_takes_the_substeps_its_drift_allows(desk_medium, monk
 
 def test_lossless_desk_run_at_amplitude_3_takes_the_substeps_its_drift_allows(desk_medium,
                                                                              monkeypatch):
-    # measured: 4,969 substeps and a worst drift of 2.3e-8 (8,505 and 4.0e-7 with
-    # the midpoint control of the coupling)
+    # measured: 3,578 substeps and a worst drift of 4.3e-8 (4,969 and 2.3e-8 in
+    # half-steps, 8,505 and 4.0e-7 with the midpoint control of the coupling)
     snaps, fixed, asked = _recorded_desk_run(desk_medium, monkeypatch, 3.0)
     counts = np.array([c for _, c in asked])
-    assert len(counts) == 2864
-    assert counts.sum() == snaps[-1].matter_substeps <= 6200
+    assert len(counts) == 1433
+    assert counts.sum() == snaps[-1].matter_substeps <= 4000
     assert np.all((1 <= counts) & (counts <= fixed))
     q1, q2, q3 = dynamics.charge_drifts(snaps, desk_medium)
     assert max(q1, q2, q3) <= 5e-8
@@ -512,23 +517,49 @@ def test_lossless_desk_run_at_amplitude_3_takes_the_substeps_its_drift_allows(de
 
 
 def test_halving_the_split_substep_cuts_the_desk_q1_drift_sixteenfold(desk_medium, monkeypatch):
-    # the fourth-order analogue of criterion 5: one, then two split substeps per
-    # half-step; Q3 stays exact, so only Q1 (and Q2) show the step's error, which
-    # the Magnus coupling makes fall as h^4 (measured: 3.1e-8 / 2.1e-9 = 14.8)
+    # the fourth-order analogue of criterion 5: two, then four split substeps per
+    # matter block; Q3 stays exact, so only Q1 (and Q2) show the step's error,
+    # which the Magnus coupling makes fall as h^4 (measured: 14.7)
     from slowmol import standard_storage_schedule
     grid = Grid1D.for_speed(0.0, 200.0, 1024, c=desk_medium.c, t_end=140.0)
     sched = standard_storage_schedule()
     s0 = MeanFieldState.polariton_state(grid, desk_medium, desk_pulse(grid),
                                         float(sched.omega(0.0)))
     drifts = []
-    for m in (1, 2):
+    for m in (2, 4):
         monkeypatch.setattr(dynamics, "_substeps", lambda phase, theta, m=m: m)
         snaps = integrate_mean_field(s0, sched, desk_medium, grid, snapshot_stride=100)
-        assert snaps[-1].matter_substeps == 2864 * m
+        assert snaps[-1].matter_substeps == 1433 * m
         drifts.append(dynamics.charge_drifts(snaps, desk_medium))
     (q1_coarse, _, q3_coarse), (q1_fine, _, q3_fine) = drifts
     assert max(q3_coarse, q3_fine) <= 1e-12
     assert 12.0 < q1_coarse / q1_fine < 20.0
+
+
+def test_the_phase_cap_keeps_the_desk_store_on_its_converged_efficiency(desk_medium,
+                                                                       monkeypatch):
+    # Q1 cannot see the error of a long split substep: without the 1 rad cap the
+    # controller runs the Omega0 plateaus at up to one substep per block (W dt
+    # about 3 rad) and the efficiency misses (measured: -1.3e-5 uncapped, +3.1e-7
+    # capped, against 4 substeps per block, itself -1.8e-8 off the 0.02 rad run)
+    from slowmol import run_storage_retrieval, standard_storage_schedule
+    grid = Grid1D.for_speed(0.0, 200.0, 1024, c=desk_medium.c, t_end=140.0)
+    sched = standard_storage_schedule()
+
+    def efficiency() -> float:
+        rep = run_storage_retrieval(desk_medium, sched, desk_pulse(grid), grid,
+                                    snapshot_stride=20)
+        return rep.scalars["efficiency"]
+
+    capped = efficiency()
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_SPLIT_PHASE_MAX", 10.0)
+        uncapped = efficiency()
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_substeps", lambda phase, theta: 4)
+        converged = efficiency()
+    assert abs(uncapped - converged) > 5e-6
+    assert abs(capped - converged) <= 5e-7
 
 
 def test_advection_dissipation_does_not_pin_the_phase_target(desk_medium):
@@ -545,8 +576,8 @@ def test_advection_dissipation_does_not_pin_the_phase_target(desk_medium):
 
 
 def test_split_snapshots_do_not_disturb_the_run(desk_medium):
-    # a snapshot closes the split's deferred B half on its own copy, so the
-    # stride changes no state: shared snapshot times hold equal fields
+    # a snapshot runs the first half of its split block on its own copy, so
+    # the stride changes no state: shared snapshot times hold equal fields
     grid = Grid1D.for_speed(0.0, 200.0, 128, c=desk_medium.c, t_end=12.0)
     sched = ControlSchedule.tanh_ramp(omega0=10 * math.pi, t_down=4.0, t_up=9.0, rate=0.5)
     s0 = MeanFieldState.polariton_state(grid, desk_medium, desk_pulse(grid),

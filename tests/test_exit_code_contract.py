@@ -126,6 +126,7 @@ def cases(draw):
 @example(("gpe-split", ["soliton.q=1.0"]))
 @example(("store", ["medium.length_um=1e308"]))
 @example(("propagate", ["medium.length_um=1e308"]))
+@example(("gpe-soliton", ["gpegrid.z_max_um=1.7976931348623157e308"]))
 # one run beyond each work cap
 @example(("store", ["grid.t_end_us=1e8"]))
 @example(("gpe-soliton", ["gpegrid.t_end_us=1e7"]))
