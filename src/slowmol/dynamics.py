@@ -1014,7 +1014,7 @@ def integrate_mean_field(
     if split:
         flows = _DarkStateSplit(p, grid.n_z)
 
-        def block(state: np.ndarray, start: float, length: float, m: int) -> None:
+        def advance(state: np.ndarray, start: float, length: float, m: int) -> None:
             """m split substeps of ``state`` from ``start`` over ``length``, the
             controls at their Gauss nodes from one ``sched.omega`` call."""
             h = length / m
@@ -1042,7 +1042,7 @@ def integrate_mean_field(
     with np.errstate(over="ignore", invalid="ignore"):
         if split:
             m = _substeps(phase[0], theta)
-            block(y, s0.t, half_dt, m)
+            advance(y, s0.t, half_dt, m)
             taken += m
         for n in range(n_steps):
             t0 = s0.t + n * grid.dt
@@ -1071,9 +1071,9 @@ def integrate_mean_field(
                     # the state at t0 + dt, inside block n + 1: its first half on a
                     # copy, in substeps no longer than the block's
                     fields, k = y.copy(), (m + 1) // 2
-                    block(fields, t1, half_dt, k)
+                    advance(fields, t1, half_dt, k)
                     snapshot(t0 + grid.dt, fields, taken + k)
-                block(y, t1, half_dt if last else grid.dt, m)
+                advance(y, t1, half_dt if last else grid.dt, m)
                 taken += m
             else:
                 rk4(sched.omega(t1 + 0.5 * h1 * np.arange(2 * m1 + 1)), h1)

@@ -319,7 +319,7 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
             # gamma2 c underflows to 0: no division by zero
             ("feasibility", ["medium.gamma_e_rad_per_us=5e-324", "medium.c_um_per_us=0.1"],
              "medium.gamma_e_rad_per_us"),
-            # the split would square g_tilde L dt/2 beyond the float range
+            # the split would square g_tilde L dt beyond the float range
             *[(experiment, [*tiny_store, "preset=desk-storage", "medium.length_um=1e308"],
                "medium.length_um") for experiment in ("store", "propagate")],
             # the periodic span n_z dz overflows: every norm would be inf

@@ -519,7 +519,7 @@ def test_lossless_desk_run_at_amplitude_3_takes_the_substeps_its_drift_allows(de
 def test_halving_the_split_substep_cuts_the_desk_q1_drift_sixteenfold(desk_medium, monkeypatch):
     # the fourth-order analogue of criterion 5: two, then four split substeps per
     # matter block; Q3 stays exact, so only Q1 (and Q2) show the step's error,
-    # which the Magnus coupling makes fall as h^4 (measured: 14.7)
+    # which the Magnus coupling makes fall as h^4 (measured: 14.75)
     from slowmol import standard_storage_schedule
     grid = Grid1D.for_speed(0.0, 200.0, 1024, c=desk_medium.c, t_end=140.0)
     sched = standard_storage_schedule()
