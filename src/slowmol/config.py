@@ -300,12 +300,25 @@ class RunConfig:
             _check_held_frames("grid", grid, self.grid.snapshot_stride, rows=5)
             p = self.to_medium_params()
             if matter_step(p, self.run.substeps) == "split":
-                keyed("medium.length_um", check_split_scale, p, grid, self.to_schedule())
+                keyed(self._split_scale_keys(p), check_split_scale, p, grid.dt,
+                      self.to_schedule().plateau)
         elif self.experiment in ("gpe-soliton", "gpe-split"):
             gpe_grid = self.to_gpe_grid()
             keyed("gpegrid.z_max_um", check_period, gpe_grid)
             _check_held_frames("gpegrid", gpe_grid, self.gpegrid.snapshot_stride, rows=1)
         return self
+
+    def _split_scale_keys(self, p: MediumParams) -> str:
+        """The keys to name when a split coupling squares beyond the float
+        range: ``medium.length_um`` if g_tilde L or g_tilde sqrt(L) does so at
+        a 1 us step already, otherwise the keys that set the outer step dt."""
+        try:
+            check_split_scale(p, 1.0, 0.0)
+        except ValueError:
+            return "medium.length_um"
+        if self.grid.dt_us > 0:
+            return "grid.dt_us"
+        return "grid.z_min_um, grid.z_max_um, grid.n_z, grid.cfl, medium.c_um_per_us"
 
 
 def _check_held_frames(section: str, grid: Grid1D, stride: int, rows: int) -> None:

@@ -72,12 +72,11 @@ _SPLIT_PHASE_MAX = 1.0
 # the smallest normal float: the floor of a half angle or x that a sin(x)/x divides by
 _TINY = float(np.finfo(float).tiny)
 # the split's cosh(x) - 1 and sinh(x)/x (cos(x) - 1 and sin(x)/x) are their series
-# in x^2: to x^2 while every x^2 is at most _SERIES_LINEAR_MAX, to x^4 while at
-# most _PAIR_SERIES_MAX; the dropped terms are then below 4.2e-18 and 1.4e-21, and
-# the flows add them to fields of size 1 (every call of the desk store takes the
-# first: it saves a tenth of the run)
+# to first order in x^2 while every x^2 is at most this (the dropped terms are then
+# below 4.2e-18, on fields of size 1), and come from sinh (sin) of x/2 and x above
+# it.  The series saves a tenth of the desk store, whose pair flows and rotations
+# all take it but 54 rotations on the ramps of the control (of 7,750 calls)
 _SERIES_LINEAR_MAX = 1e-8
-_PAIR_SERIES_MAX = 1e-6
 # the Magnus step's Gauss nodes sit (sqrt(3)/6) h either side of the substep's
 # midpoint; its commutator rotation, halved, is this times h^2 (Omega2 - Omega1)
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
@@ -465,17 +464,16 @@ def check_options(*, substeps: int = 0, advection: str = "upwind",
         raise ConfigError(f"unknown advection scheme {advection!r}")
 
 
-def check_split_scale(p: MediumParams, grid: Grid1D, sched: ControlSchedule) -> None:
+def check_split_scale(p: MediumParams, h: float, omega_max: float) -> None:
     """``ValueError`` unless every coupling scalar the split squares on a
-    substep h <= dt (one substep per block) has a finite square: g_tilde L h,
-    g_tilde sqrt(L) h and the commutator's kappa g_tilde L,
-    kappa <= _MAGNUS_KAPPA h^2 Omega_max."""
-    h = grid.dt
+    substep h (at most dt: one substep per block) has a finite square:
+    g_tilde L h, g_tilde sqrt(L) h and the commutator's kappa g_tilde L,
+    kappa <= _MAGNUS_KAPPA h^2 omega_max, omega_max the control's plateau."""
     g_pair = p.g_tilde * p.L
     for name, x in (("g_tilde L dt", h * g_pair),
                     ("g_tilde sqrt(L) dt", h * p.g_tilde * math.sqrt(p.L)),
                     ("its commutator angle per |phi_a phi_b|",
-                     _MAGNUS_KAPPA * h * h * sched.plateau * g_pair)):
+                     _MAGNUS_KAPPA * h * h * omega_max * g_pair)):
         # a product, not ``**``: an overflowing float power raises OverflowError
         if not math.isfinite(x * x):
             raise ValueError(f"the dark-state split's coupling {name} = {x:.3g} squares "
@@ -581,30 +579,34 @@ def _next_split_phase(theta: float, drift: float, budget: float, ceiling: float)
     return max(min(theta * factor, ceiling), _SUBSTEP_PHASE_TARGET)
 
 
-def _even_series(r: np.ndarray, y_scale: float, y_max: float, y: np.ndarray,
-                 c: np.ndarray, s: np.ndarray, s_scale: complex) -> bool:
-    """cosh(x) - 1 into c and s_scale sinh(x)/x into s from their series in
-    y = y_scale r = x^2 (at y = -x^2, cos(x) - 1 and s_scale sin(x)/x), y into
-    ``y`` first so that no scalar product of the scales can overflow; in
-    place and True while y_max, the largest |y|, allows the series (see
-    _SERIES_LINEAR_MAX), False, with nothing written, above."""
-    mul, add = np.multiply, np.add
-    if not y_max <= _PAIR_SERIES_MAX:
-        return False
-    mul(r, y_scale, y)
+def _even_flow(r: np.ndarray, y_scale: float, y_max: float, y: np.ndarray, c: np.ndarray,
+               s: np.ndarray, s_scale: complex, x: np.ndarray, fx: np.ndarray) -> None:
+    """C - 1 into c and s_scale S into s, in place, at y = y_scale r: for
+    y = x^2 > 0, C = cosh(x) and S = sinh(x)/x; for y = -x^2, C = cos(x) and
+    S = sin(x)/x.  y_max is the largest |y|.  While it allows the series
+    (see _SERIES_LINEAR_MAX) they are C - 1 = y/2 and S = 1 + y/6, y written
+    into ``y`` first so that no scalar product of the scales can overflow.
+    Above, with f = sinh (y > 0) or sin (y < 0) and x = sqrt|y| floored to
+    the smallest normal float, C - 1 = +-2 f(x/2)^2 and S = f(x)/x, from the
+    real buffers x and fx."""
+    mul = np.multiply
     if y_max <= _SERIES_LINEAR_MAX:
+        mul(r, y_scale, y)
         mul(y, 0.5, c)                        # y/2
         mul(y, s_scale / 6.0, s)
-        add(s, s_scale, s)                    # s_scale (1 + y/6)
-        return True
-    mul(y, 1.0 / 24.0, c)
-    add(c, 0.5, c)
-    mul(c, y, c)                              # y/2 + y^2/24
-    mul(y, s_scale / 120.0, s)
-    add(s, s_scale / 6.0, s)
-    mul(s, y, s)
-    add(s, s_scale, s)                        # s_scale (1 + y/6 + y^2/120)
-    return True
+        np.add(s, s_scale, s)                 # s_scale (1 + y/6)
+        return
+    f, sign = (np.sinh, 1.0) if y_scale > 0 else (np.sin, -1.0)
+    mul(r.real, sign * y_scale, x)            # x^2 = |y|
+    np.sqrt(x, x)
+    np.maximum(x, _TINY, out=x)
+    mul(x, 0.5, fx)
+    f(fx, fx)
+    mul(fx, fx, fx)
+    mul(fx, 2.0 * sign, c)                    # C - 1 = +-2 f(x/2)^2
+    f(x, fx)
+    np.divide(fx, x, fx)
+    mul(fx, s_scale, s)                       # s_scale f(x)/x
 
 
 class _DarkStateSplit:
@@ -679,28 +681,14 @@ class _DarkStateSplit:
             E <- C E + k sqrt(L) S cab phi_g,  phi_g <- C phi_g - (k/sqrt(L)) S ab E.
         C^2 + S^2 x^2 = 1: the rotation is unitary.  It adds each change to
         its field, with C - 1 in place of a C rounded near 1, whose error
-        would build up over a run in Q3.  C - 1 and S are their series
-        (``_even_series``) where x is small enough everywhere; above, they
-        come from x/2 floored to half the smallest normal float."""
+        would build up over a run in Q3; C - 1 and S come from ``_even_flow``
+        at y = -x^2."""
         mul, add = np.multiply, np.add
         E, g = y[0], y[4]
         c, p, pc = self.rot_c, self.rot_p, self.rot_pc
         k = kappa * self.g_pair
         kk = k * k
-        alpha = k * self.sqrt_L
-        if not _even_series(self.rc, -kk, kk * r_max, self.rot_y, c, p, alpha):
-            x, half, sn, cs = self.q, self.sh, self.ch, self.sq
-            mul(self.r, kk, x)
-            np.sqrt(x, x)
-            np.maximum(x, _TINY, out=x)
-            mul(x, 0.5, half)
-            np.sin(half, sn)
-            np.cos(half, cs)
-            mul(cs, sn, cs)
-            np.divide(cs, half, cs)
-            mul(cs, alpha, p)                 # k sqrt(L) S
-            mul(sn, sn, sn)
-            mul(sn, -2.0, c)                  # C - 1 = -2 sin^2(x/2)
+        _even_flow(self.rc, -kk, kk * r_max, self.rot_y, c, p, k * self.sqrt_L, self.q, self.sh)
         t = self.rot_y
         mul(p, self.cab, p)                   # k sqrt(L) S cab
         np.conjugate(p, pc)
@@ -778,10 +766,8 @@ class _DarkStateSplit:
 
     def pairs(self, y: np.ndarray, h: float) -> None:
         """Flow B of y over h, in place: with x = |kappa| h,
-        (phi_a, phi_b) <- cosh(x) (phi_a, phi_b) + i h sinh(x)/x kappa (phi_b, phi_a)*.
-        Where x is small enough everywhere cosh and sinh(x)/x are their series
-        (``_even_series``), exact to rounding; above, sinh(x)/x is taken at x
-        floored to the smallest normal float, so it never divides by 0."""
+        (phi_a, phi_b) <- cosh(x) (phi_a, phi_b) + i h sinh(x)/x kappa (phi_b, phi_a)*,
+        cosh(x) - 1 and sinh(x)/x from ``_even_flow`` at y = x^2."""
         mul, add = np.multiply, np.add
         E, e = y[0], y[3]
         kappa, ch, sc, rk = self.kappa, self.cosh, self.sinh, self.rk
@@ -789,20 +775,10 @@ class _DarkStateSplit:
         mul(kappa, e, kappa)                  # kappa / g_field
         np.conjugate(kappa, sc)
         mul(kappa, sc, rk)                    # |kappa / g_field|^2, its real part r
-        r = rk.real
         hh = (h * self.g_field) ** 2          # x^2 = hh r
-        scale = 1j * h * self.g_field
-        if _even_series(rk, hh, hh * float(r.max()), rk, ch, sc, scale):
-            add(ch, 1.0, ch)
-        else:
-            x, sn = self.q, self.sh
-            mul(r, hh, x)
-            np.sqrt(x, x)
-            np.maximum(x, _TINY, out=x)
-            np.cosh(x, ch)
-            np.sinh(x, sn)
-            np.divide(sn, x, sn)
-            mul(sn, scale, sc)
+        _even_flow(rk, hh, hh * float(rk.real.max()), rk, ch, sc, 1j * h * self.g_field,
+                   self.q, self.sh)
+        add(ch, 1.0, ch)
         mul(kappa, sc, kappa)
         np.conjugate(y[2:0:-1], self.pair)    # rows phi_b*, phi_a*
         mul(self.pair, kappa, self.pair)

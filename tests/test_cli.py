@@ -322,6 +322,12 @@ def test_exit_code_2_on_bad_invariant(tmp_path, capsys):
             # the split would square g_tilde L dt beyond the float range
             *[(experiment, [*tiny_store, "preset=desk-storage", "medium.length_um=1e308"],
                "medium.length_um") for experiment in ("store", "propagate")],
+            # ... or the outer step dt does, with g_tilde L only 0.6: its keys are named
+            ("store", ["preset=desk-storage", "grid.z_max_um=1.7976931348623157e308"],
+             "grid.z_min_um, grid.z_max_um, grid.n_z, grid.cfl, medium.c_um_per_us:"),
+            ("propagate", ["preset=desk-storage", "grid.z_min_um=-1.7976931348623157e308"],
+             "grid.z_min_um, grid.z_max_um, grid.n_z, grid.cfl, medium.c_um_per_us:"),
+            ("propagate", ["preset=desk-storage", "grid.dt_us=1e300"], "grid.dt_us:"),
             # the periodic span n_z dz overflows: every norm would be inf
             *[(experiment, ["gpegrid.n_z=64", "gpegrid.t_end_us=0.05",
                             "gpegrid.z_max_um=1.7976931348623157e308"], "gpegrid.z_max_um")

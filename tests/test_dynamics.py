@@ -617,6 +617,39 @@ def _random_state(n, seed, scale=(1.0, 2.0, 2.0, 0.1, 0.3)):
             * (rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))))
 
 
+def _cosh_minus_one_series(y):
+    """cosh(x) - 1 at y = x^2 (cos(x) - 1 at y = -x^2) from its series, to
+    rounding for |y| <= 1, where 1 + y/2 from math.cosh would cancel."""
+    return math.fsum(y**n / math.factorial(2 * n) for n in range(1, 12))
+
+
+# just below, at and just above the series' bound, for both signs of y: the two
+# sides land within the series' dropped y^2/24 of one reference, so C - 1 and S
+# are continuous across it
+@pytest.mark.parametrize("y_max", [0.5 * dynamics._SERIES_LINEAR_MAX, dynamics._SERIES_LINEAR_MAX,
+                                   math.nextafter(dynamics._SERIES_LINEAR_MAX, 1.0)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_even_flow_matches_the_functions_on_both_sides_of_the_series_bound(sign, y_max):
+    # |y|: a zero and a subnormal (roots 0, floored to the smallest normal float,
+    # and 2.2e-162), a quarter of y_max and y_max itself
+    r = np.array([0.0, 5e-324, 0.25 * y_max, y_max], dtype=complex)
+    y, c, s = np.empty((3, 4), dtype=complex)
+    x, fx = np.empty((2, 4))
+    scale = 0.5j   # s / scale is then exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dynamics._even_flow(r, sign, y_max, y, c, s, scale, x, fx)
+    assert np.all(c.imag == 0.0)
+    assert c[0] == 0.0 and s[0] == scale
+    cos, sin = (math.cosh, math.sinh) if sign > 0 else (math.cos, math.sin)
+    for yi, ci, si in zip(sign * r.real, c.real, s / scale):
+        xi = math.sqrt(abs(yi))
+        # C - 1 to what the flows add to fields of size 1: the series drops y^2/24
+        assert abs(ci - _cosh_minus_one_series(yi)) <= 5e-18
+        assert abs(1.0 + ci - (cos(xi) if xi else 1.0)) <= 2.3e-16
+        assert abs(si - (sin(xi) / xi if xi else 1.0)) <= 2.3e-16
+
+
 def test_coupling_flow_is_the_exact_unitary_rotation_that_keeps_the_dark_vector(desk_medium):
     p, om, h = desk_medium, 7.0, 0.3
     y = _random_state(64, 5)
@@ -643,7 +676,7 @@ def test_coupling_flow_is_the_exact_unitary_rotation_that_keeps_the_dark_vector(
                                (om * v0[:, 0] - np.conj(G) * v0[:, 2]) / W, rtol=0, atol=1e-14)
 
 
-# kappa: every x^2 below 1e-8 (series to x^2), below 1e-6 (to x^4), or some above (cos, sin)
+# kappa: every x^2 below 1e-8 (the series), or some above it, near and far (sin)
 @pytest.mark.parametrize("kappa", [1e-6, 1e-5, 0.05])
 def test_commutator_rotation_is_the_exact_unitary_rotation_of_its_generator(desk_medium, kappa):
     p = desk_medium
@@ -651,8 +684,7 @@ def test_commutator_rotation_is_the_exact_unitary_rotation_of_its_generator(desk
     before = y.copy()
     G = p.g_tilde * p.L * before[1] * before[2]
     x2 = (kappa * np.abs(G)) ** 2
-    tier = np.searchsorted([dynamics._SERIES_LINEAR_MAX, dynamics._PAIR_SERIES_MAX], x2.max())
-    assert tier == [1e-6, 1e-5, 0.05].index(kappa)
+    assert (x2.max() <= dynamics._SERIES_LINEAR_MAX) == (kappa == 1e-6)
     dynamics._DarkStateSplit(p, 64).rotate(y, kappa)
     # phi_a, phi_b and phi_e are left alone
     assert np.array_equal(y[1:4], before[1:4])
@@ -685,14 +717,14 @@ def test_repeated_commutator_rotations_keep_the_norm_to_rounding(desk_medium, ka
 
 def test_commutator_rotation_is_finite_for_a_huge_coupling_on_a_thin_medium():
     # L = 1e100: g_tilde L = 3e97 but |phi_a phi_b| = N/L = 1e-97, so x^2 = 3.6e-7
-    # (the x^4 series) while (kappa g_tilde L)^4 overflows a float
+    # (above the series) while (kappa g_tilde L)^4 overflows a float
     p = MediumParams(g_tilde=3.0e-3, L=1e100, c=2.0, N_a=1000.0, N_b=1000.0)
     y = _random_state(16, 11, scale=(1.0, 0.0, 0.0, 1e-50, 1e-50))
     y[1:3] = math.sqrt(1000.0 / p.L)
     before = y.copy()
     kappa = 2e-4
     G = p.g_tilde * p.L * before[1] * before[2]
-    assert dynamics._SERIES_LINEAR_MAX < np.max(np.abs(kappa * G)) ** 2 < dynamics._PAIR_SERIES_MAX
+    assert np.max(np.abs(kappa * G)) ** 2 > dynamics._SERIES_LINEAR_MAX
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dynamics._DarkStateSplit(p, 16).rotate(y, kappa)
@@ -774,7 +806,7 @@ def _pair_ode_rk4(y, g_field, h, n):
     return ab
 
 
-# every x^2 below 1e-8 (series to x^2), below 1e-6 (to x^4), or some above (cosh, sinh)
+# every x^2 below 1e-8 (the series), or some above it, near and far (sinh)
 @pytest.mark.parametrize("h", [0.001, 0.02, 40.0])
 def test_pair_flow_keeps_the_imbalance_and_matches_its_own_ode(desk_medium, h):
     p = desk_medium
@@ -783,7 +815,6 @@ def test_pair_flow_keeps_the_imbalance_and_matches_its_own_ode(desk_medium, h):
     before = y.copy()
     flows = dynamics._DarkStateSplit(p, 64)
     x2 = (g_field * h * np.abs(y[0] * y[3])) ** 2
-    assert (x2.max() < dynamics._PAIR_SERIES_MAX) == (h < 1.0)
     assert (x2.max() <= dynamics._SERIES_LINEAR_MAX) == (h < 0.01)
     flows.pairs(y, h)
     # E, phi_e and phi_g are frozen
@@ -799,7 +830,7 @@ def test_pair_flow_is_finite_for_a_subnormal_kappa(desk_medium):
     y = _random_state(8, 8)
     y[0, :4] = 1e-160            # |kappa| ~ 1e-161 |phi_e|: its square underflows
     y[3, 4] = 5e-324
-    y[0, 7], y[3, 7] = 30.0, 3.0  # forces the cosh/sinh branch in the second call
+    y[0, 7], y[3, 7] = 30.0, 3.0  # takes the sinh form in the second call
     flows = dynamics._DarkStateSplit(desk_medium, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

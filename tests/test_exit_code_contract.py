@@ -6,11 +6,14 @@ property drives ``main`` in-process over the numeric keys of all eight
 experiments.  Keys that size the work (grid points, horizons, time steps,
 strides and sample counts) are drawn from small ranges, so the solver
 experiments run on tiny grids; every other numeric key is drawn from
-extreme values (0, +-1e-300, +-1e300, nan, inf) and from values near its
-default.  The horizons, the control plateau, the explicit substep count and
-the curve and scan sample counts are also drawn from ranges wholly beyond a
+extreme values (0, +-1e-300, +-1e300, nan, inf, the smallest subnormal,
++-1e-320, +-1e308 and the largest float) and from values near its default.
+The horizons, the control plateau, the explicit substep count and the
+curve and scan sample counts are also drawn from ranges wholly beyond a
 work cap (2e6 time steps, 1e8 substeps, 1e5 samples), where a run must stop
-with exit 2 before its first step or allocation.
+with exit 2 before its first step or allocation.  A run that writes
+``unbounded``, the optical depth of a medium without excited-state decay,
+must have gamma2 = 0.
 """
 
 import contextlib
@@ -25,7 +28,7 @@ from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 
 from slowmol import cli
-from slowmol.config import EXPERIMENTS, MAX_SAMPLES, RunConfig
+from slowmol.config import EXPERIMENTS, MAX_SAMPLES, RunConfig, load_config
 
 _TINY_STORE = ["preset=desk-storage", "grid.n_z=64", "grid.t_end_us=40",
                "grid.snapshot_stride=10", "schedule.t_down_us=8", "schedule.t_up_us=25",
@@ -63,7 +66,8 @@ BEYOND_CAPS = {
     "curve.points": st.integers(MAX_SAMPLES + 1, 10**12),
     "sweep.n_scan_points": st.integers(MAX_SAMPLES + 1, 10**12),
 }
-EXTREMES = [0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300, "nan", "inf", "-inf"]
+EXTREMES = [0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300, "nan", "inf", "-inf",
+            5e-324, 1e-320, -1e-320, 1e308, -1e308, 1.7976931348623157e308]
 
 _DEFAULTS = RunConfig()
 # every "section.key" of a document, with its default value
@@ -127,6 +131,13 @@ def cases(draw):
 @example(("store", ["medium.length_um=1e308"]))
 @example(("propagate", ["medium.length_um=1e308"]))
 @example(("gpe-soliton", ["gpegrid.z_max_um=1.7976931348623157e308"]))
+# a subnormal excited-state decay: a depth that overflows, not an unbounded one
+@example(("store", ["medium.gamma_e_rad_per_us=5e-324"]))
+@example(("feasibility", ["medium.gamma_e_rad_per_us=1e-320"]))
+# an outer step dt whose split couplings square beyond the float range
+@example(("store", ["grid.z_max_um=1.7976931348623157e308"]))
+@example(("propagate", ["grid.z_min_um=-1.7976931348623157e308"]))
+@example(("propagate", ["grid.dt_us=1e300"]))
 # one run beyond each work cap
 @example(("store", ["grid.t_end_us=1e8"]))
 @example(("gpe-soliton", ["gpegrid.t_end_us=1e7"]))
@@ -149,9 +160,12 @@ def test_every_run_exits_by_the_contract(case):
         code = cli.main([experiment, "--out", str(out), *args])
         assert code in (0, 2, 3, 4), code
         if code == 0:
+            decaying = load_config(None, BASE.get(experiment, []) + sets).to_medium_params().gamma2
             for path in sorted(p for p in out.rglob("*") if p.is_file()):
-                match = NON_FINITE.search(path.read_text(encoding="utf-8"))
+                text = path.read_text(encoding="utf-8")
+                match = NON_FINITE.search(text)
                 assert match is None, f"{path.name}: {match.group()}"
+                assert not (decaying and "unbounded" in text), path.name
             assert sorted(Path(tmp).iterdir()) == [out]
         else:
             assert list(Path(tmp).iterdir()) == []
